@@ -1,29 +1,10 @@
-"""Simplex kernel selection: compiled extension when available, else Python.
+"""The Bland-rule simplex kernel, shared by float and exact (Fraction) solves.
 
-Set CTOCONV_PURE_PYTHON=1 to force the pure-Python kernel (used by the
-benchmark and as an escape hatch).  Exact (Fraction) solves always use the
-Python kernel, which is generic over the entry type.
+KERNEL, run_simplex_float and run_simplex_exact are read by the benchmark
+harness (ctobench), so they stay as names of the one kernel.
 """
 
-import os
+from ._simplex_py import OPTIMAL, run_simplex
 
-from . import _simplex_py
-
-OPTIMAL = _simplex_py.OPTIMAL
-UNBOUNDED = _simplex_py.UNBOUNDED
-ITERATION_LIMIT = _simplex_py.ITERATION_LIMIT
-
-run_simplex_exact = _simplex_py.run_simplex
-
-if os.environ.get("CTOCONV_PURE_PYTHON"):
-    run_simplex_float = _simplex_py.run_simplex
-    KERNEL = "python"
-else:
-    try:
-        from . import _simplex_cy
-
-        run_simplex_float = _simplex_cy.run_simplex
-        KERNEL = "cython"
-    except ImportError:  # extension not built; fall back silently
-        run_simplex_float = _simplex_py.run_simplex
-        KERNEL = "python"
+KERNEL = "python"
+run_simplex_float = run_simplex_exact = run_simplex

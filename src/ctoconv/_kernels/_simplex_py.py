@@ -1,8 +1,7 @@
 """Pure-Python simplex pivot kernel.
 
-Works on any mutable 2D tableau indexable as tab[i][j] whose entries share
-one numeric type: a float64 numpy array (fallback for the compiled kernel)
-or a list of Fraction lists (the exact engine, with eps == 0).
+Works on a tableau given as a list of row lists whose entries share one
+numeric type: Python floats, or Fractions for the exact engine (eps == 0).
 
 Tableau layout: rows 0..m-1 are constraints with the right-hand side in the
 last column; row m holds the reduced costs with -objective in the corner.

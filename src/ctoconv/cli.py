@@ -287,11 +287,11 @@ def _cmd_apply(args) -> int:
         if result.n_branches != target.n_branches:
             return 1
         err = max(
-            abs(float(a) - float(b))
+            abs(a - b)
             for ca, cb in zip(result.columns, target.columns)
             for a, b in zip(ca.w, cb.w)
         )
-        if err > inst.policy.eps_lp:
+        if not inst.policy.leq(err, 0, inst.policy.eps_lp):
             print(f"mismatch: max deviation {err}", file=sys.stderr)
             return 1
     return 0
@@ -340,10 +340,7 @@ def _cmd_monotone(args) -> int:
             abscissae = convert.sigma_grid(inst.ctx)
         elif args.grid.startswith("uniform:"):
             n = int(args.grid.split(":", 1)[1])
-            if inst.policy.exact:
-                abscissae = tuple(Fraction(i, n) for i in range(1, n + 1))
-            else:
-                abscissae = tuple(i / n for i in range(1, n + 1))
+            abscissae = convert.uniform_grid(n, inst.policy)
         else:
             raise ParseError("--grid must be 'sigma' or 'uniform:N'")
     report = convert.phi_monotones(source, inst.ctx, abscissae)
@@ -403,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--policy", choices=[FLOAT, RATIONAL],
                        help="override the instance arithmetic mode")
         p.add_argument("--eps", type=float, help="override the LP tolerance")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
     common(sub.add_parser("check", help="decide convertibility"))
     common(sub.add_parser("pmin", help="threshold weight for (p u, (1-p) g) -> v"))

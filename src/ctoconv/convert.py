@@ -14,6 +14,7 @@ matrix A with a strictly negative conversion functional.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations
 from typing import NamedTuple, Sequence
 
@@ -422,6 +423,13 @@ def sigma_grid(ctx: GibbsContext, d_max: int = 6) -> tuple:
     return tuple(out)
 
 
+def uniform_grid(n: int, policy: NumericPolicy) -> tuple:
+    """The abscissae i/n for i = 1..n, in the policy's number type."""
+    if policy.exact:
+        return tuple(Fraction(i, n) for i in range(1, n + 1))
+    return tuple(i / n for i in range(1, n + 1))
+
+
 def phi_monotones(state: CQState, ctx: GibbsContext,
                   abscissae: Sequence | None = None) -> MonotoneValues:
     """Curve-value monotones sum_x L[u^x](s) on a source-independent grid,
@@ -433,7 +441,7 @@ def phi_monotones(state: CQState, ctx: GibbsContext,
         if ctx.dim <= 6:
             abscissae = sigma_grid(ctx)
         else:
-            abscissae = tuple(i / 64 for i in range(1, 65))
+            abscissae = uniform_grid(64, ctx.policy)
     for s in abscissae:
         if s < 0 or s > 1:
             raise OutOfRange(f"abscissa {s} outside [0, 1]")

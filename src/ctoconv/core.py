@@ -1,8 +1,8 @@
 """Domain types, validation and the shared numeric policy.
 
 Numbers are plain floats in float mode and fractions.Fraction in rational
-mode.  All arithmetic in the library is generic over the two, except for
-the fast float simplex kernel which works on float64 tableaus.
+mode.  All arithmetic in the library, the simplex kernel included, is
+generic over the two.
 """
 
 from __future__ import annotations

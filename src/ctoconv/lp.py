@@ -8,7 +8,9 @@ basis form a Farkas witness:
     eq^T y_eq + ineq^T y_in <= 0 componentwise,  y_in >= 0,
     rhs_eq . y_eq + rhs_in . y_in > 0.
 
-Every answer is re-verified against the raw system before being returned.
+Both modes build the same list-of-lists tableau, of floats or of
+Fractions, and run the same kernel.  Every answer is re-verified against the
+raw system before being returned.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import _kernels
+from ._kernels import OPTIMAL, run_simplex
 from .core import NumericPolicy, vdot
 from .errors import DimensionMismatch, NumericBreakdown
 
@@ -89,9 +89,7 @@ def verify_certificate(sys: LinearSystem, certificate, eps) -> bool:
 
 def solve_feasibility(sys: LinearSystem, policy: NumericPolicy) -> FeasibilityResult:
     """Decide feasibility; exact in rational mode, tolerance eps_lp in float."""
-    if policy.exact:
-        return _solve(sys, policy, exact=True)
-    return _solve(sys, policy, exact=False)
+    return _solve(sys, policy, policy.exact)
 
 
 def _solve(sys: LinearSystem, policy: NumericPolicy, exact: bool) -> FeasibilityResult:
@@ -103,15 +101,11 @@ def _solve(sys: LinearSystem, policy: NumericPolicy, exact: bool) -> Feasibility
     ncols = n + n_slack + m + 1  # structural | slack | artificial | rhs
 
     if exact:
-        zero, one = Fraction(0), Fraction(1)
-        tab = [[zero] * ncols for _ in range(m + 1)]
-        basis = [0] * m
-        eps = Fraction(0)
+        zero, one, eps = Fraction(0), Fraction(1), Fraction(0)
     else:
-        zero, one = 0.0, 1.0
-        tab = np.zeros((m + 1, ncols), dtype=np.float64)
-        basis = np.zeros(m, dtype=np.int64)
-        eps = min(1e-9, policy.eps_lp)
+        zero, one, eps = 0.0, 1.0, min(1e-9, policy.eps_lp)
+    tab = [[zero] * ncols for _ in range(m + 1)]
+    basis = [0] * m
 
     signs = []
     rows = [(row, b, True) for row, b in sys.eq] + [
@@ -137,9 +131,8 @@ def _solve(sys: LinearSystem, policy: NumericPolicy, exact: bool) -> Feasibility
             continue
         tab[m][j] = -sum(tab[r][j] for r in range(m))
 
-    kernel = _kernels.run_simplex_exact if exact else _kernels.run_simplex_float
-    status = kernel(tab, basis, eps, _MAX_ITER)
-    if status != _kernels.OPTIMAL:
+    status = run_simplex(tab, basis, eps, _MAX_ITER)
+    if status != OPTIMAL:
         if exact:
             raise NumericBreakdown(f"simplex did not converge (status {status})")
         return _refine_exact(sys, policy)
@@ -183,7 +176,7 @@ def _solve(sys: LinearSystem, policy: NumericPolicy, exact: bool) -> Feasibility
 def _refine_exact(sys: LinearSystem, policy: NumericPolicy) -> FeasibilityResult:
     """Re-solve a float system in exact rational arithmetic.
 
-    Last resort when the float kernel's answer fails self-verification:
+    Last resort when a float solve's answer fails self-verification:
     floats convert to Fractions without loss, so the exact run decides the
     identical system, and the answer is rounded back to floats.
     """

@@ -153,6 +153,19 @@ class TestOtherCommands:
                                 "--expect-target"])
         assert code == 1
 
+    def test_apply_mismatch_exact_in_rational_mode(self, tmp_path, capsys):
+        # off by 1e-9, inside eps_lp: only an exact comparison sees it
+        doc = dict(MINIMAL, target={
+            "columns": [["999999999/1000000000", "1/1000000000"]]})
+        inst = _write(tmp_path, doc)
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(
+            {"R": [["1"]], "T": {"0,0": [["1", "0"], ["0", "1"]]}}
+        ))
+        code, _ = _run(capsys, ["apply", str(plan_path), inst,
+                                "--expect-target"])
+        assert code == 1
+
     def test_rate(self, tmp_path, capsys):
         doc = {
             "gibbs": {"beta": 1.0, "energies": [0.0, 0.0]},

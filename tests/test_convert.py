@@ -442,6 +442,14 @@ class TestPhiMonotones:
         report = phi_monotones(_single((F(1), F(0))), uniform2, (F(1, 2),))
         assert report.values == (F(1),)
 
+    def test_rational_uniform_fallback_is_exact(self):
+        # d > 6 has no sigma grid; the i/64 fallback must stay rational
+        ctx = testkit.random_context(7, 3, RATIONAL)
+        report = phi_monotones(testkit.random_cq(ctx, 2, 4), ctx)
+        assert len(report.abscissae) == 64
+        assert all(type(s) is F for s in report.abscissae)
+        assert all(type(v) is F for v in report.values)
+
     def test_out_of_range_abscissa(self, uniform2):
         with pytest.raises(OutOfRange):
             phi_monotones(_gibbs_column(uniform2), uniform2, (F(3, 2),))

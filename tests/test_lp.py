@@ -1,6 +1,9 @@
 """Feasibility solver: statuses, self-verified points and Farkas certificates."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -47,6 +50,15 @@ def test_float_mode_matches_exact():
     res = solve_feasibility(sys_f, FLOATS)
     assert res.status == FEASIBLE
     assert verify_point(sys_f, res.point, FLOATS.eps_lp)
+    assert all(type(x) is float for x in res.point)
+
+    # x1 + x2 == 1 and x1 + x2 >= 2: the certificate holds built-in floats too
+    bad = LinearSystem(2, eq=(((1.0, 1.0), 1.0),), ineq=(((1.0, 1.0), 2.0),))
+    res = solve_feasibility(bad, FLOATS)
+    assert res.status == INFEASIBLE
+    assert verify_certificate(bad, res.certificate, FLOATS.eps_lp)
+    y_eq, y_in = res.certificate
+    assert all(type(v) is float for v in y_eq + y_in)
 
 
 def test_rational_determinism():
@@ -140,3 +152,27 @@ def test_decision_lp_stress_large_instances():
         plan = testkit.random_cto(ctx, source.n_branches, rng.choice([2, 3, 4]), rng)
         target = apply_cto(plan, source, ctx)
         assert check_cto(source, target, ctx).convertible
+
+
+def test_runs_without_numpy():
+    """The package needs no numpy: a float and a rational check succeed with
+    numpy blocked from import."""
+    import ctoconv
+
+    src = os.path.dirname(os.path.dirname(ctoconv.__file__))
+    script = """
+import sys
+sys.modules["numpy"] = None
+from fractions import Fraction as F
+from ctoconv import CQState, GibbsContext, NumericPolicy, StateVector, check_cto
+for policy, num in ((NumericPolicy(), float), (NumericPolicy(mode="rational"), F)):
+    ctx = GibbsContext.from_weights((num(1) / 2, num(1) / 2), policy)
+    source = CQState((StateVector((num(1), num(0))),))
+    target = CQState((StateVector((num(3) / 4, num(1) / 4)),))
+    assert check_cto(source, target, ctx).convertible
+    assert not check_cto(target, source, ctx).convertible
+"""
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
