@@ -3,19 +3,23 @@
 Convertibility of a source joint state U (ell branches) into a target V
 (m branches) is equivalent to the existence of a row-stochastic R with
 
-    sum_x R[x][y] * L[u^x](s_i)  >=  L[v^y](s_i)
+    sum_x R[x][y] * L[u^x](s)  >=  L[v^y](s)
 
-at every abscissa s_i where some target branch curve bends (sufficiency by
-concavity).  Infeasibility yields a Farkas certificate, whose inequality
-multipliers reverse-cumsum into a nonnegative, column-non-increasing witness
-matrix A with a strictly negative conversion functional.
+at every bend s of the target branch curve L[v^y] and at s = 1: the left
+side is concave in s and the right side is linear between its own bends,
+so their difference is smallest at one of those points.  The decision LP
+holds one row per branch and own bend, placed on the union bend grid of all
+target branches.  Infeasibility yields a Farkas certificate; its inequality
+multipliers, zero-padded onto every (branch, grid row) pair, reverse-cumsum
+into a nonnegative, column-non-increasing witness matrix A with a strictly
+negative conversion functional.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import NamedTuple, Sequence
 
 from .core import CQState, GibbsContext, NumericPolicy, StateVector, vdot
@@ -130,18 +134,15 @@ def build_pq(source: CQState, target: CQState, ctx: GibbsContext,
              grid: BendGrid) -> PQPair:
     if source.dim != ctx.dim or target.dim != ctx.dim:
         raise DimensionMismatch("joint states do not match the context dimension")
-    cum_p = _cumulative_values(source, ctx, grid)
-    cum_q = _cumulative_values(target, ctx, grid)
+    policy = ctx.policy
+    cum_p = _curve_values(cq_branch_curves(source, ctx), grid.abscissae, policy)
+    cum_q = _curve_values(cq_branch_curves(target, ctx), grid.abscissae, policy)
     return PQPair(p=_diffs(cum_p), q=_diffs(cum_q))
 
 
-def _cumulative_values(state: CQState, ctx: GibbsContext, grid: BendGrid):
-    """cum[i][x] = L[branch x](s_i) for i = 0..D."""
-    curves = cq_branch_curves(state, ctx)
-    policy = ctx.policy
-    return [
-        [_eval_clamped(c, s, policy) for c in curves] for s in grid.abscissae
-    ]
+def _curve_values(curves, abscissae, policy: NumericPolicy):
+    """cum[i][x] = L[curve x](s_i) for each abscissa s_i."""
+    return [[_eval_clamped(c, s, policy) for c in curves] for s in abscissae]
 
 
 def _diffs(cum):
@@ -151,17 +152,22 @@ def _diffs(cum):
     )
 
 
-def _decide(cum_p, cum_q, policy: NumericPolicy) -> Decision:
+def _decide(cum_p, cum_q, policy: NumericPolicy, rows=None) -> Decision:
     """Shared LP: find row-stochastic R with cum_p . R >= cum_q rowwise.
 
     cum_p, cum_q hold the cumulative (lower-triangular-summed) values at
-    rows i = 1..D; variables are R[x][y] flattened x-major.
+    rows i = 1..D; variables are R[x][y] flattened x-major.  rows[y] lists
+    the rows kept for branch y (default: all D).  The certificate's
+    multipliers are zero-padded onto the full target-major layout of D*m
+    rows before `extract_witness`, so a witness always has D rows.
     """
     n_rows = len(cum_p)
     ell = len(cum_p[0])
     m = len(cum_q[0])
     n_vars = ell * m
     zero, one = policy.zero(), policy.one()
+    if rows is None:
+        rows = [range(n_rows)] * m
 
     eq = []
     for x in range(ell):
@@ -171,20 +177,38 @@ def _decide(cum_p, cum_q, policy: NumericPolicy) -> Decision:
         eq.append((row, one))
 
     ineq = []
+    flat = []  # position of each inequality in the full y-major layout
     for y in range(m):
-        for i in range(n_rows):
+        for i in rows[y]:
             row = [zero] * n_vars
             for x in range(ell):
                 row[x * m + y] = cum_p[i][x]
             ineq.append((row, cum_q[i][y]))
+            flat.append(y * n_rows + i)
 
     sys = LinearSystem(n_vars=n_vars, eq=tuple(eq), ineq=tuple(ineq))
     res = solve_feasibility(sys, policy)
     if res.status == FEASIBLE:
         control = _clean_control(res.point, ell, m, policy)
         return Decision(convertible=True, plan_seed=control)
-    witness = extract_witness(res.certificate, n_rows, m)
+    y_eq, y_in = res.certificate
+    padded = [zero] * (n_rows * m)
+    for k, v in zip(flat, y_in):
+        padded[k] = v
+    witness = extract_witness((y_eq, padded), n_rows, m)
     return Decision(convertible=False, witness=witness)
+
+
+def _own_rows(curve, grid) -> list:
+    """Rows 0..D-1 of grid[1:] that carry the curve's own bends, and s = 1.
+
+    A bend maps to the grid point at or just below it, which is the point
+    that merging folded it into.
+    """
+    idx = {bisect_right(grid, b) - 1 for b in curve.bend_abscissae}
+    idx.add(len(grid) - 1)
+    idx.discard(0)
+    return [i - 1 for i in sorted(idx)]
 
 
 def _clean_control(point, ell: int, m: int, policy: NumericPolicy):
@@ -201,12 +225,16 @@ def _clean_control(point, ell: int, m: int, policy: NumericPolicy):
 
 def check_cto(source: CQState, target: CQState, ctx: GibbsContext) -> Decision:
     """Decide convertibility of source into target under CTO."""
-    source.validate(ctx.policy)
-    target.validate(ctx.policy)
-    grid = bend_grid(target, ctx)
-    cum_p = _cumulative_values(source, ctx, grid)[1:]
-    cum_q = _cumulative_values(target, ctx, grid)[1:]
-    return _decide(cum_p, cum_q, ctx.policy)
+    policy = ctx.policy
+    source.validate(policy)
+    target.validate(policy)
+    tgt_curves = cq_branch_curves(target, ctx)
+    grid = merged_bend_grid(tgt_curves, policy)
+    src_curves = cq_branch_curves(source, ctx)
+    cum_p = _curve_values(src_curves, grid[1:], policy)
+    cum_q = _curve_values(tgt_curves, grid[1:], policy)
+    rows = [_own_rows(c, grid) for c in tgt_curves]
+    return _decide(cum_p, cum_q, policy, rows)
 
 
 def conditional_lt_majorize(p_matrix, q_matrix, policy: NumericPolicy) -> Decision:
@@ -285,18 +313,17 @@ def _lt_transfer(p, q, policy: NumericPolicy):
 def check_state_to_ensemble(u: StateVector, target: CQState,
                             ctx: GibbsContext) -> bool:
     """Trivial classical register on the source: one curve must dominate all
-    target conditionals (weighted form avoids dividing by branch masses)."""
+    target conditionals (weighted form avoids dividing by branch masses).
+    Each target curve is checked at its own bends and at s = 1."""
     policy = ctx.policy
     if not policy.close(u.mass, policy.one()):
         raise MassMismatch("source state must be normalized")
     target.validate(policy)
     cu = build_lorenz(u, ctx)
     curves = cq_branch_curves(target, ctx)
-    grid = merged_bend_grid(curves, policy)
-    masses = target.branch_masses
-    for s in grid:
-        lu = _eval_clamped(cu, s, policy)
-        for qy, cv in zip(masses, curves):
+    for qy, cv in zip(target.branch_masses, curves):
+        for s in (*cv.bend_abscissae, policy.one()):
+            lu = _eval_clamped(cu, s, policy)
             if not policy.leq(_eval_clamped(cv, s, policy), qy * lu):
                 return False
     return True
@@ -395,30 +422,27 @@ def verify_witness(witness: WitnessMatrix, source: CQState, target: CQState,
     return gain - loss
 
 
-def sigma_grid(ctx: GibbsContext, d_max: int = 6) -> tuple:
-    """All proper partial sums of Gibbs weights over every level ordering."""
+def sigma_grid(ctx: GibbsContext, d_max: int = 16) -> tuple:
+    """All proper partial sums of Gibbs weights over every level ordering.
+
+    These are the sums over the proper non-empty subsets of levels, so at
+    most 2^d - 2 values; float sums closer than eps_merge are merged.
+    """
     d = ctx.dim
     if d > d_max:
         raise DimensionTooLarge(
-            f"permutation grid needs d <= {d_max}, got {d} (factorial blowup)"
+            f"subset-sum grid needs d <= {d_max}, got {d} (2^d blowup)"
         )
     policy = ctx.policy
-    sums = set()
-    vals = []
-    for perm in permutations(range(d)):
-        acc = policy.zero()
-        for k in range(d - 1):
-            acc = acc + ctx.gibbs[perm[k]]
-            vals.append(acc)
-    vals.sort()
-    out = []
-    for s in vals:
-        if not out:
-            out.append(s)
-        elif policy.exact:
-            if s != out[-1]:
-                out.append(s)
-        elif s - out[-1] > policy.eps_merge:
+    sums = [policy.zero()]  # sums[mask]: the sum over the levels in mask
+    for g in ctx.gibbs:
+        sums += [acc + g for acc in sums]
+    vals = sorted(set(sums[1:-1]))
+    if policy.exact:
+        return tuple(vals)
+    out = vals[:1]
+    for s in vals[1:]:
+        if s - out[-1] > policy.eps_merge:
             out.append(s)
     return tuple(out)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import CQState, GibbsContext, NumericPolicy, StateVector
 from .errors import DimensionMismatch, EmptyInput, MassMismatch, OutOfRange
@@ -24,9 +25,14 @@ class LorenzCurve:
     def mass(self):
         return self.points[-1][1]
 
+    @cached_property
+    def _xs(self) -> tuple:
+        """Vertex abscissae, computed once for `value`'s bisection."""
+        return tuple(p[0] for p in self.points)
+
     @property
     def bend_abscissae(self) -> tuple:
-        return tuple(p[0] for p in self.points[1:-1])
+        return self._xs[1:-1]
 
     def value(self, s):
         """Linear interpolation; exact at vertices."""
@@ -34,8 +40,7 @@ class LorenzCurve:
         lo, hi = pts[0][0], pts[-1][0]
         if s < lo or s > hi:
             raise OutOfRange(f"abscissa {s} outside [{lo}, {hi}]")
-        xs = [p[0] for p in pts]
-        k = bisect_right(xs, s)
+        k = bisect_right(self._xs, s)
         if k >= len(pts):
             return pts[-1][1]
         s0, t0 = pts[k - 1]

@@ -3,6 +3,7 @@ witnesses and monotones."""
 
 import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from ctoconv import (
     CQState,
     GibbsContext,
+    LinearSystem,
     StateVector,
     WitnessMatrix,
     bend_grid,
@@ -27,6 +29,7 @@ from ctoconv import (
     testkit,
     verify_witness,
 )
+from ctoconv import convert
 from ctoconv.lorenz import cq_branch_curves, _eval_clamped
 from ctoconv.synth import apply_cto
 from ctoconv.errors import (
@@ -39,7 +42,7 @@ from ctoconv.errors import (
     ValidationError,
 )
 
-from conftest import FLOATS, RATIONAL
+from conftest import FLOATS, RATIONAL, scipy_feasible
 
 
 def _single(w):
@@ -414,9 +417,29 @@ class TestSigmaGrid:
         assert sigma_grid(ctx) == (F(1, 3), F(2, 3))
 
     def test_dimension_guard(self):
-        ctx = GibbsContext.from_weights((F(1, 7),) * 7, RATIONAL)
+        ctx = GibbsContext.from_weights((F(1, 17),) * 17, RATIONAL)
         with pytest.raises(DimensionTooLarge):
             sigma_grid(ctx)
+
+    def test_rational_d7_matches_permutation_prefix_sums(self):
+        ctx = GibbsContext.from_weights(
+            tuple(F(2**k, 127) for k in (3, 0, 6, 1, 5, 2, 4)), RATIONAL)
+        brute = set()
+        for perm in permutations(range(7)):
+            acc = F(0)
+            for k in perm[:-1]:
+                acc += ctx.gibbs[k]
+                brute.add(acc)
+        grid = sigma_grid(ctx)
+        assert grid == tuple(sorted(brute))
+        assert len(grid) == 126
+        assert all(type(s) is F for s in grid)
+
+    def test_float_grid_merges_equal_sums(self):
+        ctx = GibbsContext.from_weights((0.1, 0.2, 0.3, 0.4), FLOATS)
+        # 0.1 + 0.2 and 0.3 differ only by rounding; 2^4 - 2 sums, 9 values
+        assert sigma_grid(ctx) == pytest.approx(
+            [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9], abs=1e-12)
 
 
 class TestPhiMonotones:
@@ -488,3 +511,104 @@ def test_grid_sufficiency_off_grid(seed):
         for y, cv in enumerate(tgt_curves):
             lhs = sum(r[x][y] * c.value(s) for x, c in enumerate(src_curves))
             assert lhs >= cv.value(s)
+
+
+def _full_decision_system(source, target, ctx):
+    """The decision LP with one row per branch at every union-grid point."""
+    policy = ctx.policy
+    pq = build_pq(source, target, ctx, bend_grid(target, ctx))
+    ell, m = source.n_branches, target.n_branches
+    zero, one = policy.zero(), policy.one()
+    eq = []
+    for x in range(ell):
+        eq.append(([one if v // m == x else zero for v in range(ell * m)], one))
+    ineq = []
+    for y in range(m):
+        cum_p, cum_q = [zero] * ell, zero
+        for i in range(pq.n_rows):
+            cum_p = [a + b for a, b in zip(cum_p, pq.p[i])]
+            cum_q += pq.q[i][y]
+            row = [cum_p[v // m] if v % m == y else zero for v in range(ell * m)]
+            ineq.append((row, cum_q))
+    return LinearSystem(ell * m, eq=tuple(eq), ineq=tuple(ineq))
+
+
+def _decision_instances(policy, seed, count):
+    """Reachable pairs, boundary refusals and unrelated random targets."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        ctx = testkit.random_context(rng.randint(2, 5), rng, policy)
+        source = testkit.random_cq(ctx, rng.randint(1, 3), rng)
+        kind = len(out) % 3
+        if kind == 0:
+            plan = testkit.random_cto(ctx, source.n_branches, rng.randint(1, 3), rng)
+            target = apply_cto(plan, source, ctx)
+        elif kind == 1:
+            target = testkit.perturb_to_infeasible(source, ctx, rng)
+            if target is None:
+                continue
+        else:
+            target = testkit.random_cq(ctx, rng.randint(1, 3), rng)
+        out.append((ctx, source, target))
+    return out
+
+
+class TestReducedDecisionLP:
+    """check_cto keeps each target branch's own bends only; the answers must
+    match the LP with every union-grid row."""
+
+    def test_rational_matches_full_grid_lp(self):
+        verdicts = set()
+        for ctx, source, target in _decision_instances(RATIONAL, 41, 120):
+            decision = check_cto(source, target, ctx)
+            grid = bend_grid(target, ctx)
+            pq = build_pq(source, target, ctx, grid)
+            full = conditional_lt_majorize(pq.p, pq.q, RATIONAL)
+            assert decision.convertible == full.convertible
+            verdicts.add(decision.convertible)
+            if not decision.convertible:
+                a = decision.witness.validate(RATIONAL)
+                assert a.n_rows == grid.n_segments
+                assert a.n_cols == target.n_branches
+                assert verify_witness(a, source, target, ctx) < 0
+        assert verdicts == {True, False}
+
+    def test_float_matches_scipy_on_full_system(self):
+        verdicts = set()
+        for ctx, source, target in _decision_instances(FLOATS, 43, 60):
+            decision = check_cto(source, target, ctx)
+            full = scipy_feasible(_full_decision_system(source, target, ctx))
+            assert decision.convertible == full
+            verdicts.add(full)
+            if not decision.convertible:
+                assert decision.witness.n_rows == bend_grid(target, ctx).n_segments
+                assert verify_witness(decision.witness, source, target, ctx) < 0
+        assert verdicts == {True, False}
+
+    def test_one_row_per_own_bend_and_one(self, monkeypatch):
+        ctx = GibbsContext.from_weights((F(1, 2), F(1, 4), F(1, 8), F(1, 8)),
+                                        RATIONAL)
+        target = CQState((
+            StateVector((F(3, 8), F(0), F(0), F(0))),
+            StateVector((F(0), F(5, 16), F(0), F(0))),
+            StateVector((F(1, 16), F(1, 8), F(1, 8), F(0))),
+        ))
+        source = testkit.random_cq(ctx, 2, 5)
+        seen = []
+        solve = convert.solve_feasibility
+
+        def spy(system, policy):
+            seen.append(system)
+            return solve(system, policy)
+
+        monkeypatch.setattr(convert, "solve_feasibility", spy)
+        check_cto(source, target, ctx)
+        curves = cq_branch_curves(target, ctx)
+        own = sum(len(c.bend_abscissae) + 1 for c in curves)
+        full = bend_grid(target, ctx).n_segments * target.n_branches
+        assert [c.bend_abscissae for c in curves] == [
+            (F(1, 2),), (F(1, 4),), (F(1, 8), F(3, 8), F(7, 8))]
+        assert len(seen) == 1
+        assert len(seen[0].ineq) == own == 8
+        assert full == 18
