@@ -259,8 +259,8 @@ def lt_majorize(p: Sequence, q: Sequence, policy: NumericPolicy,
                 return_theta: bool = False):
     """Cumulative-sum dominance of p over q (no reordering).
 
-    With return_theta, also finds a lower-triangular column-stochastic
-    transfer matrix via LP feasibility.
+    With return_theta, also returns a lower-triangular column-stochastic
+    transfer matrix theta with theta p = q, built without an LP.
     """
     if len(p) != len(q):
         raise DimensionMismatch("vectors differ in length")
@@ -282,31 +282,28 @@ def lt_majorize(p: Sequence, q: Sequence, policy: NumericPolicy,
 
 
 def _lt_transfer(p, q, policy: NumericPolicy):
+    """Northwest-corner fill: pour each p_j into the earliest unfilled q_i
+    with i >= j (dominance has filled those with i < j; float mode skips
+    their rounding residue); theta_jj = 1 when p_j = 0."""
     d = len(p)
-    idx = {}
-    n_vars = 0
-    for i in range(d):
-        for j in range(i + 1):
-            idx[(i, j)] = n_vars
-            n_vars += 1
     zero, one = policy.zero(), policy.one()
-    eq = []
-    for j in range(d):  # columns sum to one
-        row = [zero] * n_vars
-        for i in range(j, d):
-            row[idx[(i, j)]] = one
-        eq.append((row, one))
-    for i in range(d):  # q_i = sum_{j<=i} theta_ij p_j
-        row = [zero] * n_vars
-        for j in range(i + 1):
-            row[idx[(i, j)]] = p[j]
-        eq.append((row, q[i]))
-    res = solve_feasibility(LinearSystem(n_vars, eq=tuple(eq)), policy)
-    if res.status != FEASIBLE:
-        return None
     theta = [[zero] * d for _ in range(d)]
-    for (i, j), k in idx.items():
-        theta[i][j] = res.point[k]
+    i, room = -1, zero
+    for j, pj in enumerate(p):
+        if pj == 0:
+            theta[j][j] = one
+            continue
+        if i < j:
+            i, room = j, q[j]
+        left = pj
+        while i < d - 1 and left > room:
+            if room > 0:
+                theta[i][j] = room / pj
+                left -= room
+            i += 1
+            room = q[i]
+        theta[i][j] += left / pj
+        room -= left
     return tuple(tuple(r) for r in theta)
 
 
@@ -410,13 +407,16 @@ def verify_witness(witness: WitnessMatrix, source: CQState, target: CQState,
     Negative values certify non-convertibility; computed on the weighted
     columns, which equals the conditional form by positive homogeneity.
     """
-    grid = bend_grid(target, ctx)
-    if grid.n_segments != witness.n_rows:
+    policy = ctx.policy
+    tgt_curves = cq_branch_curves(target, ctx)  # built once, as in check_cto
+    grid = merged_bend_grid(tgt_curves, policy)
+    if len(grid) - 1 != witness.n_rows:
         raise DimensionMismatch(
             f"witness has {witness.n_rows} rows, target grid has "
-            f"{grid.n_segments} segments"
+            f"{len(grid) - 1} segments"
         )
-    pq = build_pq(source, target, ctx, grid)
+    pq = PQPair(p=_diffs(_curve_values(cq_branch_curves(source, ctx), grid, policy)),
+                q=_diffs(_curve_values(tgt_curves, grid, policy)))
     gain = sum(omega(witness, pq.p_column(x)) for x in range(source.n_branches))
     loss = sum(omega(witness, pq.q_column(y)) for y in range(target.n_branches))
     return gain - loss

@@ -47,7 +47,7 @@ class EmptyInput(ValidationError):
 
 
 class DimensionTooLarge(ValidationError):
-    """Guard against the factorial blowup of the permutation grid."""
+    """Guard against the 2^d subset sums of the sigma grid (d <= 16)."""
 
 
 class NotStochasticSum(ValidationError):

@@ -68,8 +68,7 @@ def build_lorenz(w: StateVector, ctx: GibbsContext) -> LorenzCurve:
         )
     w.validate(ctx.policy)
     g = ctx.gibbs
-    ratios = [w.w[i] / g[i] for i in range(w.dim)]
-    order = sorted(range(w.dim), key=lambda i: ratios[i], reverse=True)
+    ratios, order = lorenz_order(w, g)
 
     policy = ctx.policy
     zero = policy.zero()
@@ -91,6 +90,12 @@ def build_lorenz(w: StateVector, ctx: GibbsContext) -> LorenzCurve:
     if not policy.exact and last_s != 1.0:
         pts[-1] = (1.0, last_t)
     return LorenzCurve(tuple(pts))
+
+
+def lorenz_order(w: StateVector, g) -> tuple:
+    """Slopes w_i/g_i, and the levels by slope, non-increasing (L[w]'s order)."""
+    ratios = [w.w[i] / g[i] for i in range(w.dim)]
+    return ratios, sorted(range(w.dim), key=ratios.__getitem__, reverse=True)
 
 
 def _same_slope(a, b, policy: NumericPolicy) -> bool:

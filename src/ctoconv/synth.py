@@ -1,26 +1,26 @@
 """Constructive side: explicit Gibbs-stochastic matrices and full CTO plans.
 
-Branch maps are found directly as Gibbs-stochastic matrices by LP
-feasibility, which covers every reachable quasiclassical transition.  In
-float mode the mixing equalities of the per-branch LP are relaxed to a
-narrow band well inside eps_lp, absorbing rounding noise in the control
-map from the decision LP.
+Branch maps are built from the Lorenz embedding, with no search.  For a
+target branch v mixed from sources u^x with coefficients c_x, the cells are
+the segments of L[v] and T^x = B S E_x.  E_x[k][i] = |cell_k & I_i(u^x)| / g_i,
+with I_i(u) level i's interval in u's Lorenz order, maps g to the cell
+widths and u^x to its increments; B[i][k] = |cell_k & I_i(v)| / |cell_k|
+maps them back to g and to v.  S, a Hardy-Littlewood-Polya sequence of at
+most n - 1 two-cell partial thermalizations, takes p = sum_x c_x E_x u^x to
+v's increments q: it needs the partial sums of p to dominate those of q with
+equal totals, which is checked here (exactly in rational mode, within eps_lp
+in float mode).  Each factor is nonnegative and Gibbs-stochastic in both
+modes, so no plan entry needs clamping.
 """
 
 from __future__ import annotations
 
-from .core import CQState, CTOPlan, GibbsContext, StateVector, TOMatrix, canonicalize_cq
-from .errors import (
-    DimensionMismatch,
-    NotConvertible,
-    NotStochasticSum,
-    NotThermoMajorizing,
-    NumericBreakdown,
-    ValidationError,
-)
+from .core import (CQState, CTOPlan, GibbsContext, NumericPolicy, StateVector,
+                   TOMatrix, canonicalize_cq, vdot)
+from .errors import (DimensionMismatch, NotConvertible, NotStochasticSum,
+                     NotThermoMajorizing, ValidationError)
 from .convert import Decision, check_cto
-from .lorenz import thermo_majorizes
-from .lp import FEASIBLE, LinearSystem, solve_feasibility
+from .lorenz import build_lorenz, lorenz_order, merged_bend_grid
 
 
 def synthesize_to(u: StateVector, v: StateVector, ctx: GibbsContext) -> TOMatrix:
@@ -30,130 +30,123 @@ def synthesize_to(u: StateVector, v: StateVector, ctx: GibbsContext) -> TOMatrix
         raise DimensionMismatch("states do not match the context dimension")
     if u.mass == 0 and v.mass == 0:
         return TOMatrix.identity(ctx.dim, policy)
-    un, vn = u.normalized(), v.normalized()
-    if not thermo_majorizes(un, vn, ctx):
-        raise NotThermoMajorizing("source does not thermo-majorize the target")
-    sys = _gibbs_map_system([un.w], [policy.one()], vn.w, ctx, delta=None)
-    res = _solve_with_relaxation(sys, ctx, [un.w], [policy.one()], vn.w)
-    return _extract_matrices(res.point, 1, ctx)[0]
-
-
-def _gibbs_map_system(sources, coeffs, target, ctx: GibbsContext, delta):
-    """Variables: one d x d matrix per source, flattened source-major.
-
-    Equalities: column-stochasticity and the Gibbs fixed point per matrix.
-    Mixing rows sum_k coeffs[k] * (M_k sources[k])_i = target_i are exact
-    equalities when delta is None, else a +-delta inequality band.
-    """
-    d = ctx.dim
-    policy = ctx.policy
-    n_mat = len(sources)
-    n_vars = n_mat * d * d
-    zero, one = policy.zero(), policy.one()
-
-    def var(k, i, j):
-        return k * d * d + i * d + j
-
-    eq = []
-    ineq = []
-    for k in range(n_mat):
-        for j in range(d):  # columns sum to one
-            row = [zero] * n_vars
-            for i in range(d):
-                row[var(k, i, j)] = one
-            eq.append((row, one))
-        for i in range(d):  # Gibbs fixed point
-            row = [zero] * n_vars
-            for j in range(d):
-                row[var(k, i, j)] = ctx.gibbs[j]
-            eq.append((row, ctx.gibbs[i]))
-    for i in range(d):  # mixing rows
-        row = [zero] * n_vars
-        for k in range(n_mat):
-            for j in range(d):
-                row[var(k, i, j)] = coeffs[k] * sources[k][j]
-        if delta is None:
-            eq.append((row, target[i]))
-        else:
-            ineq.append((row, target[i] - delta))
-            ineq.append(([-x for x in row], -(target[i] + delta)))
-    return LinearSystem(n_vars=n_vars, eq=tuple(eq), ineq=tuple(ineq))
-
-
-def _solve_with_relaxation(sys, ctx, sources, coeffs, target):
-    policy = ctx.policy
-    if policy.exact:
-        res = solve_feasibility(sys, policy)
-        if res.status != FEASIBLE:
-            raise NotConvertible("no Gibbs-stochastic realization exists")
-        return res
-    for delta in (None, 1e-10, 1e-9, policy.eps_lp / 2):
-        trial = sys if delta is None else _gibbs_map_system(
-            sources, coeffs, target, ctx, delta
-        )
-        try:
-            res = solve_feasibility(trial, policy)
-        except NumericBreakdown:
-            continue
-        if res.status == FEASIBLE:
-            return res
-    raise NotConvertible("no Gibbs-stochastic realization within tolerance")
-
-
-def _extract_matrices(point, n_mat: int, ctx: GibbsContext):
-    d = ctx.dim
-    policy = ctx.policy
-    out = []
-    for k in range(n_mat):
-        rows = []
-        for i in range(d):
-            row = [point[k * d * d + i * d + j] for j in range(d)]
-            if not policy.exact:
-                row = [max(0.0, v) for v in row]
-            rows.append(row)
-        if not policy.exact:  # re-normalize columns against clamp noise
-            for j in range(d):
-                col_sum = sum(rows[i][j] for i in range(d))
-                for i in range(d):
-                    rows[i][j] /= col_sum
-        out.append(TOMatrix(tuple(tuple(r) for r in rows)))
-    return out
+    try:
+        (t,) = _branch_maps([u.normalized().validate(policy)], [policy.one()],
+                            v.normalized(), ctx)
+    except NotConvertible:
+        raise NotThermoMajorizing("source does not thermo-majorize the target") from None
+    return t
 
 
 def synthesize_cto(source: CQState, target: CQState, ctx: GibbsContext,
                    decision: Decision | None = None) -> CTOPlan:
     """A full plan realizing a convertible pair: control map plus branch maps."""
     policy = ctx.policy
+    if source.dim != ctx.dim or target.dim != ctx.dim:
+        raise DimensionMismatch("joint states do not match the context dimension")
     if decision is None:
         decision = check_cto(source, target, ctx)
     if not decision.convertible:
         raise NotConvertible("pair is not convertible under CTO")
     control = decision.plan_seed
-    ell = source.n_branches
-    m = target.n_branches
-    p = source.branch_masses
-    u_cond = [c.w for c in source.conditionals()]
-
-    branch_maps = {}
+    ell, m, p = source.n_branches, target.n_branches, source.branch_masses
+    ident = TOMatrix.identity(ctx.dim, policy)
+    branch_maps = {(x, y): ident for x in range(ell) for y in range(m)}
     for y in range(m):
-        weights = [p[x] * control[x][y] for x in range(ell)]
-        q_y = sum(weights)
-        support = [x for x in range(ell) if weights[x] > 0]
+        support = [x for x in range(ell) if p[x] * control[x][y] > 0]
         if not support:
             raise NotConvertible(f"target branch {y} receives no mass")
-        v_cond = target.columns[y].normalized().w
-        coeffs = [weights[x] / q_y for x in support]
-        sources = [u_cond[x] for x in support]
-        sys = _gibbs_map_system(sources, coeffs, v_cond, ctx, delta=None)
-        res = _solve_with_relaxation(sys, ctx, sources, coeffs, v_cond)
-        mats = _extract_matrices(res.point, len(support), ctx)
-        for x, t in zip(support, mats):
-            branch_maps[(x, y)] = t
-    ident = TOMatrix.identity(ctx.dim, policy)
-    for x in range(ell):
-        for y in range(m):
-            branch_maps.setdefault((x, y), ident)
+        maps = _branch_maps([source.columns[x] for x in support],
+                            [control[x][y] for x in support],
+                            target.columns[y], ctx)
+        branch_maps.update(((x, y), t) for x, t in zip(support, maps))
     return CTOPlan(control=control, branch_maps=branch_maps)
+
+
+def _branch_maps(sources, coeffs, target: StateVector, ctx: GibbsContext) -> list:
+    """Gibbs-stochastic T_x = B S E_x with sum_x coeffs[x] T_x sources[x] = target.
+
+    Sources and target may be weighted; the coefficients must carry the
+    target's mass.  Raises NotConvertible when they cannot.
+    """
+    policy = ctx.policy
+    g, d = ctx.gibbs, ctx.dim
+    grid = merged_bend_grid([build_lorenz(target, ctx)], policy)
+    n = len(grid) - 1
+    widths = [grid[k + 1] - grid[k] for k in range(n)]
+    spreads = [_embedding(u, grid, ctx) for u in sources]
+    cover = _embedding(target, grid, ctx)
+    p = [sum(c * vdot(e[k], u.w) for c, e, u in zip(coeffs, spreads, sources))
+         for k in range(n)]
+    q = [vdot(row, target.w) for row in cover]
+    steps = _transfers(p, q, widths, policy)
+    gather = [[(k, cover[k][i] * g[i] / widths[k]) for k in range(n) if cover[k][i]]
+              for i in range(d)]
+    maps = []
+    for e in spreads:
+        for j, k, keep, a, b in steps:
+            ej, ek = e[j], e[k]
+            for c in range(d):
+                s = ej[c] + ek[c]
+                ej[c], ek[c] = keep * ej[c] + a * s, keep * ek[c] + b * s
+        maps.append(TOMatrix(tuple(
+            tuple(sum(b * e[k][c] for k, b in row) for c in range(d))
+            for row in gather
+        )))
+    return maps
+
+
+def _embedding(u: StateVector, grid, ctx: GibbsContext) -> list:
+    """E[k][i] = |cell_k & I_i| / g_i, the cells being the gaps of grid and
+    I_i level i's interval in u's Lorenz order; the last interval ends at 1."""
+    g, zero = ctx.gibbs, ctx.policy.zero()
+    _, order = lorenz_order(u, g)
+    ends = [zero]
+    for i in order[:-1]:
+        ends.append(ends[-1] + g[i])
+    ends.append(grid[-1])
+    e = [[zero] * ctx.dim for _ in grid[1:]]
+    for i, lo, hi in zip(order, ends, ends[1:]):
+        for k, row in enumerate(e):
+            row[i] = max(zero, min(hi, grid[k + 1]) - max(lo, grid[k])) / g[i]
+    return e
+
+
+def _transfers(p, q, widths, policy: NumericPolicy) -> list:
+    """Steps (j, k, 1 - lam, lam w_j/(w_j+w_k), lam w_k/(w_j+w_k)) whose
+    product maps p to q and fixes the widths w, for q/w non-increasing.
+
+    Each moves mass from the last cell where p exceeds q to the first later
+    one where it falls short, closing one gap; lam <= 1 as q/w is sorted.
+    """
+    zero, one = policy.zero(), policy.one()
+    gap = [a - b for a, b in zip(p, q)]
+    acc = zero
+    for r in gap:
+        acc += r
+        if not policy.leq(zero, acc, policy.eps_lp):
+            raise NotConvertible("mixed source curve falls below the target curve")
+    if not policy.close(acc, zero, policy.eps_lp):
+        raise NotConvertible("control map does not carry the target branch's mass")
+    steps = []
+    while True:
+        short = [k for k, r in enumerate(gap) if r < 0]
+        over = [j for j in range(short[-1]) if gap[j] > 0] if short else []
+        if not over:
+            return steps
+        j = over[-1]
+        k = next(k for k in short if k > j)
+        wj, wk = widths[j], widths[k]
+        den = (q[j] + gap[j]) * wk - (q[k] + gap[k]) * wj
+        if gap[j] <= -gap[k]:
+            delta, gap[j] = gap[j], zero
+            gap[k] += delta
+        else:
+            delta, gap[k] = -gap[k], zero
+            gap[j] -= delta
+        if den > 0:  # den > 0 and lam <= 1 hold exactly; these guard rounding
+            lam = min(one, delta * (wj + wk) / den)
+            steps.append((j, k, one - lam, lam * wj / (wj + wk), lam * wk / (wj + wk)))
 
 
 def apply_cto(plan: CTOPlan, state: CQState, ctx: GibbsContext) -> CQState:

@@ -29,7 +29,7 @@ from ctoconv import (
     testkit,
     verify_witness,
 )
-from ctoconv import convert
+from ctoconv import convert, lorenz
 from ctoconv.lorenz import cq_branch_curves, _eval_clamped
 from ctoconv.synth import apply_cto
 from ctoconv.errors import (
@@ -338,6 +338,24 @@ class TestWitness:
         with pytest.raises(DimensionMismatch):
             verify_witness(a, target, target, uniform2)
 
+    def test_builds_each_curve_once(self, monkeypatch):
+        rng = random.Random(11)
+        ctx = testkit.random_context(5, rng, RATIONAL)
+        state = testkit.random_cq(ctx, 3, rng)
+        target = testkit.random_cq(ctx, 2, rng)
+        a = testkit.random_witness(bend_grid(target, ctx).n_segments, 2, rng, RATIONAL)
+        calls = []
+        build = lorenz.build_lorenz
+
+        def spy(w, c):
+            calls.append(w)
+            return build(w, c)
+
+        monkeypatch.setattr(lorenz, "build_lorenz", spy)
+        monkeypatch.setattr(convert, "build_lorenz", spy)
+        verify_witness(a, state, target, ctx)
+        assert len(calls) == 3 + 2
+
     def test_witness_matrix_validation(self):
         with pytest.raises(ValidationError):  # mass != 1
             WitnessMatrix(((F(1, 2),), (F(1, 4),))).validate(RATIONAL)
@@ -379,6 +397,52 @@ class TestLtMajorize:
         assert ok
         assert tuple(sum(theta[i][j] * p[j] for j in range(3))
                      for i in range(3)) == q
+
+
+    def test_transfer_is_lower_triangular_and_exact(self):
+        rng = random.Random(12)
+        zero_entries = 0
+        for _ in range(200):
+            d = rng.randint(1, 6)
+            q = [x if rng.random() < 0.7 else F(0)
+                 for x in testkit.random_distribution(d, rng, RATIONAL)]
+            q = [x / sum(q) for x in q] if sum(q) else [F(1, d)] * d
+            p = list(q)
+            for _ in range(rng.randint(0, 4)):  # move mass to earlier entries
+                j = rng.randrange(d)
+                i = rng.randrange(j + 1)
+                amount = p[j] * F(rng.randint(0, 4), 4)
+                p[j] -= amount
+                p[i] += amount
+            zero_entries += p.count(0)
+            ok, theta = lt_majorize(p, q, RATIONAL, return_theta=True)
+            assert ok
+            for i in range(d):
+                assert all(x == 0 for x in theta[i][i + 1:])
+                assert all(x >= 0 for x in theta[i])
+            for j in range(d):
+                assert sum(theta[i][j] for i in range(d)) == 1
+            assert [sum(theta[i][j] * p[j] for j in range(d)) for i in range(d)] \
+                == q
+        assert zero_entries > 0
+
+    def test_float_transfer_skips_rounding_residue(self):
+        # 0.1 + 0.2 leaves 5.6e-17 of room in row 0 after p_0 = 0.3 is poured
+        p = (0.3, 0.7)
+        q = (0.1 + 0.2, 0.7)
+        ok, theta = lt_majorize(p, q, FLOATS, return_theta=True)
+        assert ok
+        assert theta == ((1.0, 0.0), (0.0, 1.0))
+
+    def test_transfer_runs_no_lp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("lt_majorize ran an LP")
+
+        monkeypatch.setattr(convert, "solve_feasibility", refuse)
+        p = (F(1, 2), F(1, 2), F(0))
+        ok, theta = lt_majorize(p, (F(1, 4), F(1, 2), F(1, 4)), RATIONAL,
+                                return_theta=True)
+        assert ok and theta[2][2] == 1
 
 
 class TestConditionalLtMajorize:

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from ctoconv import (
     CQState,
     CTOPlan,
+    Decision,
+    GibbsContext,
     StateVector,
     TOMatrix,
     apply_cto,
@@ -18,6 +20,7 @@ from ctoconv import (
     synthesize_to,
     testkit,
 )
+from ctoconv import lp
 from ctoconv.errors import (
     DimensionMismatch,
     NotConvertible,
@@ -142,6 +145,100 @@ class TestSynthesizeCto:
         plan = synthesize_cto(source, target, ctx)
         plan.validate(ctx)
         assert _max_err(apply_cto(plan, source, ctx), target) <= FLOATS.eps_lp
+
+
+class TestSynthesisWithoutLP:
+    """Branch maps come from the Lorenz embedding: no LP runs, and a control
+    map that cannot work is refused instead of yielding a wrong plan."""
+
+    @pytest.fixture(autouse=True)
+    def no_lp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("synthesis ran an LP")
+
+        monkeypatch.setattr(lp, "_solve", refuse)
+
+    @staticmethod
+    def _reachable(seed, policy, d_max):
+        rng = random.Random(seed)
+        ctx = testkit.random_context(rng.randint(2, d_max), rng, policy)
+        source = testkit.random_cq(ctx, rng.randint(1, 4), rng)
+        gen = testkit.random_cto(ctx, source.n_branches, rng.randint(1, 4), rng)
+        return ctx, source, gen, rng
+
+    def test_synthesize_to_both_modes(self):
+        for seed in range(40):
+            policy = RATIONAL if seed % 2 else FLOATS
+            ctx, source, _, rng = self._reachable(seed, policy, 6)
+            u = source.columns[0].normalized()
+            v = testkit.random_gibbs_stochastic(ctx, 3, rng).apply(u)
+            t = synthesize_to(u, v, ctx)
+            t.validate(ctx)
+            assert all(x >= 0 for row in t.t for x in row)
+            if policy.exact:
+                assert t.apply(u).w == v.w
+            else:
+                assert max(abs(a - b) for a, b in zip(t.apply(u).w, v.w)) <= 1e-12
+
+    def test_rational_plans_are_exact(self):
+        for seed in range(40):
+            ctx, source, gen, _ = self._reachable(seed, RATIONAL, 5)
+            target = apply_cto(gen, source, ctx)
+            decision = Decision(convertible=True, plan_seed=gen.control)
+            plan = synthesize_cto(source, target, ctx, decision)
+            assert plan.control == gen.control
+            plan.validate(ctx)
+            assert apply_cto(plan, source, ctx) == target
+
+    def test_float_plans_are_nonnegative(self):
+        for seed in range(60):
+            ctx, source, gen, _ = self._reachable(seed, FLOATS, 9)
+            target = apply_cto(gen, source, ctx)
+            decision = Decision(convertible=True, plan_seed=gen.control)
+            plan = synthesize_cto(source, target, ctx, decision)
+            plan.validate(ctx)
+            for t in plan.branch_maps.values():
+                assert all(x >= 0 for row in t.t for x in row)  # no tolerance
+            assert _max_err(apply_cto(plan, source, ctx), target) <= 1e-12
+
+    def test_branch_needs_the_mixture_of_two_sources(self):
+        ctx = GibbsContext.from_weights((F(1, 3), F(1, 3), F(1, 3)), RATIONAL)
+        u1 = StateVector((F(1, 2), F(1, 2), F(0)))
+        u2 = StateVector((F(1, 6), F(2, 3), F(1, 6)))
+        v = StateVector((F(13, 24), F(1, 3), F(1, 8)))
+        for u in (u1, u2):
+            with pytest.raises(NotThermoMajorizing):
+                synthesize_to(u, v, ctx)
+        source = CQState((u1.scaled(F(1, 2)), u2.scaled(F(1, 2))))
+        target = CQState((v,))
+        decision = Decision(convertible=True, plan_seed=((F(1),), (F(1),)))
+        plan = synthesize_cto(source, target, ctx, decision)
+        plan.validate(ctx)
+        assert apply_cto(plan, source, ctx) == target
+        ident = TOMatrix.identity(3, RATIONAL)
+        assert all(plan.branch_maps[(x, 0)].t != ident.t for x in range(2))
+
+    def test_control_that_cannot_work_is_refused(self, uniform2):
+        state = CQState((
+            StateVector((F(1, 2), F(0))),
+            StateVector((F(1, 4), F(1, 4))),
+        ))
+        # swaps the pure and the Gibbs branch: the Gibbs branch cannot
+        # become pure
+        swap = Decision(convertible=True, plan_seed=((F(0), F(1)), (F(1), F(0))))
+        with pytest.raises(NotConvertible):
+            synthesize_cto(state, state, uniform2, swap)
+
+    def test_control_with_wrong_branch_mass_is_refused(self, uniform2):
+        state = CQState((
+            StateVector((F(1, 2), F(0))),
+            StateVector((F(1, 4), F(1, 4))),
+        ))
+        # row 1 sums to 2: branch 1 gets twice its mass, and the mixed curve
+        # still lies above its target curve
+        double = Decision(convertible=True, plan_seed=((F(1), F(0)), (F(0), F(2))))
+        with pytest.raises(NotConvertible):
+            synthesize_cto(state, state, uniform2, double)
 
 
 class TestApplyCto:
