@@ -12,9 +12,23 @@ OPTIMAL = 0
 UNBOUNDED = 1
 ITERATION_LIMIT = 2
 
+# Dantzig's rule can cycle through degenerate pivots; after this many in a
+# row the kernel prices by Bland's rule, which cannot, until a pivot makes
+# progress again.
+_DEGENERATE_RUN = 50
 
-def run_simplex(tab, basis, eps, max_iter):
-    """Run Bland-rule simplex pivots in place; returns a status code."""
+
+def run_simplex(tab, basis, eps, max_pivots):
+    """Run simplex pivots in place; returns a status code.
+
+    The entering column is the one with the most negative reduced cost
+    (Dantzig's rule), or, after _DEGENERATE_RUN degenerate pivots in a row,
+    the first with a negative one (Bland's rule).  Either way the leaving
+    row is the smallest ratio, ties going to the smallest basic index.
+    Every run of degenerate pivots thus ends under Bland's rule, which does
+    not cycle, so the kernel is finite.  ITERATION_LIMIT means another
+    pivot was needed after max_pivots.
+    """
     m = len(basis)
     ncols = len(tab[0])
     rhs = ncols - 1
@@ -24,12 +38,19 @@ def run_simplex(tab, basis, eps, max_iter):
     # test demands a wider margin.  Exact callers pass eps == 0, where this
     # degrades to the usual "strictly positive" test.
     piv_tol = eps * 100
-    for _ in range(max_iter):
+    degenerate = 0
+    pivots = 0
+    while True:
         enter = -1
-        for j in range(rhs):
-            if obj[j] < -eps:
-                enter = j
-                break
+        if degenerate < _DEGENERATE_RUN:
+            cost = min(obj[:rhs])
+            if cost < -eps:
+                enter = obj.index(cost)
+        else:
+            for j in range(rhs):
+                if obj[j] < -eps:
+                    enter = j
+                    break
         if enter < 0:
             return OPTIMAL
         leave = -1
@@ -45,15 +66,21 @@ def run_simplex(tab, basis, eps, max_iter):
                     leave = i
         if leave < 0:
             return UNBOUNDED
+        if pivots == max_pivots:
+            return ITERATION_LIMIT
+        degenerate = degenerate + 1 if best <= eps else 0
         _pivot(tab, basis, leave, enter, m, ncols)
-    return ITERATION_LIMIT
+        pivots += 1
 
 
 def _pivot(tab, basis, row, col, m, ncols):
     pr = tab[row]
+    # slack and artificial columns leave most of a pivot row zero, and a
+    # zero entry changes no other row, so only the nonzero columns are swept
+    nz = [j for j in range(ncols) if pr[j] != 0]
     piv = pr[col]
     if piv != 1:
-        for j in range(ncols):
+        for j in nz:
             pr[j] = pr[j] / piv
     for i in range(m + 1):
         if i == row:
@@ -61,7 +88,7 @@ def _pivot(tab, basis, row, col, m, ncols):
         ri = tab[i]
         factor = ri[col]
         if factor != 0:
-            for j in range(ncols):
+            for j in nz:
                 ri[j] = ri[j] - factor * pr[j]
             ri[col] = 0 * ri[col]  # kill residual noise, keeps the type
     basis[row] = col

@@ -67,7 +67,12 @@ class NotConvertible(CtoConvError):
 
 
 class NumericBreakdown(CtoConvError):
-    """Float-mode solver failed (cycling or conditioning); retry in rational mode."""
+    """The LP solver failed: lost conditioning, an answer that failed
+    re-verification, or a spent work budget."""
+
+
+class SolveBudgetExceeded(NumericBreakdown):
+    """The simplex kernel spent its pivots-times-cells work budget."""
 
 
 class DegenerateCertificate(CtoConvError):

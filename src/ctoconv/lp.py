@@ -1,16 +1,17 @@
 """Linear feasibility with Farkas certificates, in float or exact arithmetic.
 
 Systems are over nonnegative variables with equality rows (row.x == rhs) and
-inequality rows (row.x >= rhs).  Phase-1 simplex with Bland's rule; when the
-artificial objective stays positive, the simplex multipliers of the optimal
-basis form a Farkas witness:
+inequality rows (row.x >= rhs).  Phase-1 simplex, pricing by Dantzig's rule
+with Bland's rule as the anti-cycling fallback; when the artificial
+objective stays positive, the simplex multipliers of the optimal basis form a
+Farkas witness:
 
     eq^T y_eq + ineq^T y_in <= 0 componentwise,  y_in >= 0,
     rhs_eq . y_eq + rhs_in . y_in > 0.
 
 Both modes build the same list-of-lists tableau, of floats or of
-Fractions, and run the same kernel.  Every answer is re-verified against the
-raw system before being returned.
+Fractions, and run the same kernel under a work budget.  Every answer is
+re-verified against the raw system before being returned.
 """
 
 from __future__ import annotations
@@ -18,14 +19,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._kernels import OPTIMAL, run_simplex
+from ._kernels import ITERATION_LIMIT, OPTIMAL, run_simplex
 from .core import NumericPolicy, vdot
-from .errors import DimensionMismatch, NumericBreakdown
+from .errors import DimensionMismatch, NumericBreakdown, SolveBudgetExceeded
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 
-_MAX_ITER = 100_000
+# Pivots times tableau cells that one solve may spend.  A pivot updates at
+# most every cell, so this bounds the kernel's work at any LP size.  The
+# largest decision LPs (d=24, l=m=12: 301 x 733 cells, 350-600 pivots)
+# spend 0.8e8-1.3e8, which leaves ~8x headroom.  A dense float update costs
+# ~40 ns a cell, so a float solve that spends it all stops within about a
+# minute; a Fraction update costs microseconds, more as denominators grow.
+_WORK_BUDGET = 10**9
 
 
 @dataclass(frozen=True)
@@ -131,7 +138,13 @@ def _solve(sys: LinearSystem, policy: NumericPolicy, exact: bool) -> Feasibility
             continue
         tab[m][j] = -sum(tab[r][j] for r in range(m))
 
-    status = run_simplex(tab, basis, eps, _MAX_ITER)
+    max_pivots = _WORK_BUDGET // ((m + 1) * ncols)
+    status = run_simplex(tab, basis, eps, max_pivots)
+    if status == ITERATION_LIMIT:
+        raise SolveBudgetExceeded(
+            f"simplex work budget spent: {max_pivots} pivots on an LP of "
+            f"{m} rows and {ncols} tableau columns"
+        )
     if status != OPTIMAL:
         if exact:
             raise NumericBreakdown(f"simplex did not converge (status {status})")

@@ -1,0 +1,103 @@
+"""Simplex kernel: pricing that cannot cycle, the sparse pivot, pivot counts."""
+
+import random
+from fractions import Fraction as F
+
+from ctoconv import check_cto, testkit
+from ctoconv._kernels import _simplex_py
+from ctoconv._kernels._simplex_py import OPTIMAL, _pivot, run_simplex
+from ctoconv.synth import apply_cto
+
+from conftest import FLOATS
+
+
+def test_beale_cycling_lp_reaches_optimum():
+    """Beale's (1955) LP, on which Dantzig pricing with a smallest-basic-index
+    ratio tie-break cycles; the Bland fallback must reach the optimum -1/20."""
+    tab = [
+        [F(1, 4), F(-60), F(-1, 25), F(9), F(1), F(0), F(0), F(0)],
+        [F(1, 2), F(-90), F(-1, 50), F(3), F(0), F(1), F(0), F(0)],
+        [F(0), F(0), F(1), F(0), F(0), F(0), F(1), F(1)],
+        [F(-3, 4), F(150), F(-1, 50), F(6), F(0), F(0), F(0), F(0)],
+    ]
+    basis = [4, 5, 6]  # the slacks; columns 0..3 are x4..x7
+    assert run_simplex(tab, basis, F(0), 10_000) == OPTIMAL
+    assert -tab[3][-1] == F(-1, 20)
+    point = [F(0)] * 7
+    for r, bv in enumerate(basis):
+        point[bv] = tab[r][-1]
+    assert point[:4] == [F(1, 25), F(0), F(1), F(0)]
+
+
+def _dense_pivot(tab, basis, row, col):
+    """The pivot over every column, as the kernel did before it skipped the
+    zero columns of the pivot row."""
+    pr = tab[row]
+    piv = pr[col]
+    if piv != 1:
+        for j in range(len(pr)):
+            pr[j] = pr[j] / piv
+    for i, ri in enumerate(tab):
+        if i == row:
+            continue
+        factor = ri[col]
+        if factor != 0:
+            for j in range(len(pr)):
+                ri[j] = ri[j] - factor * pr[j]
+            ri[col] = 0 * ri[col]
+    basis[row] = col
+
+
+def _random_tableau(rng, exact):
+    m = rng.randint(1, 8)
+    ncols = rng.randint(2, 14)
+
+    def entry():
+        if rng.random() < 0.6:
+            return F(0) if exact else 0.0
+        if exact:
+            return F(rng.randint(-9, 9), rng.randint(1, 9))
+        return rng.uniform(-3.0, 3.0)
+
+    tab = [[entry() for _ in range(ncols)] for _ in range(m + 1)]
+    row, col = rng.randrange(m), rng.randrange(ncols)
+    if tab[row][col] == 0:
+        tab[row][col] = F(rng.randint(1, 9), 7) if exact else rng.uniform(0.1, 3.0)
+    if rng.random() < 0.2:
+        tab[row][col] = F(1) if exact else 1.0
+    basis = [rng.randrange(ncols) for _ in range(m)]
+    return tab, basis, row, col
+
+
+def test_pivot_matches_dense_reference():
+    rng = random.Random(6)
+    for exact in (False, True):
+        for _ in range(300):
+            tab, basis, row, col = _random_tableau(rng, exact)
+            want_tab = [list(r) for r in tab]
+            want_basis = list(basis)
+            _dense_pivot(want_tab, want_basis, row, col)
+            _pivot(tab, basis, row, col, len(tab) - 1, len(tab[0]))
+            assert tab == want_tab
+            assert basis == want_basis
+            kind = F if exact else float
+            assert all(type(x) is kind for r in tab for x in r)
+
+
+def test_pivot_count_guard(monkeypatch):
+    """A float d=12, l=m=8 reachable pair decides in few pivots: 132 with
+    Dantzig pricing, 565 with Bland's rule alone."""
+    pivots = []
+    orig = _simplex_py._pivot
+
+    def counting(*args):
+        pivots.append(args[2])
+        return orig(*args)
+
+    monkeypatch.setattr(_simplex_py, "_pivot", counting)
+    rng = random.Random(11)
+    ctx = testkit.random_context(12, rng, FLOATS)
+    source = testkit.random_cq(ctx, 8, rng)
+    target = apply_cto(testkit.random_cto(ctx, 8, 8, rng), source, ctx)
+    assert check_cto(source, target, ctx).convertible
+    assert 0 < len(pivots) <= 200

@@ -9,8 +9,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctoconv import LinearSystem, solve_feasibility
-from ctoconv.errors import DimensionMismatch
+from ctoconv import LinearSystem, lp, solve_feasibility
+from ctoconv._kernels import _simplex_py
+from ctoconv.errors import DimensionMismatch, NumericBreakdown, SolveBudgetExceeded
 from ctoconv.lp import (
     FEASIBLE,
     INFEASIBLE,
@@ -176,3 +177,68 @@ for policy, num in ((NumericPolicy(), float), (NumericPolicy(mode="rational"), F
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("policy, num", [(RATIONAL, F), (FLOATS, float)])
+def test_work_budget_bounds_pivots(monkeypatch, policy, num):
+    """A solve may pivot budget // tableau cells times; one pivot short, it
+    raises SolveBudgetExceeded, and float mode starts no exact re-solve."""
+    pivots = []
+    orig = _simplex_py._pivot
+
+    def counting(*args):
+        pivots.append(args[2])
+        return orig(*args)
+
+    def no_refine(*args):
+        raise AssertionError("exact re-solve after a spent budget")
+
+    monkeypatch.setattr(_simplex_py, "_pivot", counting)
+    monkeypatch.setattr(lp, "_refine_exact", no_refine)
+    system = LinearSystem(
+        3,
+        eq=(((num(1), num(1), num(1)), num(1)),),
+        ineq=(((num(1), num(-1), num(0)), num(1) / 4),
+              ((num(0), num(1), num(2)), num(1) / 2)),
+    )
+    cells = (3 + 1) * (3 + 2 + 3 + 1)  # structural | slack | artificial | rhs
+    assert solve_feasibility(system, policy).status == FEASIBLE
+    needed = len(pivots)
+    assert needed >= 2
+    monkeypatch.setattr(lp, "_WORK_BUDGET", needed * cells)
+    assert solve_feasibility(system, policy).status == FEASIBLE
+    monkeypatch.setattr(lp, "_WORK_BUDGET", needed * cells - 1)
+    with pytest.raises(SolveBudgetExceeded) as info:
+        solve_feasibility(system, policy)
+    assert isinstance(info.value, NumericBreakdown)
+    message = str(info.value)
+    assert f"{needed - 1} pivots" in message
+    assert "3 rows" in message and "9 tableau columns" in message
+
+
+def test_float_agrees_with_rational_on_tight_pairs(monkeypatch):
+    """Reachable pairs at d=4 with l=m=6 and 8 are tight at s=1, and no mass
+    is shaved off the target.  Built in Fractions and rounded to floats, the
+    float decision must match the rational one without an exact re-solve."""
+    from ctoconv import CQState, GibbsContext, StateVector, check_cto, testkit
+    from ctoconv.synth import apply_cto
+
+    refines = []
+    orig = lp._refine_exact
+    monkeypatch.setattr(lp, "_refine_exact",
+                        lambda *args: refines.append(1) or orig(*args))
+
+    def to_float(state):
+        return CQState(tuple(StateVector(tuple(float(x) for x in c.w))
+                             for c in state.columns))
+
+    for k in (6, 8):
+        rng = random.Random(k)
+        for _ in range(10):
+            ctx = testkit.random_context(4, rng, RATIONAL)
+            source = testkit.random_cq(ctx, k, rng)
+            target = apply_cto(testkit.random_cto(ctx, k, k, rng), source, ctx)
+            assert check_cto(source, target, ctx).convertible
+            fctx = GibbsContext.from_weights(tuple(float(g) for g in ctx.gibbs), FLOATS)
+            assert check_cto(to_float(source), to_float(target), fctx).convertible
+    assert not refines
