@@ -17,21 +17,15 @@ from .lorenz import (
     LorenzCurve,
     build_lorenz,
     embed_states,
-    eval_lorenz,
     thermo_majorizes,
 )
 from .lp import FeasibilityResult, LinearSystem, solve_feasibility
 from .convert import (
-    BendGrid,
     Decision,
-    PQPair,
     WitnessMatrix,
-    bend_grid,
-    build_pq,
     check_cto,
     check_ensemble_to_state,
     check_state_to_ensemble,
-    conditional_lt_majorize,
     extract_witness,
     lt_majorize,
     omega,
@@ -47,7 +41,6 @@ from . import errors, testkit
 __version__ = "0.1.0"
 
 __all__ = [
-    "BendGrid",
     "CQState",
     "CTOPlan",
     "Decision",
@@ -56,24 +49,19 @@ __all__ = [
     "LinearSystem",
     "LorenzCurve",
     "NumericPolicy",
-    "PQPair",
     "StateVector",
     "TOMatrix",
     "WitnessMatrix",
     "apply_cto",
     "asymptotic_rate",
-    "bend_grid",
     "build_lorenz",
-    "build_pq",
     "canonicalize_cq",
     "canonicalize_cto",
     "check_cto",
     "check_ensemble_to_state",
     "check_state_to_ensemble",
-    "conditional_lt_majorize",
     "embed_states",
     "errors",
-    "eval_lorenz",
     "extract_witness",
     "free_energy",
     "lt_majorize",

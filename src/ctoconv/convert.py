@@ -44,39 +44,6 @@ from .lp import FEASIBLE, LinearSystem, solve_feasibility
 
 
 @dataclass(frozen=True)
-class BendGrid:
-    """0 = s_0 < s_1 < ... < s_D = 1, interior points being target bends."""
-
-    abscissae: tuple
-
-    @property
-    def n_segments(self) -> int:
-        return len(self.abscissae) - 1
-
-    @property
-    def interior(self) -> tuple:
-        return self.abscissae[1:-1]
-
-
-@dataclass(frozen=True)
-class PQPair:
-    """Lorenz increments of source and target branches over one grid."""
-
-    p: tuple  # D x ell, rows
-    q: tuple  # D x m, rows
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.p)
-
-    def p_column(self, x: int) -> tuple:
-        return tuple(row[x] for row in self.p)
-
-    def q_column(self, y: int) -> tuple:
-        return tuple(row[y] for row in self.q)
-
-
-@dataclass(frozen=True)
 class WitnessMatrix:
     """Nonnegative, total mass one, every column non-increasing downwards."""
 
@@ -124,50 +91,42 @@ class MonotoneValues(NamedTuple):
     free_energy: float
 
 
-def bend_grid(target: CQState, ctx: GibbsContext) -> BendGrid:
-    """Distinct bend abscissae of all target branch curves, plus 0 and 1."""
-    curves = cq_branch_curves(target, ctx)
-    return BendGrid(tuple(merged_bend_grid(curves, ctx.policy)))
+def _grid_values(source: CQState, target: CQState, ctx: GibbsContext):
+    """The target branch curves, their merged bend grid 0 = s_0 < ... < s_D = 1,
+    and the source and target curve values at s_1..s_D.
 
-
-def build_pq(source: CQState, target: CQState, ctx: GibbsContext,
-             grid: BendGrid) -> PQPair:
-    if source.dim != ctx.dim or target.dim != ctx.dim:
-        raise DimensionMismatch("joint states do not match the context dimension")
+    Values come as rows: cum[i][x] = L[curve x](s_{i+1}).  Target curves
+    are built first, then source curves.
+    """
     policy = ctx.policy
-    cum_p = _curve_values(cq_branch_curves(source, ctx), grid.abscissae, policy)
-    cum_q = _curve_values(cq_branch_curves(target, ctx), grid.abscissae, policy)
-    return PQPair(p=_diffs(cum_p), q=_diffs(cum_q))
+    tgt_curves = cq_branch_curves(target, ctx)
+    grid = merged_bend_grid(tgt_curves, policy)
+    src_curves = cq_branch_curves(source, ctx)
+    cum_p = [[_eval_clamped(c, s, policy) for c in src_curves] for s in grid[1:]]
+    cum_q = [[_eval_clamped(c, s, policy) for c in tgt_curves] for s in grid[1:]]
+    return tgt_curves, grid, cum_p, cum_q
 
 
-def _curve_values(curves, abscissae, policy: NumericPolicy):
-    """cum[i][x] = L[curve x](s_i) for each abscissa s_i."""
-    return [[_eval_clamped(c, s, policy) for c in curves] for s in abscissae]
+def _increments(cum):
+    """Per-segment increments of cumulative rows; curves start at L(0) = 0."""
+    return (tuple(cum[0]),) + tuple(
+        tuple(b - a for a, b in zip(prev, row)) for prev, row in zip(cum, cum[1:]))
 
 
-def _diffs(cum):
-    return tuple(
-        tuple(cum[i][x] - cum[i - 1][x] for x in range(len(cum[0])))
-        for i in range(1, len(cum))
-    )
-
-
-def _decide(cum_p, cum_q, policy: NumericPolicy, rows=None) -> Decision:
+def _decide(cum_p, cum_q, policy: NumericPolicy, rows) -> Decision:
     """Shared LP: find row-stochastic R with cum_p . R >= cum_q rowwise.
 
     cum_p, cum_q hold the cumulative (lower-triangular-summed) values at
     rows i = 1..D; variables are R[x][y] flattened x-major.  rows[y] lists
-    the rows kept for branch y (default: all D).  The certificate's
-    multipliers are zero-padded onto the full target-major layout of D*m
-    rows before `extract_witness`, so a witness always has D rows.
+    the rows kept for branch y.  The certificate's multipliers are
+    zero-padded onto the full target-major layout of D*m rows before
+    `extract_witness`, so a witness always has D rows.
     """
     n_rows = len(cum_p)
     ell = len(cum_p[0])
     m = len(cum_q[0])
     n_vars = ell * m
     zero, one = policy.zero(), policy.one()
-    if rows is None:
-        rows = [range(n_rows)] * m
 
     eq = []
     for x in range(ell):
@@ -228,31 +187,9 @@ def check_cto(source: CQState, target: CQState, ctx: GibbsContext) -> Decision:
     policy = ctx.policy
     source.validate(policy)
     target.validate(policy)
-    tgt_curves = cq_branch_curves(target, ctx)
-    grid = merged_bend_grid(tgt_curves, policy)
-    src_curves = cq_branch_curves(source, ctx)
-    cum_p = _curve_values(src_curves, grid[1:], policy)
-    cum_q = _curve_values(tgt_curves, grid[1:], policy)
+    tgt_curves, grid, cum_p, cum_q = _grid_values(source, target, ctx)
     rows = [_own_rows(c, grid) for c in tgt_curves]
     return _decide(cum_p, cum_q, policy, rows)
-
-
-def conditional_lt_majorize(p_matrix, q_matrix, policy: NumericPolicy) -> Decision:
-    """LP form on raw joint distributions, for externally chosen grids."""
-    if len(p_matrix) != len(q_matrix):
-        raise DimensionMismatch("joint distributions differ in row count")
-    cum_p = _cumsum_rows(p_matrix)
-    cum_q = _cumsum_rows(q_matrix)
-    return _decide(cum_p, cum_q, policy)
-
-
-def _cumsum_rows(matrix):
-    out = []
-    acc = None
-    for row in matrix:
-        acc = list(row) if acc is None else [a + b for a, b in zip(acc, row)]
-        out.append(list(acc))
-    return out
 
 
 def lt_majorize(p: Sequence, q: Sequence, policy: NumericPolicy,
@@ -407,31 +344,30 @@ def verify_witness(witness: WitnessMatrix, source: CQState, target: CQState,
     Negative values certify non-convertibility; computed on the weighted
     columns, which equals the conditional form by positive homogeneity.
     """
-    policy = ctx.policy
-    tgt_curves = cq_branch_curves(target, ctx)  # built once, as in check_cto
-    grid = merged_bend_grid(tgt_curves, policy)
+    _, grid, cum_p, cum_q = _grid_values(source, target, ctx)
     if len(grid) - 1 != witness.n_rows:
         raise DimensionMismatch(
             f"witness has {witness.n_rows} rows, target grid has "
             f"{len(grid) - 1} segments"
         )
-    pq = PQPair(p=_diffs(_curve_values(cq_branch_curves(source, ctx), grid, policy)),
-                q=_diffs(_curve_values(tgt_curves, grid, policy)))
-    gain = sum(omega(witness, pq.p_column(x)) for x in range(source.n_branches))
-    loss = sum(omega(witness, pq.q_column(y)) for y in range(target.n_branches))
+    gain = sum(omega(witness, col) for col in zip(*_increments(cum_p)))
+    loss = sum(omega(witness, col) for col in zip(*_increments(cum_q)))
     return gain - loss
 
 
-def sigma_grid(ctx: GibbsContext, d_max: int = 16) -> tuple:
+_SIGMA_D_MAX = 16  # 2^d subset sums
+
+
+def sigma_grid(ctx: GibbsContext) -> tuple:
     """All proper partial sums of Gibbs weights over every level ordering.
 
     These are the sums over the proper non-empty subsets of levels, so at
     most 2^d - 2 values; float sums closer than eps_merge are merged.
     """
     d = ctx.dim
-    if d > d_max:
+    if d > _SIGMA_D_MAX:
         raise DimensionTooLarge(
-            f"subset-sum grid needs d <= {d_max}, got {d} (2^d blowup)"
+            f"subset-sum grid needs d <= {_SIGMA_D_MAX}, got {d} (2^d blowup)"
         )
     policy = ctx.policy
     sums = [policy.zero()]  # sums[mask]: the sum over the levels in mask

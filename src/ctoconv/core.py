@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import (
     DimensionMismatch,
@@ -107,9 +107,6 @@ class NumericPolicy:
         return self.leq(self.zero(), a, eps)
 
 
-RATIONAL_POLICY = NumericPolicy(mode=RATIONAL)
-
-
 # -- small generic linear algebra helpers ------------------------------------
 
 
@@ -121,24 +118,6 @@ def vdot(a: Sequence[Number], b: Sequence[Number]) -> Number:
 
 def matvec(m: Sequence[Sequence[Number]], v: Sequence[Number]) -> list:
     return [vdot(row, v) for row in m]
-
-
-def vsum(vs: Iterable[Sequence[Number]]) -> list:
-    out = None
-    for v in vs:
-        if out is None:
-            out = list(v)
-        else:
-            if len(v) != len(out):
-                raise DimensionMismatch("summing vectors of different lengths")
-            out = [a + b for a, b in zip(out, v)]
-    if out is None:
-        raise DimensionMismatch("empty vector sum")
-    return out
-
-
-def scale(c: Number, v: Sequence[Number]) -> list:
-    return [c * x for x in v]
 
 
 # -- Gibbs context -----------------------------------------------------------

@@ -104,11 +104,6 @@ def _same_slope(a, b, policy: NumericPolicy) -> bool:
     return abs(a - b) <= policy.eps_merge
 
 
-def eval_lorenz(curve: LorenzCurve, s):
-    """Lorenz function value at abscissa s in [0, 1]."""
-    return curve.value(s)
-
-
 def thermo_majorizes(u: StateVector, v: StateVector, ctx: GibbsContext) -> bool:
     """True when L[u] lies nowhere below L[v] (checked at the bends of L[v])."""
     if u.dim != v.dim:

@@ -111,9 +111,13 @@ def _solve(sys: LinearSystem, policy: NumericPolicy, exact: bool) -> Feasibility
         zero, one, eps = Fraction(0), Fraction(1), Fraction(0)
     else:
         zero, one, eps = 0.0, 1.0, min(1e-9, policy.eps_lp)
+    tol = zero if policy.exact else policy.eps_lp  # also for _refine_exact
     tab = [[zero] * ncols for _ in range(m + 1)]
     basis = [0] * m
 
+    # phase-1 objective: minimize the artificial sum; reduced costs c_j - z_j
+    # are minus the non-artificial column sums, accumulated as rows fill in
+    cost = tab[m]
     signs = []
     rows = [(row, b, True) for row, b in sys.eq] + [
         (row, b, False) for row, b in sys.ineq
@@ -122,21 +126,21 @@ def _solve(sys: LinearSystem, policy: NumericPolicy, exact: bool) -> Feasibility
     for r, (row, b, is_eq) in enumerate(rows):
         sign = one if b >= 0 else -one
         signs.append(sign)
+        t = tab[r]
         for j, a in enumerate(row):
             if a != 0:
-                tab[r][j] = sign * (a if exact else float(a))
+                v = sign * (a if exact else float(a))
+                t[j] = v
+                cost[j] -= v
         if not is_eq:
-            tab[r][n + slack_no] = -sign
+            t[n + slack_no] = -sign
+            cost[n + slack_no] += sign
             slack_no += 1
-        tab[r][n + n_slack + r] = one
-        tab[r][ncols - 1] = sign * (b if exact else float(b))
+        t[n + n_slack + r] = one
+        rhs = sign * (b if exact else float(b))
+        t[ncols - 1] = rhs
+        cost[ncols - 1] -= rhs
         basis[r] = n + n_slack + r
-
-    # phase-1 objective: minimize the artificial sum; reduced costs c_j - z_j
-    for j in range(ncols):
-        if n + n_slack <= j < n + n_slack + m:
-            continue
-        tab[m][j] = -sum(tab[r][j] for r in range(m))
 
     max_pivots = _WORK_BUDGET // ((m + 1) * ncols)
     status = run_simplex(tab, basis, eps, max_pivots)
@@ -151,11 +155,10 @@ def _solve(sys: LinearSystem, policy: NumericPolicy, exact: bool) -> Feasibility
         return _refine_exact(sys, policy)
 
     value = -tab[m][ncols - 1]
-    feas_tol = zero if exact else policy.eps_lp
 
-    if value <= feas_tol:
+    if value <= tol:
         # a phase-1 value below zero is a sure sign of tableau corruption
-        if not exact and value < -feas_tol:
+        if not exact and value < -tol:
             return _refine_exact(sys, policy)
         point = [zero] * n
         for r in range(m):
@@ -164,8 +167,7 @@ def _solve(sys: LinearSystem, policy: NumericPolicy, exact: bool) -> Feasibility
                 point[bv] = tab[r][ncols - 1]
         if not exact:
             point = [0.0 if -policy.eps_lp < x < 0 else float(x) for x in point]
-        check_eps = zero if exact else policy.eps_lp
-        if not verify_point(sys, point, check_eps):
+        if not verify_point(sys, point, tol):
             if exact:
                 raise NumericBreakdown("feasible point failed re-verification")
             return _refine_exact(sys, policy)
@@ -178,8 +180,7 @@ def _solve(sys: LinearSystem, policy: NumericPolicy, exact: bool) -> Feasibility
     if not exact:
         y_in = [0.0 if -policy.eps_lp < v < 0 else float(v) for v in y_in]
     cert = (tuple(y_eq), tuple(y_in))
-    check_eps = zero if exact else policy.eps_lp
-    if not verify_certificate(sys, cert, check_eps):
+    if not verify_certificate(sys, cert, tol):
         if exact:
             raise NumericBreakdown("Farkas certificate failed re-verification")
         return _refine_exact(sys, policy)
@@ -190,8 +191,9 @@ def _refine_exact(sys: LinearSystem, policy: NumericPolicy) -> FeasibilityResult
     """Re-solve a float system in exact rational arithmetic.
 
     Last resort when a float solve's answer fails self-verification:
-    floats convert to Fractions without loss, so the exact run decides the
-    identical system, and the answer is rounded back to floats.
+    floats convert to Fractions without loss, so the exact run solves the
+    identical system; it judges feasibility and verifies its answer with
+    eps_lp, as the float path does, and the answer is rounded back to floats.
     """
     exact_sys = LinearSystem(
         sys.n_vars,

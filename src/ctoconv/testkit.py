@@ -19,8 +19,15 @@ from .core import (
     StateVector,
     canonicalize_cq,
 )
-from .convert import WitnessMatrix, check_cto
-from .errors import NotThermoMajorizing
+from .convert import (
+    Decision,
+    WitnessMatrix,
+    _decide,
+    _grid_values,
+    _increments,
+    check_cto,
+)
+from .errors import DimensionMismatch, NotThermoMajorizing
 from .lorenz import thermo_majorizes
 from .synth import apply_cto
 from .core import TOMatrix
@@ -177,6 +184,33 @@ def random_witness(n_rows: int, n_cols: int, seed,
         a[0][0] = policy.one()
         total = policy.one()
     return WitnessMatrix(tuple(tuple(v / total for v in row) for row in a))
+
+
+def pq_increments(source: CQState, target: CQState, ctx: GibbsContext):
+    """Lorenz increments P (D x ell) and Q (D x m), as rows, of the source
+    and target branches over the target's merged bend grid."""
+    _, _, cum_p, cum_q = _grid_values(source, target, ctx)
+    return _increments(cum_p), _increments(cum_q)
+
+
+def conditional_lt_majorize(p_matrix, q_matrix, policy: NumericPolicy) -> Decision:
+    """Full-grid oracle: the decision LP with every row of every branch, on
+    raw increment matrices (rows are grid segments)."""
+    if len(p_matrix) != len(q_matrix):
+        raise DimensionMismatch("joint distributions differ in row count")
+    cum_p = _cumsum_rows(p_matrix)
+    cum_q = _cumsum_rows(q_matrix)
+    rows = [range(len(cum_q))] * len(cum_q[0])
+    return _decide(cum_p, cum_q, policy, rows)
+
+
+def _cumsum_rows(matrix):
+    out = []
+    acc = None
+    for row in matrix:
+        acc = list(row) if acc is None else [a + b for a, b in zip(acc, row)]
+        out.append(list(acc))
+    return out
 
 
 def two_column_source(u: StateVector, p, ctx: GibbsContext) -> CQState:

@@ -18,9 +18,7 @@ from ctoconv import (
     StateVector,
     apply_cto,
     asymptotic_rate,
-    bend_grid,
     build_lorenz,
-    build_pq,
     check_cto,
     check_ensemble_to_state,
     check_state_to_ensemble,
@@ -130,14 +128,12 @@ def test_criterion_3_witness_duality():
     worst_pos = 0.0
     for k in range(200):
         ctx, source, target = _random_convertible(rng, FLOATS)
-        grid = bend_grid(target, ctx)
-        pq = build_pq(source, target, ctx, grid)
+        p, q = testkit.pq_increments(source, target, ctx)
         for _ in range(1000):
-            a = testkit.random_witness(grid.n_segments, target.n_branches,
-                                       rng, FLOATS)
+            a = testkit.random_witness(len(p), target.n_branches, rng, FLOATS)
             value = (
-                sum(omega(a, pq.p_column(x)) for x in range(source.n_branches))
-                - sum(omega(a, pq.q_column(y)) for y in range(target.n_branches))
+                sum(omega(a, col) for col in zip(*p))
+                - sum(omega(a, col) for col in zip(*q))
             )
             worst_pos = min(worst_pos, value)
             assert value >= -1e-9

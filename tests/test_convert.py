@@ -1,4 +1,4 @@
-"""Decision theory: bend grids, P/Q reduction, convertibility, corollaries,
+"""Decision theory: bend grids, P/Q increments, convertibility, corollaries,
 witnesses and monotones."""
 
 import random
@@ -14,12 +14,9 @@ from ctoconv import (
     LinearSystem,
     StateVector,
     WitnessMatrix,
-    bend_grid,
-    build_pq,
     check_cto,
     check_ensemble_to_state,
     check_state_to_ensemble,
-    conditional_lt_majorize,
     extract_witness,
     lt_majorize,
     omega,
@@ -30,7 +27,8 @@ from ctoconv import (
     verify_witness,
 )
 from ctoconv import convert, lorenz
-from ctoconv.lorenz import cq_branch_curves, _eval_clamped
+from ctoconv.lorenz import cq_branch_curves, _eval_clamped, merged_bend_grid
+from ctoconv.testkit import conditional_lt_majorize, pq_increments
 from ctoconv.synth import apply_cto
 from ctoconv.errors import (
     DegenerateCertificate,
@@ -53,42 +51,53 @@ def _gibbs_column(ctx):
     return _single(ctx.gibbs)
 
 
+def _target_grid(target, ctx):
+    """The merged bend grid of the target's branch curves."""
+    return merged_bend_grid(cq_branch_curves(target, ctx), ctx.policy)
+
+
+def _n_segments(target, ctx):
+    return len(_target_grid(target, ctx)) - 1
+
+
+def _column(rows, x):
+    return tuple(row[x] for row in rows)
+
+
 class TestBendGrid:
     def test_gibbs_target_has_no_bends(self, uniform2):
-        grid = bend_grid(_gibbs_column(uniform2), uniform2)
-        assert grid.abscissae == (F(0), F(1))
-        assert grid.n_segments == 1
+        grid = _target_grid(_gibbs_column(uniform2), uniform2)
+        assert grid == [F(0), F(1)]
+        assert len(grid) - 1 == 1
 
     def test_single_bend(self, uniform2):
-        grid = bend_grid(_single((F(3, 4), F(1, 4))), uniform2)
-        assert grid.abscissae == (F(0), F(1, 2), F(1))
-        assert grid.n_segments == 2
+        grid = _target_grid(_single((F(3, 4), F(1, 4))), uniform2)
+        assert grid == [F(0), F(1, 2), F(1)]
+        assert len(grid) - 1 == 2
 
     def test_union_of_branch_bends(self, skew2):
         target = CQState((
             StateVector((F(1, 2), F(0))),
             StateVector((F(1, 10), F(2, 5))),
         ))
-        grid = bend_grid(target, skew2)
-        assert grid.abscissae == (F(0), F(1, 3), F(2, 3), F(1))
-        assert grid.interior == (F(1, 3), F(2, 3))
+        grid = _target_grid(target, skew2)
+        assert grid == [F(0), F(1, 3), F(2, 3), F(1)]
+        assert grid[1:-1] == [F(1, 3), F(2, 3)]
 
 
 class TestBuildPQ:
     def test_trivial_gibbs_pair(self, uniform2):
         target = _gibbs_column(uniform2)
-        grid = bend_grid(target, uniform2)
-        pq = build_pq(target, target, uniform2, grid)
-        assert pq.p == ((F(1),),)
-        assert pq.q == ((F(1),),)
+        p, q = pq_increments(target, target, uniform2)
+        assert p == ((F(1),),)
+        assert q == ((F(1),),)
 
     def test_single_columns(self, uniform2):
         source = _single((F(1), F(0)))
         target = _single((F(3, 4), F(1, 4)))
-        grid = bend_grid(target, uniform2)
-        pq = build_pq(source, target, uniform2, grid)
-        assert pq.p_column(0) == (F(1), F(0))
-        assert pq.q_column(0) == (F(3, 4), F(1, 4))
+        p, q = pq_increments(source, target, uniform2)
+        assert _column(p, 0) == (F(1), F(0))
+        assert _column(q, 0) == (F(3, 4), F(1, 4))
 
     def test_two_branch_source(self, uniform2):
         source = CQState((
@@ -96,30 +105,27 @@ class TestBuildPQ:
             StateVector((F(1, 4), F(1, 4))),
         ))
         target = _single((F(3, 4), F(1, 4)))
-        grid = bend_grid(target, uniform2)
-        pq = build_pq(source, target, uniform2, grid)
-        assert pq.p == ((F(1, 2), F(1, 4)), (F(0), F(1, 4)))
-        assert pq.q == ((F(3, 4),), (F(1, 4),))
+        p, q = pq_increments(source, target, uniform2)
+        assert p == ((F(1, 2), F(1, 4)), (F(0), F(1, 4)))
+        assert q == ((F(3, 4),), (F(1, 4),))
 
     def test_cumulative_reconstruction(self, skew2):
         rng = random.Random(5)
         source = testkit.random_cq(skew2, 2, rng)
         target = testkit.random_cq(skew2, 2, rng)
-        grid = bend_grid(target, skew2)
-        pq = build_pq(source, target, skew2, grid)
+        p, _ = pq_increments(source, target, skew2)
         curves = cq_branch_curves(source, skew2)
         for x, curve in enumerate(curves):
             acc = F(0)
-            for i, s in enumerate(grid.abscissae[1:]):
-                acc += pq.p[i][x]
+            for i, s in enumerate(_target_grid(target, skew2)[1:]):
+                acc += p[i][x]
                 assert acc == curve.value(s)
 
     def test_dimension_mismatch(self, uniform2, skew2):
         target = _gibbs_column(uniform2)
-        grid = bend_grid(target, uniform2)
         three = GibbsContext.from_weights((F(1, 3), F(1, 3), F(1, 3)), RATIONAL)
         with pytest.raises(DimensionMismatch):
-            build_pq(_single((F(1), F(0), F(0))), target, three, grid)
+            pq_increments(_single((F(1), F(0), F(0))), target, three)
 
 
 class TestCheckCto:
@@ -315,9 +321,8 @@ class TestWitness:
     def test_equal_states_give_zero(self, skew2):
         rng = random.Random(4)
         state = testkit.random_cq(skew2, 2, rng)
-        grid = bend_grid(state, skew2)
         for _ in range(20):
-            a = testkit.random_witness(grid.n_segments, state.n_branches,
+            a = testkit.random_witness(_n_segments(state, skew2), state.n_branches,
                                        rng, RATIONAL)
             assert verify_witness(a, state, state, skew2) == 0
 
@@ -326,9 +331,8 @@ class TestWitness:
         source = testkit.random_cq(skew2, 2, rng)
         plan = testkit.random_cto(skew2, 2, 2, rng)
         target = apply_cto(plan, source, skew2)
-        grid = bend_grid(target, skew2)
         for _ in range(100):
-            a = testkit.random_witness(grid.n_segments, target.n_branches,
+            a = testkit.random_witness(_n_segments(target, skew2), target.n_branches,
                                        rng, RATIONAL)
             assert verify_witness(a, source, target, skew2) >= 0
 
@@ -343,7 +347,7 @@ class TestWitness:
         ctx = testkit.random_context(5, rng, RATIONAL)
         state = testkit.random_cq(ctx, 3, rng)
         target = testkit.random_cq(ctx, 2, rng)
-        a = testkit.random_witness(bend_grid(target, ctx).n_segments, 2, rng, RATIONAL)
+        a = testkit.random_witness(_n_segments(target, ctx), 2, rng, RATIONAL)
         calls = []
         build = lorenz.build_lorenz
 
@@ -460,9 +464,8 @@ class TestConditionalLtMajorize:
         u = StateVector((F(1), F(0)))
         source = testkit.two_column_source(u, F(2, 5), uniform2)
         target = _single((F(3, 4), F(1, 4)))
-        grid = bend_grid(target, uniform2)
-        pq = build_pq(source, target, uniform2, grid)
-        assert not conditional_lt_majorize(pq.p, pq.q, RATIONAL).convertible
+        p, q = pq_increments(source, target, uniform2)
+        assert not conditional_lt_majorize(p, q, RATIONAL).convertible
 
     def test_row_count_check(self):
         with pytest.raises(DimensionMismatch):
@@ -580,7 +583,7 @@ def test_grid_sufficiency_off_grid(seed):
 def _full_decision_system(source, target, ctx):
     """The decision LP with one row per branch at every union-grid point."""
     policy = ctx.policy
-    pq = build_pq(source, target, ctx, bend_grid(target, ctx))
+    p, q = pq_increments(source, target, ctx)
     ell, m = source.n_branches, target.n_branches
     zero, one = policy.zero(), policy.one()
     eq = []
@@ -589,9 +592,9 @@ def _full_decision_system(source, target, ctx):
     ineq = []
     for y in range(m):
         cum_p, cum_q = [zero] * ell, zero
-        for i in range(pq.n_rows):
-            cum_p = [a + b for a, b in zip(cum_p, pq.p[i])]
-            cum_q += pq.q[i][y]
+        for p_row, q_row in zip(p, q):
+            cum_p = [a + b for a, b in zip(cum_p, p_row)]
+            cum_q += q_row[y]
             row = [cum_p[v // m] if v % m == y else zero for v in range(ell * m)]
             ineq.append((row, cum_q))
     return LinearSystem(ell * m, eq=tuple(eq), ineq=tuple(ineq))
@@ -626,14 +629,13 @@ class TestReducedDecisionLP:
         verdicts = set()
         for ctx, source, target in _decision_instances(RATIONAL, 41, 120):
             decision = check_cto(source, target, ctx)
-            grid = bend_grid(target, ctx)
-            pq = build_pq(source, target, ctx, grid)
-            full = conditional_lt_majorize(pq.p, pq.q, RATIONAL)
+            p, q = pq_increments(source, target, ctx)
+            full = conditional_lt_majorize(p, q, RATIONAL)
             assert decision.convertible == full.convertible
             verdicts.add(decision.convertible)
             if not decision.convertible:
                 a = decision.witness.validate(RATIONAL)
-                assert a.n_rows == grid.n_segments
+                assert a.n_rows == len(p)
                 assert a.n_cols == target.n_branches
                 assert verify_witness(a, source, target, ctx) < 0
         assert verdicts == {True, False}
@@ -646,7 +648,7 @@ class TestReducedDecisionLP:
             assert decision.convertible == full
             verdicts.add(full)
             if not decision.convertible:
-                assert decision.witness.n_rows == bend_grid(target, ctx).n_segments
+                assert decision.witness.n_rows == _n_segments(target, ctx)
                 assert verify_witness(decision.witness, source, target, ctx) < 0
         assert verdicts == {True, False}
 
@@ -670,7 +672,7 @@ class TestReducedDecisionLP:
         check_cto(source, target, ctx)
         curves = cq_branch_curves(target, ctx)
         own = sum(len(c.bend_abscissae) + 1 for c in curves)
-        full = bend_grid(target, ctx).n_segments * target.n_branches
+        full = _n_segments(target, ctx) * target.n_branches
         assert [c.bend_abscissae for c in curves] == [
             (F(1, 2),), (F(1, 4),), (F(1, 8), F(3, 8), F(7, 8))]
         assert len(seen) == 1

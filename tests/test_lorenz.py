@@ -11,7 +11,6 @@ from ctoconv import (
     StateVector,
     build_lorenz,
     embed_states,
-    eval_lorenz,
     testkit,
     thermo_majorizes,
 )
@@ -59,22 +58,22 @@ class TestBuildLorenz:
 class TestEvalLorenz:
     def test_origin(self, uniform2):
         curve = build_lorenz(StateVector((F(3, 4), F(1, 4))), uniform2)
-        assert eval_lorenz(curve, F(0)) == 0
+        assert curve.value(F(0)) == 0
 
     def test_interpolation_left_segment(self, skew2):
         curve = build_lorenz(StateVector((F(1), F(0))), skew2)
-        assert eval_lorenz(curve, F(1, 3)) == F(1, 2)
+        assert curve.value(F(1, 3)) == F(1, 2)
 
     def test_interpolation_right_segment(self, skew2):
         curve = build_lorenz(StateVector((F(1, 5), F(4, 5))), skew2)
-        assert eval_lorenz(curve, F(2, 3)) == F(9, 10)
+        assert curve.value(F(2, 3)) == F(9, 10)
 
     def test_out_of_range(self, uniform2):
         curve = build_lorenz(StateVector((F(1), F(0))), uniform2)
         with pytest.raises(OutOfRange):
-            eval_lorenz(curve, F(-1, 10))
+            curve.value(F(-1, 10))
         with pytest.raises(OutOfRange):
-            eval_lorenz(curve, F(11, 10))
+            curve.value(F(11, 10))
 
 
 class TestThermoMajorizes:

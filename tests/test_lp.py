@@ -96,6 +96,48 @@ def test_refine_exact_agrees_with_float():
     assert verify_certificate(bad, res.certificate, FLOATS.eps_lp)
 
 
+def test_refine_exact_judges_with_eps_lp():
+    # x == 0.3 and x >= 0.1 + 0.2: infeasible by ~5.5e-17 in exact arithmetic,
+    # feasible at the float path's tolerance
+    tight = LinearSystem(1, eq=(((1.0,), 0.3),), ineq=(((1.0,), 0.1 + 0.2),))
+    assert solve_feasibility(tight, FLOATS).status == FEASIBLE
+    res = _refine_exact(tight, FLOATS)
+    assert res.status == FEASIBLE
+    assert verify_point(tight, res.point, FLOATS.eps_lp)
+    assert all(type(x) is float for x in res.point)
+
+    # x1 + x2 == 1 and x1 + x2 >= 2 stays infeasible, with a certificate
+    bad = LinearSystem(2, eq=(((1.0, 1.0), 1.0),), ineq=(((1.0, 1.0), 2.0),))
+    res = _refine_exact(bad, FLOATS)
+    assert res.status == INFEASIBLE
+    assert verify_certificate(bad, res.certificate, FLOATS.eps_lp)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "rational"])
+def test_phase1_cost_row_is_dense_column_sums(monkeypatch, exact):
+    policy = RATIONAL if exact else FLOATS
+    starts = []
+    run = lp.run_simplex
+
+    def spy(tab, basis, eps, max_pivots):
+        starts.append([list(row) for row in tab])
+        return run(tab, basis, eps, max_pivots)
+
+    monkeypatch.setattr(lp, "run_simplex", spy)
+    for seed in range(40):
+        sys = _random_system(seed, exact)
+        starts.clear()
+        solve_feasibility(sys, policy)
+        tab = starts[0]
+        m = len(sys.eq) + len(sys.ineq)
+        first_art = sys.n_vars + len(sys.ineq)
+        for j in range(len(tab[0])):
+            if first_art <= j < first_art + m:
+                assert tab[m][j] == 0
+            else:
+                assert tab[m][j] == -sum(tab[r][j] for r in range(m))
+
+
 def _random_system(seed, exact):
     """A small random system with equalities and inequalities of mixed sign."""
     rng = random.Random(seed)
