@@ -18,7 +18,7 @@ ITERATION_LIMIT = 2
 _DEGENERATE_RUN = 50
 
 
-def run_simplex(tab, basis, eps, max_pivots):
+def run_simplex(tab, basis, eps, max_pivots, retire_from):
     """Run simplex pivots in place; returns a status code.
 
     The entering column is the one with the most negative reduced cost
@@ -28,6 +28,10 @@ def run_simplex(tab, basis, eps, max_pivots):
     Every run of degenerate pivots thus ends under Bland's rule, which does
     not cycle, so the kernel is finite.  ITERATION_LIMIT means another
     pivot was needed after max_pivots.
+
+    A column at or past retire_from is zeroed in every row, cost row too,
+    the pivot it leaves the basis, so it never prices in or is swept again;
+    a retire_from at the rhs column retires none.
     """
     m = len(basis)
     ncols = len(tab[0])
@@ -43,7 +47,7 @@ def run_simplex(tab, basis, eps, max_pivots):
     while True:
         enter = -1
         if degenerate < _DEGENERATE_RUN:
-            cost = min(obj[:rhs])
+            cost = min(obj[:rhs], default=0)
             if cost < -eps:
                 enter = obj.index(cost)
         else:
@@ -69,8 +73,13 @@ def run_simplex(tab, basis, eps, max_pivots):
         if pivots == max_pivots:
             return ITERATION_LIMIT
         degenerate = degenerate + 1 if best <= eps else 0
+        out = basis[leave]
         _pivot(tab, basis, leave, enter, m, ncols)
         pivots += 1
+        if out >= retire_from:
+            zero = 0 * obj[out]  # keeps the type
+            for row in tab:
+                row[out] = zero
 
 
 def _pivot(tab, basis, row, col, m, ncols):

@@ -9,6 +9,10 @@ Farkas witness:
     eq^T y_eq + ineq^T y_in <= 0 componentwise,  y_in >= 0,
     rhs_eq . y_eq + rhs_in . y_in > 0.
 
+Inequality-row artificials come last and are retired as they leave the
+basis; y_in is read from the slack block's reduced costs, and y_eq from the
+equality rows' artificials, which are kept.
+
 Both modes build the same list-of-lists tableau, of floats or of
 Fractions, and run the same kernel under a work budget.  Every answer is
 re-verified against the raw system before being returned.
@@ -28,10 +32,10 @@ INFEASIBLE = "infeasible"
 
 # Pivots times tableau cells that one solve may spend.  A pivot updates at
 # most every cell, so this bounds the kernel's work at any LP size.  The
-# largest decision LPs (d=24, l=m=12: 301 x 733 cells, 350-600 pivots)
-# spend 0.8e8-1.3e8, which leaves ~8x headroom.  A dense float update costs
-# ~40 ns a cell, so a float solve that spends it all stops within about a
-# minute; a Fraction update costs microseconds, more as denominators grow.
+# largest decision LPs (d=24, l=m=12: 301 x 733 cells, 180-340 pivots)
+# spend 0.4e8-0.8e8, which leaves over 12x headroom.  A dense float update
+# costs ~40 ns a cell, so a float solve that spends it all stops within about
+# a minute; a Fraction update costs microseconds, more as denominators grow.
 _WORK_BUDGET = 10**9
 
 
@@ -143,7 +147,7 @@ def _solve(sys: LinearSystem, policy: NumericPolicy, exact: bool) -> Feasibility
         basis[r] = n + n_slack + r
 
     max_pivots = _WORK_BUDGET // ((m + 1) * ncols)
-    status = run_simplex(tab, basis, eps, max_pivots)
+    status = run_simplex(tab, basis, eps, max_pivots, n + n_slack + n_eq)
     if status == ITERATION_LIMIT:
         raise SolveBudgetExceeded(
             f"simplex work budget spent: {max_pivots} pivots on an LP of "
@@ -173,10 +177,11 @@ def _solve(sys: LinearSystem, policy: NumericPolicy, exact: bool) -> Feasibility
             return _refine_exact(sys, policy)
         return FeasibilityResult(FEASIBLE, point=tuple(point))
 
-    # simplex multipliers: artificial column r has cost 1, so y_r = 1 - redcost
-    y = [signs[r] * (one - tab[m][n + n_slack + r]) for r in range(m)]
-    y_eq = y[:n_eq]
-    y_in = y[n_eq:]
+    # simplex multipliers pi of the sign-flipped rows: an eq artificial has
+    # cost 1 and column e_r, so pi_r = 1 - redcost; slack k of inequality
+    # row r has cost 0 and column -sign_r e_r, so its redcost is sign_r pi_r
+    y_eq = [signs[r] * (one - tab[m][n + n_slack + r]) for r in range(n_eq)]
+    y_in = tab[m][n:n + n_slack]
     if not exact:
         y_in = [0.0 if -policy.eps_lp < v < 0 else float(v) for v in y_in]
     cert = (tuple(y_eq), tuple(y_in))

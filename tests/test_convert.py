@@ -1,6 +1,7 @@
 """Decision theory: bend grids, P/Q increments, convertibility, corollaries,
 witnesses and monotones."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 from itertools import permutations
@@ -29,7 +30,7 @@ from ctoconv import (
 from ctoconv import convert, lorenz
 from ctoconv.lorenz import cq_branch_curves, _eval_clamped, merged_bend_grid
 from ctoconv.testkit import conditional_lt_majorize, pq_increments
-from ctoconv.synth import apply_cto
+from ctoconv.synth import apply_cto, synthesize_cto
 from ctoconv.errors import (
     DegenerateCertificate,
     DimensionMismatch,
@@ -678,3 +679,48 @@ class TestReducedDecisionLP:
         assert len(seen) == 1
         assert len(seen[0].ineq) == own == 8
         assert full == 18
+
+
+def _numbers(result):
+    """Every number a result holds, through tuples, dicts and dataclasses."""
+    if isinstance(result, (tuple, list)):
+        for part in result:
+            yield from _numbers(part)
+    elif isinstance(result, dict):
+        for part in result.values():
+            yield from _numbers(part)
+    elif dataclasses.is_dataclass(result):
+        for field in dataclasses.fields(result):
+            yield from _numbers(getattr(result, field.name))
+    else:
+        yield result
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_rational_results_hold_no_float(seed):
+    """Rational mode stays exact end to end: no decision, witness, plan,
+    threshold or monotone holds a float.  The one exception is the
+    documented free_energy field of phi_monotones."""
+    rng = random.Random(seed)
+    ctx = testkit.random_context(rng.choice([2, 3, 4]), rng, RATIONAL)
+    source = testkit.random_cq(ctx, rng.choice([1, 2, 3]), rng)
+    target = apply_cto(testkit.random_cto(ctx, source.n_branches,
+                                          rng.choice([1, 2, 3]), rng),
+                       source, ctx)
+    yes = check_cto(source, target, ctx)
+    assert yes.convertible
+    plan = synthesize_cto(source, target, ctx, yes)
+    results = [yes, plan, apply_cto(plan, source, ctx)]
+    unreachable = testkit.perturb_to_infeasible(source, ctx, rng)
+    if unreachable is not None:
+        no = check_cto(source, unreachable, ctx)
+        gap = verify_witness(no.witness, source, unreachable, ctx)
+        assert gap < 0
+        results += [no, gap]
+    u = source.columns[0].normalized()
+    v = testkit.random_gibbs_stochastic(ctx, 3, rng).apply(u)
+    monotones = phi_monotones(source, ctx)
+    results += [p_min(u, v, ctx), monotones.abscissae, monotones.values]
+    leaked = [x for x in _numbers(results) if isinstance(x, float)]
+    assert not leaked

@@ -3,12 +3,13 @@
 import random
 from fractions import Fraction as F
 
-from ctoconv import check_cto, testkit
+from ctoconv import check_cto, lp, solve_feasibility, testkit
 from ctoconv._kernels import _simplex_py
 from ctoconv._kernels._simplex_py import OPTIMAL, _pivot, run_simplex
 from ctoconv.synth import apply_cto
 
-from conftest import FLOATS
+from conftest import FLOATS, RATIONAL
+from test_lp import _random_system
 
 
 def test_beale_cycling_lp_reaches_optimum():
@@ -21,7 +22,8 @@ def test_beale_cycling_lp_reaches_optimum():
         [F(-3, 4), F(150), F(-1, 50), F(6), F(0), F(0), F(0), F(0)],
     ]
     basis = [4, 5, 6]  # the slacks; columns 0..3 are x4..x7
-    assert run_simplex(tab, basis, F(0), 10_000) == OPTIMAL
+    # retire_from at the rhs column: no column is retired
+    assert run_simplex(tab, basis, F(0), 10_000, len(tab[0]) - 1) == OPTIMAL
     assert -tab[3][-1] == F(-1, 20)
     point = [F(0)] * 7
     for r, bv in enumerate(basis):
@@ -84,9 +86,7 @@ def test_pivot_matches_dense_reference():
             assert all(type(x) is kind for r in tab for x in r)
 
 
-def test_pivot_count_guard(monkeypatch):
-    """A float d=12, l=m=8 reachable pair decides in few pivots: 132 with
-    Dantzig pricing, 565 with Bland's rule alone."""
+def _count_pivots(monkeypatch):
     pivots = []
     orig = _simplex_py._pivot
 
@@ -95,9 +95,77 @@ def test_pivot_count_guard(monkeypatch):
         return orig(*args)
 
     monkeypatch.setattr(_simplex_py, "_pivot", counting)
+    return pivots
+
+
+def test_pivot_count_guard(monkeypatch):
+    """A float d=12, l=m=8 reachable pair decides in few pivots: 109 with
+    Dantzig pricing and retired artificials, 132 with every artificial kept,
+    565 with Bland's rule alone."""
+    pivots = _count_pivots(monkeypatch)
     rng = random.Random(11)
     ctx = testkit.random_context(12, rng, FLOATS)
     source = testkit.random_cq(ctx, 8, rng)
     target = apply_cto(testkit.random_cto(ctx, 8, 8, rng), source, ctx)
     assert check_cto(source, target, ctx).convertible
     assert 0 < len(pivots) <= 200
+
+
+def test_large_class_pivot_guard(monkeypatch):
+    """Float d=24, l=m=12 pairs at seed 2 decide in few pivots: the reachable
+    pair in 333 (496 with every artificial kept), the perturbed unreachable
+    one in 264 (1364 with every artificial kept)."""
+    rng = random.Random(2)
+    ctx = testkit.random_context(24, rng, FLOATS)
+    source = testkit.random_cq(ctx, 12, rng)
+    target = apply_cto(testkit.random_cto(ctx, 12, 12, rng), source, ctx)
+    unreachable = testkit.perturb_to_infeasible(source, ctx, 2)
+    pivots = _count_pivots(monkeypatch)
+    assert check_cto(source, target, ctx).convertible
+    assert 0 < len(pivots) <= 420
+    pivots.clear()
+    assert not check_cto(source, unreachable, ctx).convertible
+    assert 0 < len(pivots) <= 800
+
+
+def test_left_artificials_stay_retired(monkeypatch):
+    """No pivot enters an inequality-row artificial after it left the basis,
+    and every such column is all zero, in the tableau's number type, when
+    the kernel returns; over float and rational decisions and seeded random
+    systems."""
+    runs = []  # (retire_from, columns that left the basis) per kernel call
+    retired = []
+    run, pivot = lp.run_simplex, _simplex_py._pivot
+
+    def kernel(tab, basis, eps, max_pivots, retire_from):
+        runs.append((retire_from, set()))
+        status = run(tab, basis, eps, max_pivots, retire_from)
+        _, left = runs.pop()
+        kind = type(tab[0][-1])
+        for j in left:
+            assert all(row[j] == 0 and type(row[j]) is kind for row in tab)
+        retired.extend(left)
+        return status
+
+    def pivoting(tab, basis, row, col, m, ncols):
+        retire_from, left = runs[-1]
+        assert col not in left
+        if basis[row] >= retire_from:
+            left.add(basis[row])
+        return pivot(tab, basis, row, col, m, ncols)
+
+    monkeypatch.setattr(lp, "run_simplex", kernel)
+    monkeypatch.setattr(_simplex_py, "_pivot", pivoting)
+    for policy in (FLOATS, RATIONAL):
+        rng = random.Random(8)
+        for _ in range(6):
+            ctx = testkit.random_context(rng.choice([3, 4, 5]), rng, policy)
+            source = testkit.random_cq(ctx, rng.choice([2, 3, 4]), rng)
+            target = apply_cto(testkit.random_cto(ctx, source.n_branches, 3, rng),
+                               source, ctx)
+            assert check_cto(source, target, ctx).convertible
+            unreachable = testkit.perturb_to_infeasible(source, ctx, rng)
+            assert not check_cto(source, unreachable, ctx).convertible
+        for seed in range(60):
+            solve_feasibility(_random_system(seed, policy.exact), policy)
+    assert retired

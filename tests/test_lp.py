@@ -15,6 +15,7 @@ from ctoconv.errors import DimensionMismatch, NumericBreakdown, SolveBudgetExcee
 from ctoconv.lp import (
     FEASIBLE,
     INFEASIBLE,
+    FeasibilityResult,
     _refine_exact,
     verify_certificate,
     verify_point,
@@ -26,6 +27,16 @@ from conftest import FLOATS, RATIONAL, scipy_feasible
 def test_ragged_row_rejected():
     with pytest.raises(DimensionMismatch):
         LinearSystem(2, eq=(((1,), 1),))
+
+
+@pytest.mark.parametrize("policy", [FLOATS, RATIONAL], ids=["float", "rational"])
+def test_empty_system_is_feasible(policy):
+    """No variables and no rows: feasible at the empty point.  One row
+    0 >= 1 makes the same zero-variable system infeasible."""
+    assert solve_feasibility(LinearSystem(0), policy) == FeasibilityResult(
+        FEASIBLE, point=())
+    res = solve_feasibility(LinearSystem(0, ineq=(((), 1),)), policy)
+    assert res.status == INFEASIBLE
 
 
 def test_contradictory_bounds_infeasible():
@@ -119,18 +130,20 @@ def test_phase1_cost_row_is_dense_column_sums(monkeypatch, exact):
     starts = []
     run = lp.run_simplex
 
-    def spy(tab, basis, eps, max_pivots):
-        starts.append([list(row) for row in tab])
-        return run(tab, basis, eps, max_pivots)
+    def spy(tab, basis, eps, max_pivots, retire_from):
+        starts.append(([list(row) for row in tab], retire_from))
+        return run(tab, basis, eps, max_pivots, retire_from)
 
     monkeypatch.setattr(lp, "run_simplex", spy)
     for seed in range(40):
         sys = _random_system(seed, exact)
         starts.clear()
         solve_feasibility(sys, policy)
-        tab = starts[0]
+        tab, retire_from = starts[0]
         m = len(sys.eq) + len(sys.ineq)
         first_art = sys.n_vars + len(sys.ineq)
+        # the first inequality-row artificial follows the eq-row artificials
+        assert retire_from == first_art + len(sys.eq)
         for j in range(len(tab[0])):
             if first_art <= j < first_art + m:
                 assert tab[m][j] == 0
