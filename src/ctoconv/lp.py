@@ -13,9 +13,13 @@ Inequality-row artificials come last and are retired as they leave the
 basis; y_in is read from the slack block's reduced costs, and y_eq from the
 equality rows' artificials, which are kept.
 
-Both modes build the same list-of-lists tableau, of floats or of
-Fractions, and run the same kernel under a work budget.  Every answer is
-re-verified against the raw system before being returned.
+Both modes build the same list-of-lists tableau of floats and run the same
+kernel under a work budget.  Rational mode runs it on the float image of
+its Fraction system and solves the final basis once in Fractions (after
+Applegate, Cook, Dash and Espinoza, "Exact solutions to linear programming
+problems", 2007); a Fraction tableau runs the kernel only when that basis
+gives no exact answer.  Every answer is re-verified against the raw system
+before being returned, in rational mode with tolerance 0.
 """
 
 from __future__ import annotations
@@ -35,8 +39,10 @@ INFEASIBLE = "infeasible"
 # largest decision LPs (d=24, l=m=12: 301 x 733 cells, 180-340 pivots)
 # spend 0.4e8-0.8e8, which leaves over 12x headroom.  A dense float update
 # costs ~40 ns a cell, so a float solve that spends it all stops within about
-# a minute; a Fraction update costs microseconds, more as denominators grow.
+# a minute.  A Fraction cell costs ~2.7 us (61 x 150 tableau, more as
+# denominators grow), so a Fraction tableau is charged 64 cells per cell.
 _WORK_BUDGET = 10**9
+_FRACTION_CELL_COST = 64
 
 
 @dataclass(frozen=True)
@@ -99,23 +105,41 @@ def verify_certificate(sys: LinearSystem, certificate, eps) -> bool:
 
 
 def solve_feasibility(sys: LinearSystem, policy: NumericPolicy) -> FeasibilityResult:
-    """Decide feasibility; exact in rational mode, tolerance eps_lp in float."""
-    return _solve(sys, policy, policy.exact)
+    """Decide feasibility; exact in rational mode, tolerance eps_lp in float.
+
+    A rational system is solved on its float image first and answered
+    exactly at the final basis; the Fraction kernel runs only when an entry
+    has no float image or that basis gives no verified answer.
+    """
+    res = None
+    if policy.exact:
+        try:
+            res = _solve(sys, policy, exact=False)
+        except OverflowError:  # an entry beyond the float range
+            pass
+    return res or _solve(sys, policy, policy.exact)
 
 
-def _solve(sys: LinearSystem, policy: NumericPolicy, exact: bool) -> FeasibilityResult:
+def _solve(sys: LinearSystem, policy: NumericPolicy, exact: bool):
+    """One kernel run, on a Fraction tableau if `exact`, else on floats.
+
+    The float run of a rational system (its float image) returns the exact
+    answer at its final basis, or None when there is none.
+    """
     n = sys.n_vars
     n_eq = len(sys.eq)
-    n_in = len(sys.ineq)
-    m = n_eq + n_in
-    n_slack = n_in
+    n_slack = len(sys.ineq)
+    m = n_eq + n_slack
     ncols = n + n_slack + m + 1  # structural | slack | artificial | rhs
 
+    # eps_lp judges feasibility, but a rational system judges exactly on a
+    # Fraction tableau and at the default float eps_lp on its float image
+    tol = 0 if exact and policy.exact else (
+        NumericPolicy.eps_lp if policy.exact else policy.eps_lp)
     if exact:
         zero, one, eps = Fraction(0), Fraction(1), Fraction(0)
     else:
-        zero, one, eps = 0.0, 1.0, min(1e-9, policy.eps_lp)
-    tol = zero if policy.exact else policy.eps_lp  # also for _refine_exact
+        zero, one, eps = 0.0, 1.0, min(1e-9, tol)
     tab = [[zero] * ncols for _ in range(m + 1)]
     basis = [0] * m
 
@@ -146,79 +170,133 @@ def _solve(sys: LinearSystem, policy: NumericPolicy, exact: bool) -> Feasibility
         cost[ncols - 1] -= rhs
         basis[r] = n + n_slack + r
 
-    max_pivots = _WORK_BUDGET // ((m + 1) * ncols)
+    cell_cost = _FRACTION_CELL_COST if exact else 1
+    max_pivots = _WORK_BUDGET // ((m + 1) * ncols * cell_cost)
     status = run_simplex(tab, basis, eps, max_pivots, n + n_slack + n_eq)
     if status == ITERATION_LIMIT:
         raise SolveBudgetExceeded(
             f"simplex work budget spent: {max_pivots} pivots on an LP of "
             f"{m} rows and {ncols} tableau columns"
         )
-    if status != OPTIMAL:
-        if exact:
-            raise NumericBreakdown(f"simplex did not converge (status {status})")
-        return _refine_exact(sys, policy)
-
     value = -tab[m][ncols - 1]
+    feasible = value <= tol
+    if exact or policy.exact:
+        # exact answers come from the final basis; a Fraction tableau's final
+        # basis is exactly optimal, so only a fault leaves it without one
+        res = status == OPTIMAL and _basis_answer(sys, basis, feasible,
+                                                  tol if exact else 0)
+        if exact and not res:
+            raise NumericBreakdown(f"no verified answer (simplex status {status})")
+        return res or None
+    # a phase-1 value below zero is a sure sign of tableau corruption
+    if status != OPTIMAL or value < -tol:
+        return _refine_exact(sys, policy, basis, feasible)
 
-    if value <= tol:
-        # a phase-1 value below zero is a sure sign of tableau corruption
-        if not exact and value < -tol:
-            return _refine_exact(sys, policy)
+    if feasible:
         point = [zero] * n
         for r in range(m):
             bv = basis[r]
             if bv < n:
                 point[bv] = tab[r][ncols - 1]
-        if not exact:
-            point = [0.0 if -policy.eps_lp < x < 0 else float(x) for x in point]
-        if not verify_point(sys, point, tol):
-            if exact:
-                raise NumericBreakdown("feasible point failed re-verification")
-            return _refine_exact(sys, policy)
-        return FeasibilityResult(FEASIBLE, point=tuple(point))
+        point = [0.0 if -tol < x < 0 else x for x in point]
+        if verify_point(sys, point, tol):
+            return FeasibilityResult(FEASIBLE, point=tuple(point))
+        return _refine_exact(sys, policy, basis, feasible)
 
     # simplex multipliers pi of the sign-flipped rows: an eq artificial has
     # cost 1 and column e_r, so pi_r = 1 - redcost; slack k of inequality
     # row r has cost 0 and column -sign_r e_r, so its redcost is sign_r pi_r
     y_eq = [signs[r] * (one - tab[m][n + n_slack + r]) for r in range(n_eq)]
-    y_in = tab[m][n:n + n_slack]
-    if not exact:
-        y_in = [0.0 if -policy.eps_lp < v < 0 else float(v) for v in y_in]
+    y_in = [0.0 if -tol < v < 0 else v for v in tab[m][n:n + n_slack]]
     cert = (tuple(y_eq), tuple(y_in))
-    if not verify_certificate(sys, cert, tol):
-        if exact:
-            raise NumericBreakdown("Farkas certificate failed re-verification")
-        return _refine_exact(sys, policy)
-    return FeasibilityResult(INFEASIBLE, certificate=cert)
+    if verify_certificate(sys, cert, tol):
+        return FeasibilityResult(INFEASIBLE, certificate=cert)
+    return _refine_exact(sys, policy, basis, feasible)
 
 
-def _refine_exact(sys: LinearSystem, policy: NumericPolicy) -> FeasibilityResult:
-    """Re-solve a float system in exact rational arithmetic.
+def _basis_answer(sys: LinearSystem, basis, feasible: bool, tol):
+    """The exact answer of `sys` at a final basis of the kernel, or None.
 
-    Last resort when a float solve's answer fails self-verification:
-    floats convert to Fractions without loss, so the exact run solves the
-    identical system; it judges feasibility and verifies its answer with
-    eps_lp, as the float path does, and the answer is rounded back to floats.
+    Slack and artificial basics are unit columns, each holding its own row,
+    so the basic structural columns S and the rows R no unit column holds
+    form one square Fraction system.  A feasible basis gives the point
+    A[R,S] x_S = b_R, zero off S.  Otherwise the phase-1 duals are 0 on a row
+    held by its slack, sign_r on a row held by its artificial, and solve
+    A[R,S]^T y_R = -A[H,S]^T sign_H, H the artificial-held rows.  None when
+    the basis is singular or the answer fails verification within tol.
     """
-    exact_sys = LinearSystem(
-        sys.n_vars,
-        eq=tuple(
-            (tuple(Fraction(a) for a in row), Fraction(b)) for row, b in sys.eq
-        ),
-        ineq=tuple(
-            (tuple(Fraction(a) for a in row), Fraction(b)) for row, b in sys.ineq
-        ),
-    )
-    res = _solve(exact_sys, policy, exact=True)
+    n, n_eq, n_slack = sys.n_vars, len(sys.eq), len(sys.ineq)
+    rows = sys.eq + sys.ineq
+    cols, held = [], {}  # held: row -> its dual value
+    for j in basis:
+        if j < n:
+            cols.append(j)
+        elif j < n + n_slack:
+            held[n_eq + j - n] = Fraction(0)
+        else:
+            r = j - n - n_slack
+            held[r] = Fraction(1 if rows[r][1] >= 0 else -1)
+    free = [r for r in range(len(rows)) if r not in held]
+    if len(free) != len(cols):  # two unit columns on one row
+        return None
+    if feasible:
+        x = _gauss([[rows[r][0][j] for j in cols] for r in free],
+                   [rows[r][1] for r in free])
+    else:
+        x = _gauss([[rows[r][0][j] for r in free] for j in cols],
+                   [-sum(y * rows[r][0][j] for r, y in held.items() if y)
+                    for j in cols])
+    if x is None:
+        return None
+    if feasible:
+        point = [Fraction(0)] * n
+        for j, v in zip(cols, x):
+            point[j] = v
+        res = FeasibilityResult(FEASIBLE, point=tuple(point))
+        return res if verify_point(sys, point, tol) else None
+    held.update(zip(free, x))
+    y = [held[r] for r in range(len(rows))]
+    cert = (tuple(y[:n_eq]), tuple(y[n_eq:]))
+    res = FeasibilityResult(INFEASIBLE, certificate=cert)
+    return res if verify_certificate(sys, cert, tol) else None
+
+
+def _gauss(a, b):
+    """The Fraction solution x of the square system a.x = b, or None if a is
+    singular (Gauss-Jordan elimination, skipping zero entries)."""
+    k = len(b)
+    rows = [list(row) + [v] for row, v in zip(a, b)]
+    for c in range(k):
+        p = next((i for i in range(c, k) if rows[i][c] != 0), None)
+        if p is None:
+            return None
+        piv = Fraction(rows[p][c])
+        pr = [w / piv for w in rows[p]]
+        rows[p], rows[c] = rows[c], pr
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != c and f != 0:
+                rows[i] = [u - f * w if w else u for u, w in zip(row, pr)]
+    return [row[k] for row in rows]
+
+
+def _refine_exact(sys: LinearSystem, policy: NumericPolicy, basis, feasible):
+    """Answer a float system exactly when its float answer fails verification.
+
+    Floats convert to Fractions without loss, so this solves the identical
+    system: first at the float run's final basis (`_basis_answer`), and only
+    if that gives no answer by a from-scratch Fraction kernel run.  Both
+    judge feasibility and verify with eps_lp, as the float path does, and
+    the answer is rounded back to floats.
+    """
+    def exact(rows):
+        return tuple((tuple(map(Fraction, row)), Fraction(b)) for row, b in rows)
+
+    exact_sys = LinearSystem(sys.n_vars, eq=exact(sys.eq), ineq=exact(sys.ineq))
+    res = (_basis_answer(exact_sys, basis, feasible, policy.eps_lp)
+           or _solve(exact_sys, policy, exact=True))
     if res.status == FEASIBLE:
-        return FeasibilityResult(
-            FEASIBLE, point=tuple(float(x) for x in res.point)
-        )
+        return FeasibilityResult(FEASIBLE, point=tuple(map(float, res.point)))
     y_eq, y_in = res.certificate
-    return FeasibilityResult(
-        INFEASIBLE,
-        certificate=(
-            tuple(float(v) for v in y_eq),
-            tuple(float(v) for v in y_in),
-        ),
-    )
+    return FeasibilityResult(INFEASIBLE, certificate=(
+        tuple(map(float, y_eq)), tuple(map(float, y_in))))

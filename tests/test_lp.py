@@ -93,33 +93,58 @@ def test_negative_rhs_rows():
     assert sum(res.point) == F(1)
 
 
-def test_refine_exact_agrees_with_float():
+def _fraction_runs(monkeypatch):
+    """Spy on the kernel; the list collects one entry per Fraction-tableau run."""
+    runs = []
+    run = lp.run_simplex
+
+    def spy(tab, *args):
+        if isinstance(tab[0][-1], F):
+            runs.append(len(tab))
+        return run(tab, *args)
+
+    monkeypatch.setattr(lp, "run_simplex", spy)
+    return runs
+
+
+def test_refine_exact_agrees_with_float(monkeypatch):
+    """At a basis that answers, _refine_exact runs no Fraction kernel; at an
+    empty basis it runs one from scratch, to the same verified answer."""
+    runs = _fraction_runs(monkeypatch)
     sys = LinearSystem(
         2, eq=(((1.0, 1.0), 1.0),), ineq=(((1.0, -1.0), 0.25),)
     )
-    res = _refine_exact(sys, FLOATS)
-    assert res.status == FEASIBLE
-    assert verify_point(sys, res.point, FLOATS.eps_lp)
-
+    # x >= 1 and -x >= 0; the basis holds x and row 1's artificial
     bad = LinearSystem(1, ineq=(((1.0,), 1.0), ((-1.0,), 0.0)))
-    res = _refine_exact(bad, FLOATS)
-    assert res.status == INFEASIBLE
-    assert verify_certificate(bad, res.certificate, FLOATS.eps_lp)
+    for basis, kernel_runs in (([0, 1], 0), ([], 1)):
+        runs.clear()
+        res = _refine_exact(sys, FLOATS, basis, True)
+        assert res.status == FEASIBLE
+        assert verify_point(sys, res.point, FLOATS.eps_lp)
+        assert len(runs) == kernel_runs
+    for basis, kernel_runs in (([0, 4], 0), ([], 1)):
+        runs.clear()
+        res = _refine_exact(bad, FLOATS, basis, False)
+        assert res.status == INFEASIBLE
+        assert verify_certificate(bad, res.certificate, FLOATS.eps_lp)
+        assert len(runs) == kernel_runs
 
 
 def test_refine_exact_judges_with_eps_lp():
     # x == 0.3 and x >= 0.1 + 0.2: infeasible by ~5.5e-17 in exact arithmetic,
-    # feasible at the float path's tolerance
+    # feasible at the float path's tolerance, at the basis step (x and the
+    # slack basic) and in the Fraction kernel run (empty basis) alike
     tight = LinearSystem(1, eq=(((1.0,), 0.3),), ineq=(((1.0,), 0.1 + 0.2),))
     assert solve_feasibility(tight, FLOATS).status == FEASIBLE
-    res = _refine_exact(tight, FLOATS)
-    assert res.status == FEASIBLE
-    assert verify_point(tight, res.point, FLOATS.eps_lp)
-    assert all(type(x) is float for x in res.point)
+    for basis in ([0, 1], []):
+        res = _refine_exact(tight, FLOATS, basis, True)
+        assert res.status == FEASIBLE
+        assert verify_point(tight, res.point, FLOATS.eps_lp)
+        assert all(type(x) is float for x in res.point)
 
     # x1 + x2 == 1 and x1 + x2 >= 2 stays infeasible, with a certificate
     bad = LinearSystem(2, eq=(((1.0, 1.0), 1.0),), ineq=(((1.0, 1.0), 2.0),))
-    res = _refine_exact(bad, FLOATS)
+    res = _refine_exact(bad, FLOATS, [], False)
     assert res.status == INFEASIBLE
     assert verify_certificate(bad, res.certificate, FLOATS.eps_lp)
 
@@ -297,3 +322,140 @@ def test_float_agrees_with_rational_on_tight_pairs(monkeypatch):
             fctx = GibbsContext.from_weights(tuple(float(g) for g in ctx.gibbs), FLOATS)
             assert check_cto(to_float(source), to_float(target), fctx).convertible
     assert not refines
+
+
+def _exact_entries(res):
+    """Every number of a result, which must all be Fractions."""
+    nums = res.point if res.status == FEASIBLE else res.certificate[0] + res.certificate[1]
+    return all(type(x) is F for x in nums)
+
+
+def test_unrepresentable_float_image_solves_exactly(monkeypatch):
+    """An entry beyond the float range sends the system straight to the
+    Fraction kernel, which answers it exactly."""
+    runs = _fraction_runs(monkeypatch)
+    big = F(10**400)
+    sys = LinearSystem(2, eq=(((big, F(1)), big + 1),), ineq=(((F(0), F(1)), F(1)),))
+    res = solve_feasibility(sys, RATIONAL)
+    assert res.status == FEASIBLE
+    assert verify_point(sys, res.point, F(0)) and _exact_entries(res)
+    bad = LinearSystem(1, ineq=(((big,), big), ((-big,), F(0))))
+    res = solve_feasibility(bad, RATIONAL)
+    assert res.status == INFEASIBLE
+    assert verify_certificate(bad, res.certificate, F(0)) and _exact_entries(res)
+    assert len(runs) == 2
+
+
+def test_float_image_feasible_but_exactly_infeasible(monkeypatch):
+    """x + y == 0 and x >= 1e-30 is feasible within float tolerance but not
+    exactly: the basis answer fails verification at 0, and the Fraction
+    kernel returns the exact certificate."""
+    runs = _fraction_runs(monkeypatch)
+    sys = LinearSystem(2, eq=(((F(1), F(1)), F(0)),),
+                       ineq=(((F(1), F(0)), F(1, 10**30)),))
+    res = solve_feasibility(sys, RATIONAL)
+    assert res.status == INFEASIBLE
+    assert verify_certificate(sys, res.certificate, F(0)) and _exact_entries(res)
+    assert len(runs) == 1
+    assert solve_feasibility(LinearSystem(2, eq=sys.eq, ineq=(((1.0, 0.0), 1e-30),)),
+                             FLOATS).status == FEASIBLE
+
+
+def test_fraction_kernel_budget_charges_each_cell(monkeypatch):
+    """The Fraction kernel spends _FRACTION_CELL_COST budget units per cell:
+    a solve needing p pivots passes at p * cells * cost and raises
+    SolveBudgetExceeded one unit short.  A rational solve whose float image
+    spends the budget raises at once, with no Fraction re-run."""
+    pivots = []
+    orig = _simplex_py._pivot
+    monkeypatch.setattr(_simplex_py, "_pivot",
+                        lambda *args: pivots.append(1) or orig(*args))
+    runs = _fraction_runs(monkeypatch)
+    big = F(10**400)  # no float image: the Fraction kernel runs alone
+    system = LinearSystem(
+        3,
+        eq=(((big, big, big), big),),
+        ineq=(((F(1), F(-1), F(0)), F(1, 4)), ((F(0), F(1), F(2)), F(1, 2))),
+    )
+    cells = (3 + 1) * (3 + 2 + 3 + 1)
+    assert solve_feasibility(system, RATIONAL).status == FEASIBLE
+    needed = len(pivots)
+    assert needed >= 2 and runs == [4]
+    budget = needed * cells * lp._FRACTION_CELL_COST
+    monkeypatch.setattr(lp, "_WORK_BUDGET", budget)
+    assert solve_feasibility(system, RATIONAL).status == FEASIBLE
+    monkeypatch.setattr(lp, "_WORK_BUDGET", budget - 1)
+    with pytest.raises(SolveBudgetExceeded, match=f"{needed - 1} pivots"):
+        solve_feasibility(system, RATIONAL)
+
+    small = LinearSystem(3, eq=(((F(1), F(1), F(1)), F(1)),), ineq=system.ineq)
+    runs.clear()
+    monkeypatch.setattr(lp, "_WORK_BUDGET", cells)  # one float pivot
+    with pytest.raises(SolveBudgetExceeded, match="1 pivots"):
+        solve_feasibility(small, RATIONAL)
+    assert runs == []
+
+
+def _assert_same_as_fraction_kernel(sys):
+    """The float-image basis answer has the Fraction kernel's status, holds
+    only Fractions, and verifies at tolerance 0."""
+    res = solve_feasibility(sys, RATIONAL)
+    assert res.status == lp._solve(sys, RATIONAL, exact=True).status
+    assert _exact_entries(res)
+    if res.status == FEASIBLE:
+        assert verify_point(sys, res.point, F(0))
+    else:
+        assert verify_certificate(sys, res.certificate, F(0))
+
+
+def test_basis_answer_matches_fraction_kernel_on_random_systems():
+    for seed in range(240):
+        _assert_same_as_fraction_kernel(_random_system(seed, exact=True))
+
+
+def test_basis_answer_matches_fraction_kernel_on_boundary_pairs(monkeypatch):
+    """The decision LPs on both sides of the convertibility boundary: each
+    source against itself (feasible, every row tight) and against the first
+    unreachable target of a 40-step walk toward the pure state."""
+    from ctoconv import check_cto, convert, testkit
+
+    systems = []
+    orig = convert.solve_feasibility
+    monkeypatch.setattr(convert, "solve_feasibility",
+                        lambda sys, policy: systems.append(sys) or orig(sys, policy))
+    rng = random.Random(5)
+    for _ in range(40):
+        ctx = testkit.random_context(rng.choice([3, 4, 5, 6]), rng, RATIONAL)
+        source = testkit.random_cq(ctx, rng.choice([2, 3, 4]), rng)
+        assert check_cto(source, source, ctx).convertible
+        assert testkit.perturb_to_infeasible(source, ctx, rng, max_steps=40) is not None
+    assert len(systems) >= 80
+    for sys in systems:
+        _assert_same_as_fraction_kernel(sys)
+
+
+def test_rational_decisions_run_no_fraction_tableau(monkeypatch):
+    """Rational check_cto at the benchmark's exact-rational sizes and at
+    d=10, l=m=6 answers from the float kernel's final basis: the kernel
+    never runs on a Fraction tableau."""
+    from ctoconv import check_cto, testkit
+    from ctoconv.synth import apply_cto
+
+    runs = _fraction_runs(monkeypatch)
+    floats = []
+    orig = lp.run_simplex
+    monkeypatch.setattr(lp, "run_simplex",
+                        lambda tab, *args: floats.append(1) or orig(tab, *args))
+    sizes = [(3, 2, 2), (4, 2, 2), (3, 3, 3), (3, 4, 4), (4, 3, 3), (5, 2, 2),
+             (6, 2, 2), (5, 3, 3), (4, 4, 4), (6, 3, 3), (6, 4, 4), (10, 6, 6)]
+    for seed in range(100):
+        d, ell, m = sizes[seed % len(sizes)]
+        rng = random.Random(seed)
+        ctx = testkit.random_context(d, rng, RATIONAL)
+        source = testkit.random_cq(ctx, ell, rng)
+        if seed % 2:
+            target = apply_cto(testkit.random_cto(ctx, ell, m, rng), source, ctx)
+            assert check_cto(source, target, ctx).convertible
+        else:
+            assert testkit.perturb_to_infeasible(source, ctx, rng) is not None
+    assert floats and not runs
