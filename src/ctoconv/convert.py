@@ -91,17 +91,19 @@ class MonotoneValues(NamedTuple):
     free_energy: float
 
 
-def _grid_values(source: CQState, target: CQState, ctx: GibbsContext):
+def _grid_values(source: CQState, target: CQState, ctx: GibbsContext, *,
+                 validated: bool = False):
     """The target branch curves, their merged bend grid 0 = s_0 < ... < s_D = 1,
     and the source and target curve values at s_1..s_D.
 
     Values come as rows: cum[i][x] = L[curve x](s_{i+1}).  Target curves
-    are built first, then source curves.
+    are built first, then source curves; validated=True when both states'
+    columns are checked already.
     """
     policy = ctx.policy
-    tgt_curves = cq_branch_curves(target, ctx)
+    tgt_curves = cq_branch_curves(target, ctx, validated=validated)
     grid = merged_bend_grid(tgt_curves, policy)
-    src_curves = cq_branch_curves(source, ctx)
+    src_curves = cq_branch_curves(source, ctx, validated=validated)
     cum_p = [[_eval_clamped(c, s, policy) for c in src_curves] for s in grid[1:]]
     cum_q = [[_eval_clamped(c, s, policy) for c in tgt_curves] for s in grid[1:]]
     return tgt_curves, grid, cum_p, cum_q
@@ -187,7 +189,7 @@ def check_cto(source: CQState, target: CQState, ctx: GibbsContext) -> Decision:
     policy = ctx.policy
     source.validate(policy)
     target.validate(policy)
-    tgt_curves, grid, cum_p, cum_q = _grid_values(source, target, ctx)
+    tgt_curves, grid, cum_p, cum_q = _grid_values(source, target, ctx, validated=True)
     rows = [_own_rows(c, grid) for c in tgt_curves]
     return _decide(cum_p, cum_q, policy, rows)
 
@@ -254,7 +256,7 @@ def check_state_to_ensemble(u: StateVector, target: CQState,
         raise MassMismatch("source state must be normalized")
     target.validate(policy)
     cu = build_lorenz(u, ctx)
-    curves = cq_branch_curves(target, ctx)
+    curves = cq_branch_curves(target, ctx, validated=True)
     for qy, cv in zip(target.branch_masses, curves):
         for s in (*cv.bend_abscissae, policy.one()):
             lu = _eval_clamped(cu, s, policy)
@@ -270,7 +272,7 @@ def check_ensemble_to_state(source: CQState, v: StateVector,
     if not policy.close(v.mass, policy.one()):
         raise MassMismatch("target state must be normalized")
     source.validate(policy)
-    curves = cq_branch_curves(source, ctx)
+    curves = cq_branch_curves(source, ctx, validated=True)
     cv = build_lorenz(v, ctx)
     for s in merged_bend_grid([cv], policy):
         avg = sum(_eval_clamped(c, s, policy) for c in curves)
@@ -396,7 +398,7 @@ def phi_monotones(state: CQState, ctx: GibbsContext,
     plus the averaged relative free energy."""
     from .asymptotic import resource_value  # local import, avoids a cycle
 
-    state.validate(ctx.policy)
+    free = resource_value(state, ctx, relative=True)  # validates the state
     if abscissae is None:
         if ctx.dim <= 6:
             abscissae = sigma_grid(ctx)
@@ -405,12 +407,8 @@ def phi_monotones(state: CQState, ctx: GibbsContext,
     for s in abscissae:
         if s < 0 or s > 1:
             raise OutOfRange(f"abscissa {s} outside [0, 1]")
-    curves = cq_branch_curves(state, ctx)
+    curves = cq_branch_curves(state, ctx, validated=True)
     values = tuple(
         sum(_eval_clamped(c, s, ctx.policy) for c in curves) for s in abscissae
     )
-    return MonotoneValues(
-        abscissae=tuple(abscissae),
-        values=values,
-        free_energy=resource_value(state, ctx, relative=True),
-    )
+    return MonotoneValues(abscissae=tuple(abscissae), values=values, free_energy=free)

@@ -328,7 +328,11 @@ class TOMatrix:
     def apply(self, v: StateVector) -> StateVector:
         if v.dim != self.dim:
             raise DimensionMismatch("matrix/vector dimension mismatch")
-        return StateVector(tuple(matvec(self.t, v.w)))
+        w = v.w  # zero entries are skipped; a zero row gives its entries' zero
+        return StateVector(tuple(
+            sum((x * w[j] for j, x in enumerate(row) if x), 0 * row[0])
+            for row in self.t
+        ))
 
     def validate(self, ctx: GibbsContext) -> "TOMatrix":
         policy = ctx.policy

@@ -60,13 +60,19 @@ def _eval_clamped(curve: LorenzCurve, s, policy: NumericPolicy):
     return curve.value(s)
 
 
-def build_lorenz(w: StateVector, ctx: GibbsContext) -> LorenzCurve:
-    """Sort levels by w_i/g_i non-increasing and connect the cumulative points."""
+def build_lorenz(w: StateVector, ctx: GibbsContext, *,
+                 validated: bool = False) -> LorenzCurve:
+    """Sort levels by w_i/g_i non-increasing and connect the cumulative points.
+
+    validated=True skips `w.validate`, for a caller that has checked w
+    already (as CQState.validate checks each column).
+    """
     if w.dim != ctx.dim:
         raise DimensionMismatch(
             f"state has dimension {w.dim}, context has {ctx.dim}"
         )
-    w.validate(ctx.policy)
+    if not validated:
+        w.validate(ctx.policy)
     g = ctx.gibbs
     ratios, order = lorenz_order(w, g)
 
@@ -166,6 +172,8 @@ def embed_states(states, ctx: GibbsContext):
     return ctx2, out
 
 
-def cq_branch_curves(state: CQState, ctx: GibbsContext) -> list:
-    """Lorenz curves of the weighted columns of a joint state."""
-    return [build_lorenz(c, ctx) for c in state.columns]
+def cq_branch_curves(state: CQState, ctx: GibbsContext, *,
+                     validated: bool = False) -> list:
+    """Lorenz curves of the weighted columns of a joint state (see
+    `build_lorenz` for validated)."""
+    return [build_lorenz(c, ctx, validated=validated) for c in state.columns]

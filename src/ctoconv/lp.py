@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._kernels import ITERATION_LIMIT, OPTIMAL, run_simplex
-from .core import NumericPolicy, vdot
+from .core import NumericPolicy
 from .errors import DimensionMismatch, NumericBreakdown, SolveBudgetExceeded
 
 FEASIBLE = "feasible"
@@ -79,11 +79,12 @@ def verify_point(sys: LinearSystem, point, eps) -> bool:
         return False
     if any(x < -eps for x in point):
         return False
+    support = [(j, x) for j, x in enumerate(point) if x]
     for row, b in sys.eq:
-        if abs(vdot(row, point) - b) > eps:
+        if abs(_dot(row, support) - b) > eps:
             return False
     for row, b in sys.ineq:
-        if vdot(row, point) < b - eps:
+        if _dot(row, support) < b - eps:
             return False
     return True
 
@@ -94,14 +95,30 @@ def verify_certificate(sys: LinearSystem, certificate, eps) -> bool:
         return False
     if any(y < -eps for y in y_in):
         return False
-    for j in range(sys.n_vars):
-        combo = sum(y * row[j] for y, (row, _) in zip(y_eq, sys.eq))
-        combo += sum(y * row[j] for y, (row, _) in zip(y_in, sys.ineq))
-        if combo > eps:
-            return False
-    gain = sum(y * b for y, (_, b) in zip(y_eq, sys.eq))
-    gain += sum(y * b for y, (_, b) in zip(y_in, sys.ineq))
+    combos = zip(_combination(sys.eq, y_eq, sys.n_vars),
+                 _combination(sys.ineq, y_in, sys.n_vars))
+    if any(a + b > eps for a, b in combos):
+        return False
+    gain = sum(y * b for y, (_, b) in zip(y_eq, sys.eq) if y)
+    gain += sum(y * b for y, (_, b) in zip(y_in, sys.ineq) if y)
     return gain > eps
+
+
+def _dot(row, support):
+    """row . x over x's nonzero coordinates (j, x_j) and row's nonzero entries."""
+    return sum(a * x for j, x in support if (a := row[j]))
+
+
+def _combination(rows, ys, n: int) -> list:
+    """sum_r ys[r] rows[r], each column summed in row order over the nonzero
+    multipliers and entries only."""
+    acc = [0] * n
+    for y, (row, _) in zip(ys, rows):
+        if y:
+            for j, a in enumerate(row):
+                if a:
+                    acc[j] += y * a
+    return acc
 
 
 def solve_feasibility(sys: LinearSystem, policy: NumericPolicy) -> FeasibilityResult:

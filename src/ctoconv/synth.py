@@ -4,19 +4,26 @@ Branch maps are built from the Lorenz embedding, with no search.  For a
 target branch v mixed from sources u^x with coefficients c_x, the cells are
 the segments of L[v] and T^x = B S E_x.  E_x[k][i] = |cell_k & I_i(u^x)| / g_i,
 with I_i(u) level i's interval in u's Lorenz order, maps g to the cell
-widths and u^x to its increments; B[i][k] = |cell_k & I_i(v)| / |cell_k|
-maps them back to g and to v.  S, a Hardy-Littlewood-Polya sequence of at
-most n - 1 two-cell partial thermalizations, takes p = sum_x c_x E_x u^x to
-v's increments q: it needs the partial sums of p to dominate those of q with
-equal totals, which is checked here (exactly in rational mode, within eps_lp
-in float mode).  Each factor is nonnegative and Gibbs-stochastic in both
-modes, so no plan entry needs clamping.
+widths and u^x to its increments; row k stores only the levels whose
+interval overlaps cell k, at most n + d - 1 entries for n cells.  S, a
+Hardy-Littlewood-Polya sequence of at most n - 1 two-cell partial
+thermalizations, takes p = sum_x c_x E_x u^x to v's increments q; a step
+mixes two rows of E_x over the union of their supports.  It needs the
+partial sums of p to dominate those of q with equal totals, which is checked
+here (exactly in rational mode, within eps_lp in float mode).
+B[i][k] = |cell_k & I_i(v)| / |cell_k| maps the cells back to g and to v.
+The grid points are ends of v's own level intervals (merging nearby bends
+only joins cells), so level i lies in one cell k and row i of T is B[i][k]
+times row k of S E_x.  Each factor is nonnegative and Gibbs-stochastic in
+both modes, so no plan entry needs clamping.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 from .core import (CQState, CTOPlan, GibbsContext, NumericPolicy, StateVector,
-                   TOMatrix, canonicalize_cq, vdot)
+                   TOMatrix, canonicalize_cq)
 from .errors import (DimensionMismatch, NotConvertible, NotStochasticSum,
                      NotThermoMajorizing, ValidationError)
 from .convert import Decision, check_cto
@@ -70,45 +77,55 @@ def _branch_maps(sources, coeffs, target: StateVector, ctx: GibbsContext) -> lis
     target's mass.  Raises NotConvertible when they cannot.
     """
     policy = ctx.policy
-    g, d = ctx.gibbs, ctx.dim
+    g, d, zero = ctx.gibbs, ctx.dim, policy.zero()
     grid = merged_bend_grid([build_lorenz(target, ctx)], policy)
     n = len(grid) - 1
     widths = [grid[k + 1] - grid[k] for k in range(n)]
     spreads = [_embedding(u, grid, ctx) for u in sources]
     cover = _embedding(target, grid, ctx)
-    p = [sum(c * vdot(e[k], u.w) for c, e, u in zip(coeffs, spreads, sources))
-         for k in range(n)]
-    q = [vdot(row, target.w) for row in cover]
+    p = [zero] * n
+    for c, e, u in zip(coeffs, spreads, sources):
+        for k, row in enumerate(e):
+            p[k] += c * sum(x * u.w[i] for i, x in row.items())
+    q = [sum(x * target.w[i] for i, x in row.items()) for row in cover]
     steps = _transfers(p, q, widths, policy)
-    gather = [[(k, cover[k][i] * g[i] / widths[k]) for k in range(n) if cover[k][i]]
-              for i in range(d)]
+    home = {i: (k, x * g[i] / widths[k])  # level i -> (its cell k, B[i][k])
+            for k, row in enumerate(cover) for i, x in row.items()}
     maps = []
     for e in spreads:
         for j, k, keep, a, b in steps:
             ej, ek = e[j], e[k]
-            for c in range(d):
-                s = ej[c] + ek[c]
-                ej[c], ek[c] = keep * ej[c] + a * s, keep * ek[c] + b * s
-        maps.append(TOMatrix(tuple(
-            tuple(sum(b * e[k][c] for k, b in row) for c in range(d))
-            for row in gather
-        )))
+            for c in ej.keys() | ek.keys():
+                x, y = ej.get(c, zero), ek.get(c, zero)
+                s = x + y
+                ej[c], ek[c] = keep * x + a * s, keep * y + b * s
+        t = [[zero] * d for _ in range(d)]
+        for i, (k, b) in home.items():
+            for c, x in e[k].items():
+                t[i][c] = b * x
+        maps.append(TOMatrix(t))
     return maps
 
 
 def _embedding(u: StateVector, grid, ctx: GibbsContext) -> list:
-    """E[k][i] = |cell_k & I_i| / g_i, the cells being the gaps of grid and
-    I_i level i's interval in u's Lorenz order; the last interval ends at 1."""
+    """Row k of E as {i: |cell_k & I_i| / g_i} over the levels i whose
+    interval I_i in u's Lorenz order overlaps cell k (the last interval ends
+    at 1), at most n + d - 1 entries for n cells, found by bisecting the
+    grid at each interval's ends.  Keys come in level order, so float sums
+    over a row add in the order of a dense dot product."""
     g, zero = ctx.gibbs, ctx.policy.zero()
     _, order = lorenz_order(u, g)
     ends = [zero]
     for i in order[:-1]:
         ends.append(ends[-1] + g[i])
     ends.append(grid[-1])
-    e = [[zero] * ctx.dim for _ in grid[1:]]
-    for i, lo, hi in zip(order, ends, ends[1:]):
-        for k, row in enumerate(e):
-            row[i] = max(zero, min(hi, grid[k + 1]) - max(lo, grid[k])) / g[i]
+    n = len(grid) - 1
+    e = [{} for _ in range(n)]
+    for i, lo, hi in sorted(zip(order, ends, ends[1:])):
+        for k in range(bisect_right(grid, lo, 0, n) - 1, bisect_left(grid, hi, 0, n)):
+            x = min(hi, grid[k + 1]) - max(lo, grid[k])
+            if x > 0:
+                e[k][i] = x / g[i]
     return e
 
 

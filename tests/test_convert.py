@@ -352,9 +352,9 @@ class TestWitness:
         calls = []
         build = lorenz.build_lorenz
 
-        def spy(w, c):
+        def spy(w, c, **kwargs):
             calls.append(w)
-            return build(w, c)
+            return build(w, c, **kwargs)
 
         monkeypatch.setattr(lorenz, "build_lorenz", spy)
         monkeypatch.setattr(convert, "build_lorenz", spy)
@@ -724,3 +724,65 @@ def test_rational_results_hold_no_float(seed):
     results += [p_min(u, v, ctx), monotones.abscissae, monotones.values]
     leaked = [x for x in _numbers(results) if isinstance(x, float)]
     assert not leaked
+
+
+class TestValidatesEachColumnOnce:
+    """Public entry points check each state column exactly once."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        checked = []
+        orig = StateVector.validate
+
+        def spy(self, policy):
+            checked.append(self)
+            return orig(self, policy)
+
+        monkeypatch.setattr(StateVector, "validate", spy)
+        return checked
+
+    @pytest.mark.parametrize("policy", [FLOATS, RATIONAL], ids=["float", "rational"])
+    def test_one_check_per_column(self, monkeypatch, policy):
+        rng = random.Random(8)
+        ctx = testkit.random_context(4, rng, policy)
+        source = testkit.random_cq(ctx, 3, rng)
+        target = testkit.random_cq(ctx, 2, rng)
+        u = testkit.random_state(ctx, rng)
+        witness = testkit.random_witness(_n_segments(target, ctx), 2, rng, policy)
+        checked = self._spy(monkeypatch)
+        for call, count in [
+            (lambda: check_cto(source, target, ctx), 3 + 2),
+            (lambda: verify_witness(witness, source, target, ctx), 3 + 2),
+            (lambda: check_state_to_ensemble(u, target, ctx), 1 + 2),
+            (lambda: check_ensemble_to_state(source, u, ctx), 3 + 1),
+            (lambda: phi_monotones(source, ctx), 3),
+        ]:
+            checked.clear()
+            call()
+            assert len(checked) == count
+
+    BAD_COLUMNS = {
+        "negative": (0.6, -0.1, 0.5),
+        "nan": (float("nan"), 0.5, 0.5),
+        "over-mass": (0.5, 0.4, 0.3),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BAD_COLUMNS))
+    def test_bad_column_raises_the_same_error(self, kind):
+        ctx = GibbsContext.from_weights((0.5, 0.3, 0.2), FLOATS)
+        good = CQState((StateVector((0.5, 0.3, 0.2)),))
+        bad = CQState((StateVector(self.BAD_COLUMNS[kind]),))
+        witness = WitnessMatrix(((1.0,),))
+        u = StateVector((0.7, 0.2, 0.1))
+        for call in [
+            lambda: check_cto(bad, good, ctx),
+            lambda: check_cto(good, bad, ctx),
+            lambda: verify_witness(witness, bad, good, ctx),
+            lambda: verify_witness(witness, good, bad, ctx),
+            lambda: check_state_to_ensemble(u, bad, ctx),
+        ]:
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert info.type is ValidationError
+            assert ("exceeds 1" if kind == "over-mass" else "negative component") \
+                in str(info.value)

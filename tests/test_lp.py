@@ -459,3 +459,66 @@ def test_rational_decisions_run_no_fraction_tableau(monkeypatch):
         else:
             assert testkit.perturb_to_infeasible(source, ctx, rng) is not None
     assert floats and not runs
+
+
+def _dense_verify_point(sys, point, eps):
+    """Reference verifier: every product of every row, zeros included."""
+    if len(point) != sys.n_vars or any(x < -eps for x in point):
+        return False
+    for row, b in sys.eq:
+        if abs(sum(a * x for a, x in zip(row, point)) - b) > eps:
+            return False
+    return all(sum(a * x for a, x in zip(row, point)) >= b - eps
+               for row, b in sys.ineq)
+
+
+def _dense_verify_certificate(sys, certificate, eps):
+    y_eq, y_in = certificate
+    if len(y_eq) != len(sys.eq) or len(y_in) != len(sys.ineq):
+        return False
+    if any(y < -eps for y in y_in):
+        return False
+    for j in range(sys.n_vars):
+        combo = sum(y * row[j] for y, (row, _) in zip(y_eq, sys.eq))
+        combo += sum(y * row[j] for y, (row, _) in zip(y_in, sys.ineq))
+        if combo > eps:
+            return False
+    gain = sum(y * b for y, (_, b) in zip(y_eq, sys.eq))
+    gain += sum(y * b for y, (_, b) in zip(y_in, sys.ineq))
+    return gain > eps
+
+
+def _perturbed(values, deltas):
+    """values with one entry moved by each delta, or set to zero, in turn."""
+    for j, v in enumerate(values):
+        for new in [v + dv for dv in deltas] + [0 * v]:
+            yield values[:j] + (new,) + values[j + 1:]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "rational"])
+def test_sparse_verifiers_match_dense_reference(exact):
+    """verify_point and verify_certificate skip zero coordinates, multipliers
+    and row entries; on 240 random systems their verdict equals the dense
+    reference's on each answer and on every one-entry perturbation of it."""
+    policy = RATIONAL if exact else FLOATS
+    eps = F(0) if exact else policy.eps_lp
+    # moves at the float tolerance flip some verdicts and keep others
+    deltas = (F(1, 3), F(-1, 5)) if exact else (0.5, -0.2, 2e-7, -2e-7, 5e-8)
+    verdicts = []
+    for seed in range(240):
+        sys = _random_system(seed, exact)
+        res = solve_feasibility(sys, policy)
+        if res.status == FEASIBLE:
+            cases = [(verify_point, _dense_verify_point, p)
+                     for p in [res.point, *_perturbed(res.point, deltas)]]
+        else:
+            y_eq, y_in = res.certificate
+            cases = [(verify_certificate, _dense_verify_certificate, c)
+                     for c in [(y_eq, y_in)]
+                     + [(e, y_in) for e in _perturbed(y_eq, deltas)]
+                     + [(y_eq, i) for i in _perturbed(y_in, deltas)]]
+        for fast, dense, answer in cases:
+            verdict = fast(sys, answer, eps)
+            assert verdict == dense(sys, answer, eps), (seed, answer)
+            verdicts.append(verdict)
+    assert verdicts.count(True) > 200 and verdicts.count(False) > 200

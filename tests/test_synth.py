@@ -20,13 +20,16 @@ from ctoconv import (
     synthesize_to,
     testkit,
 )
-from ctoconv import lp
+from ctoconv import lp, synth
+from ctoconv.core import vdot
 from ctoconv.errors import (
     DimensionMismatch,
     NotConvertible,
     NotStochasticSum,
     NotThermoMajorizing,
 )
+
+from ctoconv.lorenz import build_lorenz, lorenz_order, merged_bend_grid
 
 from conftest import FLOATS, RATIONAL
 
@@ -344,3 +347,146 @@ class TestCanonicalizeCto:
             canonicalize_cto([(((F(1, 2), F(1, 4)),), t)], skew2)
         with pytest.raises(NotStochasticSum):
             canonicalize_cto([], skew2)
+
+
+def _dense_embedding(u, grid, ctx):
+    """Reference E: every cell against every level, zeros stored."""
+    g, zero = ctx.gibbs, ctx.policy.zero()
+    _, order = lorenz_order(u, g)
+    ends = [zero]
+    for i in order[:-1]:
+        ends.append(ends[-1] + g[i])
+    ends.append(grid[-1])
+    e = [[zero] * ctx.dim for _ in grid[1:]]
+    for i, lo, hi in zip(order, ends, ends[1:]):
+        for k, row in enumerate(e):
+            row[i] = max(zero, min(hi, grid[k + 1]) - max(lo, grid[k])) / g[i]
+    return e
+
+
+def _dense_branch_maps(sources, coeffs, target, ctx):
+    """Reference T_x = B S E_x with dense factors and d^2 generator sums."""
+    policy = ctx.policy
+    g, d = ctx.gibbs, ctx.dim
+    grid = merged_bend_grid([build_lorenz(target, ctx)], policy)
+    n = len(grid) - 1
+    widths = [grid[k + 1] - grid[k] for k in range(n)]
+    spreads = [_dense_embedding(u, grid, ctx) for u in sources]
+    cover = _dense_embedding(target, grid, ctx)
+    p = [sum(c * vdot(e[k], u.w) for c, e, u in zip(coeffs, spreads, sources))
+         for k in range(n)]
+    q = [vdot(row, target.w) for row in cover]
+    steps = synth._transfers(p, q, widths, policy)
+    gather = [[(k, cover[k][i] * g[i] / widths[k]) for k in range(n) if cover[k][i]]
+              for i in range(d)]
+    maps = []
+    for e in spreads:
+        for j, k, keep, a, b in steps:
+            ej, ek = e[j], e[k]
+            for c in range(d):
+                s = ej[c] + ek[c]
+                ej[c], ek[c] = keep * ej[c] + a * s, keep * ek[c] + b * s
+        maps.append(TOMatrix(tuple(
+            tuple(sum(b * e[k][c] for k, b in row) for c in range(d))
+            for row in gather
+        )))
+    return maps
+
+
+class TestSparseEmbedding:
+    """The sparse construction against the dense B S E_x it replaced."""
+
+    @staticmethod
+    def _against_dense(monkeypatch):
+        """Run _branch_maps beside the dense reference; returns the list of
+        (map, reference map) pairs, filled as synthesis runs."""
+        pairs = []
+        orig = synth._branch_maps
+
+        def both(sources, coeffs, target, ctx):
+            maps = orig(sources, coeffs, target, ctx)
+            pairs.extend(zip(maps, _dense_branch_maps(sources, coeffs, target, ctx)))
+            return maps
+
+        monkeypatch.setattr(synth, "_branch_maps", both)
+        return pairs
+
+    @staticmethod
+    def _synthesize(seed, policy):
+        rng = random.Random(seed)
+        ctx = testkit.random_context(rng.randint(2, 10), rng, policy)
+        source = testkit.random_cq(ctx, rng.randint(1, 5), rng)
+        gen = testkit.random_cto(ctx, source.n_branches, rng.randint(1, 5), rng)
+        target = apply_cto(gen, source, ctx)
+        decision = Decision(convertible=True, plan_seed=gen.control)
+        synthesize_cto(source, target, ctx, decision)
+
+    def test_rational_maps_equal_dense(self, monkeypatch):
+        pairs = self._against_dense(monkeypatch)
+        for seed in range(200):
+            self._synthesize(seed, RATIONAL)
+        assert len(pairs) >= 200
+        for t, ref in pairs:
+            assert t == ref
+            assert all(type(x) is F for row in t.t for x in row)
+
+    def test_float_maps_match_dense(self, monkeypatch):
+        pairs = self._against_dense(monkeypatch)
+        for seed in range(200):
+            self._synthesize(seed, FLOATS)
+        assert len(pairs) >= 200
+        for t, ref in pairs:
+            for row, ref_row in zip(t.t, ref.t):
+                assert all(x >= 0 for x in row)  # no tolerance, no clamp
+                assert max(abs(x - y) for x, y in zip(row, ref_row)) <= 1e-12
+
+    def test_level_below_eps_merge_shares_a_cell(self, monkeypatch):
+        """A Gibbs weight below eps_merge: the bend closing that level's
+        interval is merged away, so one grid cell holds it and the next
+        level, and the maps still match the dense reference."""
+        tiny = 4e-13
+        assert tiny < FLOATS.eps_merge
+        g = (0.4, 0.3, 0.2, 0.1 - tiny, tiny)
+        ctx = GibbsContext.from_weights(g, FLOATS)
+        # the tiny level has the largest slope in u and in v, so it comes first
+        u = StateVector((0.5, 0.3, 0.1, 0.1 - 1e-12, 1e-12))
+        v = StateVector(tuple((a + b) / 2 for a, b in zip(u.w, g)))
+        grid = merged_bend_grid([build_lorenz(v, ctx)], FLOATS)
+        assert grid[1] > FLOATS.eps_merge
+        cover = synth._embedding(v, grid, ctx)
+        assert sorted(cover[0]) == [0, 4]
+        # the merge joins cells; it never splits a level of v between two
+        assert sorted(i for row in cover for i in row) == list(range(5))
+        pairs = self._against_dense(monkeypatch)
+        t = synthesize_to(u, v, ctx)
+        t.validate(ctx)
+        assert all(x >= 0 for row in t.t for x in row)
+        assert max(abs(a - b) for a, b in zip(t.apply(u).w, v.w)) <= 1e-12
+        rng = random.Random(4)
+        for _ in range(20):
+            source = testkit.random_cq(ctx, rng.randint(1, 3), rng)
+            gen = testkit.random_cto(ctx, source.n_branches, rng.randint(1, 3), rng)
+            target = apply_cto(gen, source, ctx)
+            decision = Decision(convertible=True, plan_seed=gen.control)
+            synthesize_cto(source, target, ctx, decision)
+        assert pairs[0][0] is t and len(pairs) > 20
+        for t, ref in pairs:
+            assert all(x >= 0 for row in t.t for x in row)
+            assert max(abs(x - y) for r, s in zip(t.t, ref.t) for x, y in zip(r, s)) <= 1e-12
+
+    @pytest.mark.parametrize("policy", [FLOATS, RATIONAL], ids=["float", "rational"])
+    def test_embedding_stores_at_most_n_plus_d_minus_1_entries(self, monkeypatch, policy):
+        sizes = []
+        orig = synth._embedding
+
+        def spy(u, grid, ctx):
+            e = orig(u, grid, ctx)
+            n, d = len(grid) - 1, ctx.dim
+            sizes.append((sum(len(row) for row in e), n + d - 1))
+            return e
+
+        monkeypatch.setattr(synth, "_embedding", spy)
+        for seed in range(40):
+            self._synthesize(seed, policy)
+        assert len(sizes) >= 40
+        assert all(stored <= bound for stored, bound in sizes), sizes
