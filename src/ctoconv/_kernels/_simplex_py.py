@@ -18,16 +18,16 @@ ITERATION_LIMIT = 2
 _DEGENERATE_RUN = 50
 
 
-def run_simplex(tab, basis, eps, max_pivots, retire_from):
-    """Run simplex pivots in place; returns a status code.
+def run_simplex(tab, basis, eps, max_cells, retire_from):
+    """Run simplex pivots in place; returns (status code, cells swept).
 
     The entering column is the one with the most negative reduced cost
     (Dantzig's rule), or, after _DEGENERATE_RUN degenerate pivots in a row,
     the first with a negative one (Bland's rule).  Either way the leaving
     row is the smallest ratio, ties going to the smallest basic index.
     Every run of degenerate pivots thus ends under Bland's rule, which does
-    not cycle, so the kernel is finite.  ITERATION_LIMIT means another
-    pivot was needed after max_pivots.
+    not cycle, so the kernel is finite.  The cells are those `_pivot`
+    swept; ITERATION_LIMIT means a pivot took them past max_cells.
 
     A column at or past retire_from is zeroed in every row, cost row too,
     the pivot it leaves the basis, so it never prices in or is swept again;
@@ -43,7 +43,7 @@ def run_simplex(tab, basis, eps, max_pivots, retire_from):
     # degrades to the usual "strictly positive" test.
     piv_tol = eps * 100
     degenerate = 0
-    pivots = 0
+    swept = 0
     while True:
         enter = -1
         if degenerate < _DEGENERATE_RUN:
@@ -56,7 +56,7 @@ def run_simplex(tab, basis, eps, max_pivots, retire_from):
                     enter = j
                     break
         if enter < 0:
-            return OPTIMAL
+            return OPTIMAL, swept
         leave = -1
         best = None
         for i in range(m):
@@ -69,26 +69,30 @@ def run_simplex(tab, basis, eps, max_pivots, retire_from):
                     best = ratio
                     leave = i
         if leave < 0:
-            return UNBOUNDED
-        if pivots == max_pivots:
-            return ITERATION_LIMIT
+            return UNBOUNDED, swept
         degenerate = degenerate + 1 if best <= eps else 0
         out = basis[leave]
-        _pivot(tab, basis, leave, enter, m, ncols)
-        pivots += 1
+        swept += _pivot(tab, basis, leave, enter, m, ncols)
+        if swept > max_cells:
+            return ITERATION_LIMIT, swept
         if out >= retire_from:
             zero = 0 * obj[out]  # keeps the type
             for row in tab:
                 row[out] = zero
 
 
-def _pivot(tab, basis, row, col, m, ncols):
+def _pivot(tab, basis, row, col, m, ncols) -> int:
+    """Pivot on tab[row][col] in place; returns the cells swept: the pivot
+    row and column once each, and the pivot row's nonzero columns in every
+    row it rewrites."""
     pr = tab[row]
     # slack and artificial columns leave most of a pivot row zero, and a
     # zero entry changes no other row, so only the nonzero columns are swept
     nz = [j for j in range(ncols) if pr[j] != 0]
     piv = pr[col]
+    swept = ncols + m + 1
     if piv != 1:
+        swept += len(nz)
         for j in nz:
             pr[j] = pr[j] / piv
     for i in range(m + 1):
@@ -97,7 +101,9 @@ def _pivot(tab, basis, row, col, m, ncols):
         ri = tab[i]
         factor = ri[col]
         if factor != 0:
+            swept += len(nz)
             for j in nz:
                 ri[j] = ri[j] - factor * pr[j]
             ri[col] = 0 * ri[col]  # kill residual noise, keeps the type
     basis[row] = col
+    return swept

@@ -7,17 +7,19 @@ Convertibility of a source joint state U (ell branches) into a target V
 
 at every bend s of the target branch curve L[v^y] and at s = 1: the left
 side is concave in s and the right side is linear between its own bends,
-so their difference is smallest at one of those points.  The decision LP
-holds one row per branch and own bend, placed on the union bend grid of all
-target branches.  Infeasibility yields a Farkas certificate; its inequality
-multipliers, zero-padded onto every (branch, grid row) pair, reverse-cumsum
-into a nonnegative, column-non-increasing witness matrix A with a strictly
-negative conversion functional.
+so their difference is smallest at one of those points.  These own rows,
+placed on the union bend grid of all target branches, enter the decision
+LP by row generation: a few rows per branch first, then each round the
+most violated row of each branch, until R satisfies them all (most are
+slack at the answer).  Infeasibility of any round yields a Farkas
+certificate; its inequality multipliers, zero-padded onto every (branch,
+grid row) pair, reverse-cumsum into a nonnegative, column-non-increasing
+witness matrix A with a strictly negative conversion functional.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -31,6 +33,7 @@ from .errors import (
     MassMismatch,
     NotThermoMajorizing,
     OutOfRange,
+    SolveBudgetExceeded,
     ValidationError,
 )
 from .lorenz import (
@@ -40,6 +43,7 @@ from .lorenz import (
     merged_bend_grid,
     thermo_majorizes,
 )
+from . import lp
 from .lp import FEASIBLE, LinearSystem, solve_feasibility
 
 
@@ -115,14 +119,16 @@ def _increments(cum):
         tuple(b - a for a, b in zip(prev, row)) for prev, row in zip(cum, cum[1:]))
 
 
-def _decide(cum_p, cum_q, policy: NumericPolicy, rows) -> Decision:
-    """Shared LP: find row-stochastic R with cum_p . R >= cum_q rowwise.
+def _decide(cum_p, cum_q, policy: NumericPolicy, rows):
+    """One LP: find row-stochastic R with cum_p . R >= cum_q on the given rows.
 
     cum_p, cum_q hold the cumulative (lower-triangular-summed) values at
-    rows i = 1..D; variables are R[x][y] flattened x-major.  rows[y] lists
-    the rows kept for branch y.  The certificate's multipliers are
-    zero-padded onto the full target-major layout of D*m rows before
-    `extract_witness`, so a witness always has D rows.
+    rows i = 0..D-1; variables are R[x][y] flattened x-major.  rows[y] lists
+    the rows put into the LP for branch y, any subset of 0..D-1.  The
+    certificate's multipliers are zero-padded onto the full target-major
+    layout of D*m rows before `extract_witness`: a Farkas certificate of a
+    row subset certifies every system holding those rows, so a witness
+    always has D rows.  Returns the Decision and the solve's work.
     """
     n_rows = len(cum_p)
     ell = len(cum_p[0])
@@ -151,13 +157,13 @@ def _decide(cum_p, cum_q, policy: NumericPolicy, rows) -> Decision:
     res = solve_feasibility(sys, policy)
     if res.status == FEASIBLE:
         control = _clean_control(res.point, ell, m, policy)
-        return Decision(convertible=True, plan_seed=control)
+        return Decision(convertible=True, plan_seed=control), res.work
     y_eq, y_in = res.certificate
     padded = [zero] * (n_rows * m)
     for k, v in zip(flat, y_in):
         padded[k] = v
     witness = extract_witness((y_eq, padded), n_rows, m)
-    return Decision(convertible=False, witness=witness)
+    return Decision(convertible=False, witness=witness), res.work
 
 
 def _own_rows(curve, grid) -> list:
@@ -185,13 +191,64 @@ def _clean_control(point, ell: int, m: int, policy: NumericPolicy):
 
 
 def check_cto(source: CQState, target: CQState, ctx: GibbsContext) -> Decision:
-    """Decide convertibility of source into target under CTO."""
+    """Decide convertibility of source into target under CTO.
+
+    The first LP holds, per branch y, the s = 1 row and the own row where
+    the target's conditional curve most exceeds the mixed source curve.  A
+    refusal is final; a control R is checked against the own rows left out
+    (exactly in rational mode, within eps_lp in float mode), and each
+    branch's most violated row joins the next LP until none is violated.
+    All rounds together get one work budget.
+    """
     policy = ctx.policy
     source.validate(policy)
     target.validate(policy)
     tgt_curves, grid, cum_p, cum_q = _grid_values(source, target, ctx, validated=True)
-    rows = [_own_rows(c, grid) for c in tgt_curves]
-    return _decide(cum_p, cum_q, policy, rows)
+    tol = policy.zero() if policy.exact else policy.eps_lp
+    mix = [sum(row) for row in cum_p]  # the mixed source curve, sum_x L[u^x]
+    rows, left = [], []  # per branch: rows in the LP, own rows left out
+    for y, curve in enumerate(tgt_curves):
+        own = _own_rows(curve, grid)
+        mass = cum_q[-1][y]
+        top = max(own, key=lambda i: cum_q[i][y] - mass * mix[i])
+        rows.append(sorted({top, own[-1]}))
+        left.append([i for i in own if i not in rows[-1]])
+    spent = 0
+    while True:
+        decision, work = _decide(cum_p, cum_q, policy, rows)
+        spent += work
+        if spent > lp._WORK_BUDGET:
+            raise SolveBudgetExceeded(
+                f"simplex work budget of {lp._WORK_BUDGET} spent: {spent} over "
+                f"the rounds of one decision")
+        if not decision.convertible:
+            return decision
+        added = False
+        for y, pending in enumerate(left):
+            col = [(x, r[y]) for x, r in enumerate(decision.plan_seed) if r[y]]
+            i = _most_violated(col, cum_p, cum_q, y, pending, tol)
+            if i is not None:
+                pending.remove(i)
+                insort(rows[y], i)
+                added = True
+        if not added:
+            return decision
+
+
+def _most_violated(col, cum_p, cum_q, y, pending, tol):
+    """The row i of `pending` with the most negative slack
+    sum_x R[x][y] cum_p[i][x] - cum_q[i][y] below -tol, over the nonzero
+    entries (x, R[x][y]) of column y; None if no row is violated.  A NaN
+    slack counts as violated."""
+    worst, pick = -tol, None
+    for i in pending:
+        cp = cum_p[i]
+        slack = sum(r * cp[x] for x, r in col) - cum_q[i][y]
+        if slack != slack:
+            return i
+        if slack < worst:
+            worst, pick = slack, i
+    return pick
 
 
 def lt_majorize(p: Sequence, q: Sequence, policy: NumericPolicy,

@@ -72,7 +72,8 @@ class NumericBreakdown(CtoConvError):
 
 
 class SolveBudgetExceeded(NumericBreakdown):
-    """The simplex kernel spent its pivots-times-cells work budget."""
+    """The simplex kernel, or the rounds of one decision, swept more tableau
+    cells than the work budget holds."""
 
 
 class DegenerateCertificate(CtoConvError):

@@ -19,13 +19,15 @@ its Fraction system and solves the final basis once in Fractions (after
 Applegate, Cook, Dash and Espinoza, "Exact solutions to linear programming
 problems", 2007); a Fraction tableau runs the kernel only when that basis
 gives no exact answer.  Every answer is re-verified against the raw system
-before being returned, in rational mode with tolerance 0.
+before being returned, in rational mode with tolerance 0; a NaN or infinite
+float entry never verifies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import isfinite
 
 from ._kernels import ITERATION_LIMIT, OPTIMAL, run_simplex
 from .core import NumericPolicy
@@ -34,13 +36,15 @@ from .errors import DimensionMismatch, NumericBreakdown, SolveBudgetExceeded
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 
-# Pivots times tableau cells that one solve may spend.  A pivot updates at
-# most every cell, so this bounds the kernel's work at any LP size.  The
-# largest decision LPs (d=24, l=m=12: 301 x 733 cells, 180-340 pivots)
-# spend 0.4e8-0.8e8, which leaves over 12x headroom.  A dense float update
-# costs ~40 ns a cell, so a float solve that spends it all stops within about
-# a minute.  A Fraction cell costs ~2.7 us (61 x 150 tableau, more as
-# denominators grow), so a Fraction tableau is charged 64 cells per cell.
+# Tableau cells that one solve, or the rounds of one decision, may sweep;
+# each pivot reports the cells it read and rewrote (`_pivot`), so the budget
+# bounds real work at any LP size.  The largest decisions now spend little
+# of it: float d=24, l=m=12 spends 0.3e5-1e5 cells, d=64, l=m=24 0.5e6-3.5e6.
+# On a 2-core machine a swept float cell costs 80-190 ns, pricing included
+# (full-grid LPs of 2281 x 4693 and 4321 x 8773 cells), so a float solve
+# that spends it all stops within about three minutes.  A Fraction cell
+# costs ~2.7 us (61 x 150 tableau, more as denominators grow), so a
+# Fraction tableau is charged 64 units per cell.
 _WORK_BUDGET = 10**9
 _FRACTION_CELL_COST = 64
 
@@ -72,12 +76,13 @@ class FeasibilityResult:
     status: str
     point: tuple | None = None
     certificate: tuple | None = None  # (y_eq, y_in)
+    work: int = 0  # budget units spent: swept cells, a Fraction cell costing more
 
 
 def verify_point(sys: LinearSystem, point, eps) -> bool:
     if len(point) != sys.n_vars:
         return False
-    if any(x < -eps for x in point):
+    if not all(_finite(x) and x >= -eps for x in point):
         return False
     support = [(j, x) for j, x in enumerate(point) if x]
     for row, b in sys.eq:
@@ -93,7 +98,7 @@ def verify_certificate(sys: LinearSystem, certificate, eps) -> bool:
     y_eq, y_in = certificate
     if len(y_eq) != len(sys.eq) or len(y_in) != len(sys.ineq):
         return False
-    if any(y < -eps for y in y_in):
+    if not (all(map(_finite, y_eq)) and all(_finite(y) and y >= -eps for y in y_in)):
         return False
     combos = zip(_combination(sys.eq, y_eq, sys.n_vars),
                  _combination(sys.ineq, y_in, sys.n_vars))
@@ -102,6 +107,11 @@ def verify_certificate(sys: LinearSystem, certificate, eps) -> bool:
     gain = sum(y * b for y, (_, b) in zip(y_eq, sys.eq) if y)
     gain += sum(y * b for y, (_, b) in zip(y_in, sys.ineq) if y)
     return gain > eps
+
+
+def _finite(x) -> bool:
+    """False for a float NaN or infinity, which no comparison rejects."""
+    return type(x) is not float or isfinite(x)
 
 
 def _dot(row, support):
@@ -126,22 +136,27 @@ def solve_feasibility(sys: LinearSystem, policy: NumericPolicy) -> FeasibilityRe
 
     A rational system is solved on its float image first and answered
     exactly at the final basis; the Fraction kernel runs only when an entry
-    has no float image or that basis gives no verified answer.
+    has no float image or that basis gives no verified answer.  The result's
+    `work` is what all its kernel runs together spent of _WORK_BUDGET.
     """
+    work = []  # budget units of each kernel run
     res = None
     if policy.exact:
         try:
-            res = _solve(sys, policy, exact=False)
+            res = _solve(sys, policy, False, work)
         except OverflowError:  # an entry beyond the float range
             pass
-    return res or _solve(sys, policy, policy.exact)
+    res = res or _solve(sys, policy, policy.exact, work)
+    return replace(res, work=sum(work))
 
 
-def _solve(sys: LinearSystem, policy: NumericPolicy, exact: bool):
+def _solve(sys: LinearSystem, policy: NumericPolicy, exact: bool, work: list):
     """One kernel run, on a Fraction tableau if `exact`, else on floats.
 
     The float run of a rational system (its float image) returns the exact
-    answer at its final basis, or None when there is none.
+    answer at its final basis, or None when there is none.  The run may
+    spend what the runs listed in `work` left of the budget, and appends its
+    own spending.
     """
     n = sys.n_vars
     n_eq = len(sys.eq)
@@ -188,12 +203,13 @@ def _solve(sys: LinearSystem, policy: NumericPolicy, exact: bool):
         basis[r] = n + n_slack + r
 
     cell_cost = _FRACTION_CELL_COST if exact else 1
-    max_pivots = _WORK_BUDGET // ((m + 1) * ncols * cell_cost)
-    status = run_simplex(tab, basis, eps, max_pivots, n + n_slack + n_eq)
+    max_cells = (_WORK_BUDGET - sum(work)) // cell_cost
+    status, swept = run_simplex(tab, basis, eps, max_cells, n + n_slack + n_eq)
+    work.append(swept * cell_cost)
     if status == ITERATION_LIMIT:
         raise SolveBudgetExceeded(
-            f"simplex work budget spent: {max_pivots} pivots on an LP of "
-            f"{m} rows and {ncols} tableau columns"
+            f"simplex work budget of {_WORK_BUDGET} spent: {sum(work)} on an LP "
+            f"of {m} rows and {ncols} tableau columns"
         )
     value = -tab[m][ncols - 1]
     feasible = value <= tol
@@ -207,7 +223,7 @@ def _solve(sys: LinearSystem, policy: NumericPolicy, exact: bool):
         return res or None
     # a phase-1 value below zero is a sure sign of tableau corruption
     if status != OPTIMAL or value < -tol:
-        return _refine_exact(sys, policy, basis, feasible)
+        return _refine_exact(sys, policy, basis, feasible, work)
 
     if feasible:
         point = [zero] * n
@@ -218,7 +234,7 @@ def _solve(sys: LinearSystem, policy: NumericPolicy, exact: bool):
         point = [0.0 if -tol < x < 0 else x for x in point]
         if verify_point(sys, point, tol):
             return FeasibilityResult(FEASIBLE, point=tuple(point))
-        return _refine_exact(sys, policy, basis, feasible)
+        return _refine_exact(sys, policy, basis, feasible, work)
 
     # simplex multipliers pi of the sign-flipped rows: an eq artificial has
     # cost 1 and column e_r, so pi_r = 1 - redcost; slack k of inequality
@@ -228,7 +244,7 @@ def _solve(sys: LinearSystem, policy: NumericPolicy, exact: bool):
     cert = (tuple(y_eq), tuple(y_in))
     if verify_certificate(sys, cert, tol):
         return FeasibilityResult(INFEASIBLE, certificate=cert)
-    return _refine_exact(sys, policy, basis, feasible)
+    return _refine_exact(sys, policy, basis, feasible, work)
 
 
 def _basis_answer(sys: LinearSystem, basis, feasible: bool, tol):
@@ -297,7 +313,8 @@ def _gauss(a, b):
     return [row[k] for row in rows]
 
 
-def _refine_exact(sys: LinearSystem, policy: NumericPolicy, basis, feasible):
+def _refine_exact(sys: LinearSystem, policy: NumericPolicy, basis, feasible,
+                  work: list):
     """Answer a float system exactly when its float answer fails verification.
 
     Floats convert to Fractions without loss, so this solves the identical
@@ -311,7 +328,7 @@ def _refine_exact(sys: LinearSystem, policy: NumericPolicy, basis, feasible):
 
     exact_sys = LinearSystem(sys.n_vars, eq=exact(sys.eq), ineq=exact(sys.ineq))
     res = (_basis_answer(exact_sys, basis, feasible, policy.eps_lp)
-           or _solve(exact_sys, policy, exact=True))
+           or _solve(exact_sys, policy, True, work))
     if res.status == FEASIBLE:
         return FeasibilityResult(FEASIBLE, point=tuple(map(float, res.point)))
     y_eq, y_in = res.certificate

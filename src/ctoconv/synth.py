@@ -112,8 +112,15 @@ def _embedding(u: StateVector, grid, ctx: GibbsContext) -> list:
     interval I_i in u's Lorenz order overlaps cell k (the last interval ends
     at 1), at most n + d - 1 entries for n cells, found by bisecting the
     grid at each interval's ends.  Keys come in level order, so float sums
-    over a row add in the order of a dense dot product."""
-    g, zero = ctx.gibbs, ctx.policy.zero()
+    over a row add in the order of a dense dot product.
+
+    A level's pieces add up to one, so its last piece is one minus the
+    others (zero if rounding makes them overshoot): in float mode
+    |I_i| / g_i is off by ulp(lo) / g_i, which a tiny g_i makes large.  A
+    level whose interval rounds away lies whole in the cell of its start.
+    """
+    g = ctx.gibbs
+    zero, one = ctx.policy.zero(), ctx.policy.one()
     _, order = lorenz_order(u, g)
     ends = [zero]
     for i in order[:-1]:
@@ -122,10 +129,14 @@ def _embedding(u: StateVector, grid, ctx: GibbsContext) -> list:
     n = len(grid) - 1
     e = [{} for _ in range(n)]
     for i, lo, hi in sorted(zip(order, ends, ends[1:])):
-        for k in range(bisect_right(grid, lo, 0, n) - 1, bisect_left(grid, hi, 0, n)):
-            x = min(hi, grid[k + 1]) - max(lo, grid[k])
-            if x > 0:
-                e[k][i] = x / g[i]
+        first = bisect_right(grid, lo, 0, n) - 1
+        last = max(first, bisect_left(grid, hi, 0, n) - 1)
+        rest = one
+        for k in range(first, last):  # cells that end inside I_i
+            x = (grid[k + 1] - max(lo, grid[k])) / g[i]
+            e[k][i] = x
+            rest -= x
+        e[last][i] = rest if rest > zero else zero
     return e
 
 

@@ -201,7 +201,7 @@ def conditional_lt_majorize(p_matrix, q_matrix, policy: NumericPolicy) -> Decisi
     cum_p = _cumsum_rows(p_matrix)
     cum_q = _cumsum_rows(q_matrix)
     rows = [range(len(cum_q))] * len(cum_q[0])
-    return _decide(cum_p, cum_q, policy, rows)
+    return _decide(cum_p, cum_q, policy, rows)[0]
 
 
 def _cumsum_rows(matrix):

@@ -622,6 +622,20 @@ def _decision_instances(policy, seed, count):
     return out
 
 
+def _two_round_pair():
+    """A rational pair whose decision takes two rounds of row generation."""
+    ctx = GibbsContext.from_weights((F(1, 2), F(1, 4), F(1, 8), F(1, 8)),
+                                    RATIONAL)
+    source = CQState((StateVector((F(0), F(0), F(0), F(3, 8))),
+                      StateVector((F(5, 8), F(0), F(0), F(0)))))
+    target = CQState((
+        StateVector((F(3, 8), F(0), F(0), F(0))),
+        StateVector((F(0), F(5, 16), F(0), F(0))),
+        StateVector((F(1, 16), F(1, 8), F(1, 8), F(0))),
+    ))
+    return source, target, ctx
+
+
 class TestReducedDecisionLP:
     """check_cto keeps each target branch's own bends only; the answers must
     match the LP with every union-grid row."""
@@ -654,31 +668,143 @@ class TestReducedDecisionLP:
         assert verdicts == {True, False}
 
     def test_one_row_per_own_bend_and_one(self, monkeypatch):
-        ctx = GibbsContext.from_weights((F(1, 2), F(1, 4), F(1, 8), F(1, 8)),
-                                        RATIONAL)
-        target = CQState((
-            StateVector((F(3, 8), F(0), F(0), F(0))),
-            StateVector((F(0), F(5, 16), F(0), F(0))),
-            StateVector((F(1, 16), F(1, 8), F(1, 8), F(0))),
-        ))
-        source = testkit.random_cq(ctx, 2, 5)
+        """Row generation: every LP holds own-bend and s = 1 rows only, at most
+        two per branch at first, and the answer satisfies every own row."""
+        source, target, ctx = _two_round_pair()
         seen = []
+        decide = convert._decide
+
+        def spy(cum_p, cum_q, policy, rows):
+            seen.append([set(r) for r in rows])
+            return decide(cum_p, cum_q, policy, rows)
+
+        monkeypatch.setattr(convert, "_decide", spy)
+        decision = check_cto(source, target, ctx)
+        curves = cq_branch_curves(target, ctx)
+        assert [c.bend_abscissae for c in curves] == [
+            (F(1, 2),), (F(1, 4),), (F(1, 8), F(3, 8), F(7, 8))]
+        assert _n_segments(target, ctx) == 6  # s = 1/8, 1/4, 3/8, 1/2, 7/8, 1
+        own = [{3, 5}, {1, 5}, {0, 2, 4, 5}]
+        assert len(seen) == 2
+        # s = 1 and the row where the conditional target curve most exceeds
+        # the mixed source curve
+        assert seen[0] == [{3, 5}, {1, 5}, {4, 5}]
+        for rows in seen:
+            assert all(r <= o for r, o in zip(rows, own))
+        assert decision.convertible
+        _, _, cum_p, cum_q = convert._grid_values(source, target, ctx)
+        r = decision.plan_seed
+        for y, rows in enumerate(own):
+            for i in rows:
+                assert sum(r[x][y] * cum_p[i][x] for x in range(2)) >= cum_q[i][y]
+
+    def test_budget_covers_every_round(self, monkeypatch):
+        """The rounds of one decision share the work budget: at their summed
+        work the decision passes, one unit short it raises, though every
+        round alone fits."""
+        from ctoconv import lp
+        from ctoconv.errors import SolveBudgetExceeded
+
+        source, target, ctx = _two_round_pair()
+        work = []
         solve = convert.solve_feasibility
 
         def spy(system, policy):
-            seen.append(system)
-            return solve(system, policy)
+            res = solve(system, policy)
+            work.append(res.work)
+            return res
 
         monkeypatch.setattr(convert, "solve_feasibility", spy)
-        check_cto(source, target, ctx)
-        curves = cq_branch_curves(target, ctx)
-        own = sum(len(c.bend_abscissae) + 1 for c in curves)
-        full = _n_segments(target, ctx) * target.n_branches
-        assert [c.bend_abscissae for c in curves] == [
-            (F(1, 2),), (F(1, 4),), (F(1, 8), F(3, 8), F(7, 8))]
-        assert len(seen) == 1
-        assert len(seen[0].ineq) == own == 8
-        assert full == 18
+        assert check_cto(source, target, ctx).convertible
+        total = sum(work)
+        assert len(work) == 2 and max(work) < total - 1
+        monkeypatch.setattr(lp, "_WORK_BUDGET", total)
+        assert check_cto(source, target, ctx).convertible
+        monkeypatch.setattr(lp, "_WORK_BUDGET", total - 1)
+        with pytest.raises(SolveBudgetExceeded, match="rounds of one decision"):
+            check_cto(source, target, ctx)
+
+    def test_boundary_walks_match_full_grid_lp(self):
+        """Walk reachable targets toward the steepest pure state, in float and
+        in rational mode: 1/16 steps up to the first refusal, then 1/256
+        steps across the last of them.  At every step check_cto agrees with
+        the full-grid LP, and every refusal's witness has a negative
+        functional."""
+        verdicts = []
+        for policy, sizes in ((FLOATS, (4, 6, 8, 12)), (RATIONAL, (3, 4, 5))):
+            rng = random.Random(17)
+            for _ in range(10):
+                ctx = testkit.random_context(rng.choice(sizes), rng, policy)
+                source = testkit.random_cq(ctx, rng.randint(2, 4), rng)
+                start = apply_cto(testkit.random_cto(ctx, source.n_branches,
+                                                     rng.randint(2, 4), rng),
+                                  source, ctx)
+                walk = []
+                for k in range(17):
+                    walk.append(_toward_pure(start, ctx, k, 16))
+                    if not check_cto(source, walk[-1], ctx).convertible:
+                        break
+                walk += [_toward_pure(start, ctx, 16 * (k - 1) + j, 256)
+                         for j in range(1, 16)] if k else []
+                for target in walk:
+                    decision = check_cto(source, target, ctx)
+                    p, q = pq_increments(source, target, ctx)
+                    full = conditional_lt_majorize(p, q, policy)
+                    assert decision.convertible == full.convertible
+                    verdicts.append(decision.convertible)
+                    if not decision.convertible:
+                        assert verify_witness(decision.witness, source,
+                                              target, ctx) < 0
+        assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+
+    def test_violation_scan_reads_nan_as_violated(self):
+        """The scan picks the most negative slack below -tol, and a NaN
+        slack, which compares false with everything, as violated."""
+        nan = float("nan")
+        col = [(0, 0.5), (1, 0.5)]
+        cum_p = [[0.2, 0.4], [nan, 0.4], [0.6, 0.8], [1.0, 1.0]]
+        cum_q = [[0.1], [0.1], [0.9], [1.0]]
+        scan = convert._most_violated
+        assert scan(col, cum_p, cum_q, 0, [0, 2, 3], 1e-7) == 2
+        assert scan(col, cum_p, cum_q, 0, [0, 3], 1e-7) is None
+        assert scan(col, cum_p, cum_q, 0, [0, 1, 3], 1e-7) == 1
+        assert scan(col, cum_p, cum_q, 0, [0, 2, 1], 1e-7) == 1
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_large_float_pairs_answer(self, seed):
+        """Float d=48, l=m=16: a reachable pair and its reverse answer both
+        ways within the work budget."""
+        rng = random.Random(seed)
+        ctx = testkit.random_context(48, rng, FLOATS)
+        source = testkit.random_cq(ctx, 16, rng)
+        # branch y mixes the sources by a random control column, then
+        # thermalizes partway: a CTO, cheaper to build than random_cto's
+        control = [testkit.random_distribution(16, rng, FLOATS) for _ in range(16)]
+        t = rng.uniform(0.05, 0.3)
+        cols = []
+        for y in range(16):
+            w = [sum(control[x][y] * u.w[i] for x, u in enumerate(source.columns))
+                 for i in range(48)]
+            mass = sum(w)
+            cols.append(StateVector(tuple((1 - t) * a + t * mass * g
+                                          for a, g in zip(w, ctx.gibbs))))
+        target = CQState(tuple(cols))
+        assert check_cto(source, target, ctx).convertible
+        refusal = check_cto(target, source, ctx)
+        assert not refusal.convertible
+        assert verify_witness(refusal.witness, target, source, ctx) < 0
+
+
+def _toward_pure(state, ctx, k, n):
+    """The point k/n of the way from `state` to the pure state on the level
+    of least Gibbs weight, each branch keeping its mass."""
+    policy = ctx.policy
+    top = min(range(ctx.dim), key=lambda i: ctx.gibbs[i])
+    t = F(k, n) if policy.exact else k / n
+    return CQState(tuple(
+        StateVector(tuple((policy.one() - t) * w + (t * c.mass if i == top else 0 * w)
+                          for i, w in enumerate(c.w)))
+        for c in state.columns))
 
 
 def _numbers(result):

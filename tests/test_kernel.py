@@ -23,7 +23,8 @@ def test_beale_cycling_lp_reaches_optimum():
     ]
     basis = [4, 5, 6]  # the slacks; columns 0..3 are x4..x7
     # retire_from at the rhs column: no column is retired
-    assert run_simplex(tab, basis, F(0), 10_000, len(tab[0]) - 1) == OPTIMAL
+    status, swept = run_simplex(tab, basis, F(0), 10**6, len(tab[0]) - 1)
+    assert status == OPTIMAL and 0 < swept < 10**4
     assert -tab[3][-1] == F(-1, 20)
     point = [F(0)] * 7
     for r, bv in enumerate(basis):
@@ -78,8 +79,15 @@ def test_pivot_matches_dense_reference():
             tab, basis, row, col = _random_tableau(rng, exact)
             want_tab = [list(r) for r in tab]
             want_basis = list(basis)
+            # cells swept: the pivot row and column, then the row's nonzero
+            # columns in the pivot row unless its pivot is 1, and in every
+            # other row with a nonzero entry in the pivot column
+            nz = sum(1 for x in tab[row] if x != 0)
+            rewritten = (tab[row][col] != 1) + sum(
+                1 for i, r in enumerate(tab) if i != row and r[col] != 0)
             _dense_pivot(want_tab, want_basis, row, col)
-            _pivot(tab, basis, row, col, len(tab) - 1, len(tab[0]))
+            swept = _pivot(tab, basis, row, col, len(tab) - 1, len(tab[0]))
+            assert swept == len(tab) + len(tab[0]) + nz * rewritten
             assert tab == want_tab
             assert basis == want_basis
             kind = F if exact else float
@@ -99,9 +107,9 @@ def _count_pivots(monkeypatch):
 
 
 def test_pivot_count_guard(monkeypatch):
-    """A float d=12, l=m=8 reachable pair decides in few pivots: 109 with
-    Dantzig pricing and retired artificials, 132 with every artificial kept,
-    565 with Bland's rule alone."""
+    """A float d=12, l=m=8 reachable pair decides in few pivots: 95 over the
+    rounds of row generation, 109 with every own row in one LP, 132 with
+    every artificial kept too, 565 with Bland's rule alone."""
     pivots = _count_pivots(monkeypatch)
     rng = random.Random(11)
     ctx = testkit.random_context(12, rng, FLOATS)
@@ -113,8 +121,8 @@ def test_pivot_count_guard(monkeypatch):
 
 def test_large_class_pivot_guard(monkeypatch):
     """Float d=24, l=m=12 pairs at seed 2 decide in few pivots: the reachable
-    pair in 333 (496 with every artificial kept), the perturbed unreachable
-    one in 264 (1364 with every artificial kept)."""
+    pair in 73 (333 with every own row in one LP, 496 with every artificial
+    kept too), the perturbed unreachable one in 68 (264 and 1364)."""
     rng = random.Random(2)
     ctx = testkit.random_context(24, rng, FLOATS)
     source = testkit.random_cq(ctx, 12, rng)

@@ -118,13 +118,13 @@ def test_refine_exact_agrees_with_float(monkeypatch):
     bad = LinearSystem(1, ineq=(((1.0,), 1.0), ((-1.0,), 0.0)))
     for basis, kernel_runs in (([0, 1], 0), ([], 1)):
         runs.clear()
-        res = _refine_exact(sys, FLOATS, basis, True)
+        res = _refine_exact(sys, FLOATS, basis, True, [])
         assert res.status == FEASIBLE
         assert verify_point(sys, res.point, FLOATS.eps_lp)
         assert len(runs) == kernel_runs
     for basis, kernel_runs in (([0, 4], 0), ([], 1)):
         runs.clear()
-        res = _refine_exact(bad, FLOATS, basis, False)
+        res = _refine_exact(bad, FLOATS, basis, False, [])
         assert res.status == INFEASIBLE
         assert verify_certificate(bad, res.certificate, FLOATS.eps_lp)
         assert len(runs) == kernel_runs
@@ -137,14 +137,14 @@ def test_refine_exact_judges_with_eps_lp():
     tight = LinearSystem(1, eq=(((1.0,), 0.3),), ineq=(((1.0,), 0.1 + 0.2),))
     assert solve_feasibility(tight, FLOATS).status == FEASIBLE
     for basis in ([0, 1], []):
-        res = _refine_exact(tight, FLOATS, basis, True)
+        res = _refine_exact(tight, FLOATS, basis, True, [])
         assert res.status == FEASIBLE
         assert verify_point(tight, res.point, FLOATS.eps_lp)
         assert all(type(x) is float for x in res.point)
 
     # x1 + x2 == 1 and x1 + x2 >= 2 stays infeasible, with a certificate
     bad = LinearSystem(2, eq=(((1.0, 1.0), 1.0),), ineq=(((1.0, 1.0), 2.0),))
-    res = _refine_exact(bad, FLOATS, [], False)
+    res = _refine_exact(bad, FLOATS, [], False, [])
     assert res.status == INFEASIBLE
     assert verify_certificate(bad, res.certificate, FLOATS.eps_lp)
 
@@ -259,21 +259,29 @@ for policy, num in ((NumericPolicy(), float), (NumericPolicy(mode="rational"), F
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("policy, num", [(RATIONAL, F), (FLOATS, float)])
-def test_work_budget_bounds_pivots(monkeypatch, policy, num):
-    """A solve may pivot budget // tableau cells times; one pivot short, it
-    raises SolveBudgetExceeded, and float mode starts no exact re-solve."""
-    pivots = []
+def _count_swept(monkeypatch):
+    """Spy on the pivot; the list collects the cells each pivot swept."""
+    swept = []
     orig = _simplex_py._pivot
 
     def counting(*args):
-        pivots.append(args[2])
-        return orig(*args)
+        swept.append(orig(*args))
+        return swept[-1]
+
+    monkeypatch.setattr(_simplex_py, "_pivot", counting)
+    return swept
+
+
+@pytest.mark.parametrize("policy, num", [(RATIONAL, F), (FLOATS, float)])
+def test_work_budget_bounds_pivots(monkeypatch, policy, num):
+    """A solve may sweep as many cells as the budget holds, and reports them
+    as its work; one cell short, it raises SolveBudgetExceeded, and float
+    mode starts no exact re-solve."""
+    swept = _count_swept(monkeypatch)
 
     def no_refine(*args):
         raise AssertionError("exact re-solve after a spent budget")
 
-    monkeypatch.setattr(_simplex_py, "_pivot", counting)
     monkeypatch.setattr(lp, "_refine_exact", no_refine)
     system = LinearSystem(
         3,
@@ -281,18 +289,19 @@ def test_work_budget_bounds_pivots(monkeypatch, policy, num):
         ineq=(((num(1), num(-1), num(0)), num(1) / 4),
               ((num(0), num(1), num(2)), num(1) / 2)),
     )
-    cells = (3 + 1) * (3 + 2 + 3 + 1)  # structural | slack | artificial | rhs
+    res = solve_feasibility(system, policy)
+    needed = sum(swept)
+    assert res.status == FEASIBLE and res.work == needed
+    # each pivot reads its row and column (9 + 4 cells) and rewrites some
+    assert len(swept) >= 2 and all(13 < c <= 13 + 4 * 9 for c in swept)
+    monkeypatch.setattr(lp, "_WORK_BUDGET", needed)
     assert solve_feasibility(system, policy).status == FEASIBLE
-    needed = len(pivots)
-    assert needed >= 2
-    monkeypatch.setattr(lp, "_WORK_BUDGET", needed * cells)
-    assert solve_feasibility(system, policy).status == FEASIBLE
-    monkeypatch.setattr(lp, "_WORK_BUDGET", needed * cells - 1)
+    monkeypatch.setattr(lp, "_WORK_BUDGET", needed - 1)
     with pytest.raises(SolveBudgetExceeded) as info:
         solve_feasibility(system, policy)
     assert isinstance(info.value, NumericBreakdown)
     message = str(info.value)
-    assert f"{needed - 1} pivots" in message
+    assert f"budget of {needed - 1} spent: {needed}" in message
     assert "3 rows" in message and "9 tableau columns" in message
 
 
@@ -362,14 +371,11 @@ def test_float_image_feasible_but_exactly_infeasible(monkeypatch):
 
 
 def test_fraction_kernel_budget_charges_each_cell(monkeypatch):
-    """The Fraction kernel spends _FRACTION_CELL_COST budget units per cell:
-    a solve needing p pivots passes at p * cells * cost and raises
+    """The Fraction kernel spends _FRACTION_CELL_COST budget units per swept
+    cell: a solve sweeping c cells passes at c * cost and raises
     SolveBudgetExceeded one unit short.  A rational solve whose float image
     spends the budget raises at once, with no Fraction re-run."""
-    pivots = []
-    orig = _simplex_py._pivot
-    monkeypatch.setattr(_simplex_py, "_pivot",
-                        lambda *args: pivots.append(1) or orig(*args))
+    swept = _count_swept(monkeypatch)
     runs = _fraction_runs(monkeypatch)
     big = F(10**400)  # no float image: the Fraction kernel runs alone
     system = LinearSystem(
@@ -377,30 +383,30 @@ def test_fraction_kernel_budget_charges_each_cell(monkeypatch):
         eq=(((big, big, big), big),),
         ineq=(((F(1), F(-1), F(0)), F(1, 4)), ((F(0), F(1), F(2)), F(1, 2))),
     )
-    cells = (3 + 1) * (3 + 2 + 3 + 1)
-    assert solve_feasibility(system, RATIONAL).status == FEASIBLE
-    needed = len(pivots)
-    assert needed >= 2 and runs == [4]
-    budget = needed * cells * lp._FRACTION_CELL_COST
+    res = solve_feasibility(system, RATIONAL)
+    budget = sum(swept) * lp._FRACTION_CELL_COST
+    assert res.status == FEASIBLE and res.work == budget
+    assert len(swept) >= 2 and runs == [4]
     monkeypatch.setattr(lp, "_WORK_BUDGET", budget)
     assert solve_feasibility(system, RATIONAL).status == FEASIBLE
     monkeypatch.setattr(lp, "_WORK_BUDGET", budget - 1)
-    with pytest.raises(SolveBudgetExceeded, match=f"{needed - 1} pivots"):
+    with pytest.raises(SolveBudgetExceeded, match=f"spent: {budget} on"):
         solve_feasibility(system, RATIONAL)
 
     small = LinearSystem(3, eq=(((F(1), F(1), F(1)), F(1)),), ineq=system.ineq)
     runs.clear()
-    monkeypatch.setattr(lp, "_WORK_BUDGET", cells)  # one float pivot
-    with pytest.raises(SolveBudgetExceeded, match="1 pivots"):
+    swept.clear()
+    monkeypatch.setattr(lp, "_WORK_BUDGET", 1)  # less than one float pivot
+    with pytest.raises(SolveBudgetExceeded):
         solve_feasibility(small, RATIONAL)
-    assert runs == []
+    assert runs == [] and len(swept) == 1
 
 
 def _assert_same_as_fraction_kernel(sys):
     """The float-image basis answer has the Fraction kernel's status, holds
     only Fractions, and verifies at tolerance 0."""
     res = solve_feasibility(sys, RATIONAL)
-    assert res.status == lp._solve(sys, RATIONAL, exact=True).status
+    assert res.status == lp._solve(sys, RATIONAL, True, []).status
     assert _exact_entries(res)
     if res.status == FEASIBLE:
         assert verify_point(sys, res.point, F(0))
@@ -522,3 +528,20 @@ def test_sparse_verifiers_match_dense_reference(exact):
             assert verdict == dense(sys, answer, eps), (seed, answer)
             verdicts.append(verdict)
     assert verdicts.count(True) > 200 and verdicts.count(False) > 200
+
+
+def test_verifiers_reject_non_finite_entries():
+    """NaN compares false with everything, so no tolerance test alone rejects
+    it: a point or certificate with a NaN or infinite float entry fails."""
+    nan, inf = float("nan"), float("inf")
+    sys = LinearSystem(2, eq=(((1.0, 0.0), 1.0),))
+    assert verify_point(sys, (1.0, 0.0), 1e-7)
+    assert not verify_point(sys, (nan, nan), 1e-7)
+    assert not verify_point(sys, (1.0, nan), 1e-7)
+    assert not verify_point(sys, (1.0, inf), 1e-7)
+    bad = LinearSystem(1, ineq=(((1.0,), 1.0), ((-1.0,), 0.0)))
+    assert verify_certificate(bad, ((), (1.0, 1.0)), 1e-7)
+    assert not verify_certificate(bad, ((), (1.0, nan)), 1e-7)
+    assert not verify_certificate(bad, ((), (nan, nan)), 1e-7)
+    both = LinearSystem(1, eq=(((1.0,), 0.0),), ineq=bad.ineq)
+    assert not verify_certificate(both, ((nan,), (1.0, 1.0)), 1e-7)

@@ -474,6 +474,29 @@ class TestSparseEmbedding:
             assert all(x >= 0 for row in t.t for x in row)
             assert max(abs(x - y) for r, s in zip(t.t, ref.t) for x, y in zip(r, s)) <= 1e-12
 
+    def test_tiny_weight_late_in_the_order_keeps_column_sums(self):
+        """A Gibbs weight of 4e-13 whose Lorenz-order interval starts near 1:
+        |I_i| / g_i is off by ulp(lo) / g_i ~ 3e-4 there, but each level's
+        pieces still sum to one, so every column of T does and the plan
+        validates; likewise for a weight whose interval rounds away."""
+        tiny = 4e-13
+        ctx = GibbsContext.from_weights((0.4, 0.3, 0.2, 0.1 - tiny, tiny), FLOATS)
+        u = StateVector((0.9, 0.05, 0.05, 0.0, 0.0))
+        v = StateVector((0.5, 0.15, 0.05, 0.1 - 2e-13, 1e-13))
+        t = synthesize_to(u, v, ctx)
+        t.validate(ctx)
+        for c in range(ctx.dim):
+            assert abs(sum(row[c] for row in t.t) - 1) <= 1e-15
+        assert all(x >= 0 for row in t.t for x in row)
+        # v has mass 0.8, and T carries u to v scaled to u's mass
+        assert max(abs(a - b / v.mass) for a, b in zip(t.apply(u).w, v.w)) <= 1e-12
+
+        # a weight of 1e-17 last in the order: its interval [1, 1] is empty
+        ctx = GibbsContext.from_weights((0.3, 0.7 - 1e-17, 1e-17), FLOATS)
+        t = synthesize_to(StateVector((0.6, 0.4, 0.0)), StateVector((0.5, 0.5, 0.0)), ctx)
+        t.validate(ctx)
+        assert all(abs(sum(row[c] for row in t.t) - 1) <= 1e-15 for c in range(3))
+
     @pytest.mark.parametrize("policy", [FLOATS, RATIONAL], ids=["float", "rational"])
     def test_embedding_stores_at_most_n_plus_d_minus_1_entries(self, monkeypatch, policy):
         sizes = []
