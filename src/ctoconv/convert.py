@@ -32,16 +32,16 @@ from .errors import (
     DimensionTooLarge,
     MassMismatch,
     NotThermoMajorizing,
-    OutOfRange,
     SolveBudgetExceeded,
     ValidationError,
 )
 from .lorenz import (
-    _eval_clamped,
+    _lies_below,
+    _majorization_curves,
+    _merge_sorted,
     build_lorenz,
     cq_branch_curves,
     merged_bend_grid,
-    thermo_majorizes,
 )
 from . import lp
 from .lp import FEASIBLE, LinearSystem, solve_feasibility
@@ -108,8 +108,8 @@ def _grid_values(source: CQState, target: CQState, ctx: GibbsContext, *,
     tgt_curves = cq_branch_curves(target, ctx, validated=validated)
     grid = merged_bend_grid(tgt_curves, policy)
     src_curves = cq_branch_curves(source, ctx, validated=validated)
-    cum_p = [[_eval_clamped(c, s, policy) for c in src_curves] for s in grid[1:]]
-    cum_q = [[_eval_clamped(c, s, policy) for c in tgt_curves] for s in grid[1:]]
+    cum_p = [[c.value(s) for c in src_curves] for s in grid[1:]]
+    cum_q = [[c.value(s) for c in tgt_curves] for s in grid[1:]]
     return tgt_curves, grid, cum_p, cum_q
 
 
@@ -314,12 +314,8 @@ def check_state_to_ensemble(u: StateVector, target: CQState,
     target.validate(policy)
     cu = build_lorenz(u, ctx)
     curves = cq_branch_curves(target, ctx, validated=True)
-    for qy, cv in zip(target.branch_masses, curves):
-        for s in (*cv.bend_abscissae, policy.one()):
-            lu = _eval_clamped(cu, s, policy)
-            if not policy.leq(_eval_clamped(cv, s, policy), qy * lu):
-                return False
-    return True
+    return all(_lies_below(cv, lambda s, qy=qy: qy * cu.value(s), policy)
+               for qy, cv in zip(target.branch_masses, curves))
 
 
 def check_ensemble_to_state(source: CQState, v: StateVector,
@@ -331,20 +327,15 @@ def check_ensemble_to_state(source: CQState, v: StateVector,
     source.validate(policy)
     curves = cq_branch_curves(source, ctx, validated=True)
     cv = build_lorenz(v, ctx)
-    for s in merged_bend_grid([cv], policy):
-        avg = sum(_eval_clamped(c, s, policy) for c in curves)
-        if not policy.leq(_eval_clamped(cv, s, policy), avg):
-            return False
-    return True
+    return _lies_below(cv, lambda s: sum(c.value(s) for c in curves), policy)
 
 
 def p_min(u: StateVector, v: StateVector, ctx: GibbsContext):
     """Threshold weight for converting (p*u, (1-p)*g) into v."""
     policy = ctx.policy
-    if not thermo_majorizes(u, v, ctx):
+    cu, cv = _majorization_curves(u, v, ctx)
+    if not _lies_below(cv, cu.value, policy):
         raise NotThermoMajorizing("source does not thermo-majorize the target")
-    cu = build_lorenz(u, ctx)
-    cv = build_lorenz(v, ctx)
     diagonal_u = len(cu.bend_abscissae) == 0
     best = policy.zero()
     for s in cv.bend_abscissae:
@@ -421,7 +412,8 @@ def sigma_grid(ctx: GibbsContext) -> tuple:
     """All proper partial sums of Gibbs weights over every level ordering.
 
     These are the sums over the proper non-empty subsets of levels, so at
-    most 2^d - 2 values; float sums closer than eps_merge are merged.
+    most 2^d - 2 values; float sums closer than eps_merge are merged, and
+    those that round to 1 or more are dropped.
     """
     d = ctx.dim
     if d > _SIGMA_D_MAX:
@@ -432,14 +424,7 @@ def sigma_grid(ctx: GibbsContext) -> tuple:
     sums = [policy.zero()]  # sums[mask]: the sum over the levels in mask
     for g in ctx.gibbs:
         sums += [acc + g for acc in sums]
-    vals = sorted(set(sums[1:-1]))
-    if policy.exact:
-        return tuple(vals)
-    out = vals[:1]
-    for s in vals[1:]:
-        if s - out[-1] > policy.eps_merge:
-            out.append(s)
-    return tuple(out)
+    return tuple(_merge_sorted(sorted({s for s in sums[1:-1] if s < 1}), policy))
 
 
 def uniform_grid(n: int, policy: NumericPolicy) -> tuple:
@@ -461,11 +446,6 @@ def phi_monotones(state: CQState, ctx: GibbsContext,
             abscissae = sigma_grid(ctx)
         else:
             abscissae = uniform_grid(64, ctx.policy)
-    for s in abscissae:
-        if s < 0 or s > 1:
-            raise OutOfRange(f"abscissa {s} outside [0, 1]")
     curves = cq_branch_curves(state, ctx, validated=True)
-    values = tuple(
-        sum(_eval_clamped(c, s, ctx.policy) for c in curves) for s in abscissae
-    )
+    values = tuple(sum(c.value(s) for c in curves) for s in abscissae)
     return MonotoneValues(abscissae=tuple(abscissae), values=values, free_energy=free)

@@ -2,7 +2,12 @@
 
 A curve is stored as its vertex list after merging collinear vertices, so
 the interior abscissae are exactly the bends and segment slopes strictly
-decrease left to right.
+decrease left to right.  `build_lorenz` establishes the curve invariant that
+every other function relies on: the abscissae strictly increase from 0 and
+end at exactly 1, so `LorenzCurve.value` is defined on all of [0, 1].  In
+float mode the cumulative abscissa is capped at 1, a vertex that rounding
+leaves at or before the previous one joins it, and the endpoint is pinned
+to 1.0.
 """
 
 from __future__ import annotations
@@ -50,16 +55,6 @@ class LorenzCurve:
         return t0 + (t1 - t0) * (s - s0) / (s1 - s0)
 
 
-def _eval_clamped(curve: LorenzCurve, s, policy: NumericPolicy):
-    """Evaluate, tolerating float noise just outside [0, 1]."""
-    if not policy.exact:
-        if -policy.eps_cmp <= s < 0:
-            s = 0.0
-        elif 1 < s <= 1 + policy.eps_cmp:
-            s = 1.0
-    return curve.value(s)
-
-
 def build_lorenz(w: StateVector, ctx: GibbsContext, *,
                  validated: bool = False) -> LorenzCurve:
     """Sort levels by w_i/g_i non-increasing and connect the cumulative points.
@@ -77,24 +72,24 @@ def build_lorenz(w: StateVector, ctx: GibbsContext, *,
     ratios, order = lorenz_order(w, g)
 
     policy = ctx.policy
-    zero = policy.zero()
+    zero, eps = policy.zero(), policy.eps_merge
+    noisy = not policy.exact  # a float cumsum may pass 1, or stall on a tiny g
     pts = [(zero, zero)]
-    s = zero
-    t = zero
+    s = t = zero
     prev_slope = None
     for i in order:
         s = s + g[i]
         t = t + w.w[i]
+        if noisy and s > 1.0:
+            s = 1.0
         slope = ratios[i]
-        if prev_slope is not None and _same_slope(prev_slope, slope, policy):
-            pts[-1] = (s, t)  # extend the current collinear segment
+        if prev_slope is not None and (policy.close(prev_slope, slope, eps)
+                                       or noisy and s <= pts[-1][0]):
+            pts[-1] = (s, t)  # extend the collinear segment, or join the vertex
         else:
             pts.append((s, t))
             prev_slope = slope
-    # pin the endpoint abscissa to exactly 1 (float cumsum noise)
-    last_s, last_t = pts[-1]
-    if not policy.exact and last_s != 1.0:
-        pts[-1] = (1.0, last_t)
+    pts[-1] = (policy.one(), t)  # pin the endpoint
     return LorenzCurve(tuple(pts))
 
 
@@ -104,47 +99,53 @@ def lorenz_order(w: StateVector, g) -> tuple:
     return ratios, sorted(range(w.dim), key=ratios.__getitem__, reverse=True)
 
 
-def _same_slope(a, b, policy: NumericPolicy) -> bool:
-    if policy.exact:
-        return a == b
-    return abs(a - b) <= policy.eps_merge
-
-
 def thermo_majorizes(u: StateVector, v: StateVector, ctx: GibbsContext) -> bool:
-    """True when L[u] lies nowhere below L[v] (checked at the bends of L[v])."""
+    """True when L[u] lies nowhere below L[v]."""
+    cu, cv = _majorization_curves(u, v, ctx)
+    return _lies_below(cv, cu.value, ctx.policy)
+
+
+def _majorization_curves(u: StateVector, v: StateVector, ctx: GibbsContext):
+    """L[u] and L[v], for states of one dimension and equal mass."""
     if u.dim != v.dim:
         raise DimensionMismatch("states differ in dimension")
-    policy = ctx.policy
-    if not policy.close(u.mass, v.mass):
+    if not ctx.policy.close(u.mass, v.mass):
         raise MassMismatch(f"masses {u.mass} and {v.mass} differ")
-    cu = build_lorenz(u, ctx)
-    cv = build_lorenz(v, ctx)
-    for s in cv.bend_abscissae:
-        if not policy.leq(cv.value(s), cu.value(s)):
+    return build_lorenz(u, ctx), build_lorenz(v, ctx)
+
+
+def _lies_below(curve: LorenzCurve, upper, policy: NumericPolicy) -> bool:
+    """curve(s) <= upper(s) on [0, 1], for a concave `upper` that is 0 at
+    s = 0: checked at the curve's vertices past 0 (its bends and s = 1), as
+    the curve is linear between them."""
+    for s, t in curve.points[1:]:
+        if not policy.leq(t, upper(s)):
             return False
     return True
 
 
 def merged_bend_grid(curves, policy: NumericPolicy) -> list:
-    """Sorted union of the curves' interior bends, deduplicated, plus 0 and 1."""
-    interior = sorted(s for c in curves for s in c.bend_abscissae)
-    grid = [policy.zero()]
-    for s in interior:
-        if policy.exact:
-            if s != grid[-1]:
-                grid.append(s)
-        elif s - grid[-1] > policy.eps_merge:
-            grid.append(s)
-    one = policy.one()
-    if policy.exact:
-        if grid[-1] != one:
-            grid.append(one)
-    else:
-        if one - grid[-1] > policy.eps_merge:
-            grid.append(one)
-        else:
-            grid[-1] = 1.0
+    """Sorted union of the curves' interior bends, plus 0 and 1, merged by
+    `_merge_sorted` on the curves' values; a bend merged with 1 gives way."""
+    grid = _merge_sorted([policy.zero(), *sorted(
+        s for c in curves for s in c.bend_abscissae), policy.one()], policy, curves)
+    grid[-1] = policy.one()
     return grid
+
+
+def _merge_sorted(xs, policy: NumericPolicy, curves=()) -> list:
+    """Sorted abscissae without each one that equals the last one kept or,
+    in float mode, lies within eps_merge of it where every curve's value
+    does too.  The values guard a steep segment: a bend 1e-13 from the last
+    point may still rise by most of a curve's mass."""
+    exact, eps = policy.exact, policy.eps_merge
+    out = xs[:1]
+    for s in xs[1:]:
+        last = out[-1]
+        if s != last and (exact or s - last > eps or any(
+                abs(c.value(s) - c.value(last)) > eps for c in curves)):
+            out.append(s)
+    return out
 
 
 def embed_states(states, ctx: GibbsContext):
@@ -166,7 +167,7 @@ def embed_states(states, ctx: GibbsContext):
     ctx2 = GibbsContext.from_weights(weights, policy)
     out = []
     for c in curves:
-        vals = [_eval_clamped(c, s, policy) for s in grid]
+        vals = [c.value(s) for s in grid]
         out.append(StateVector(tuple(vals[i] - vals[i - 1]
                                      for i in range(1, len(grid)))))
     return ctx2, out

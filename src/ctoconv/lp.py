@@ -38,14 +38,16 @@ INFEASIBLE = "infeasible"
 
 # Tableau cells that one solve, or the rounds of one decision, may sweep;
 # each pivot reports the cells it read and rewrote (`_pivot`), so the budget
-# bounds real work at any LP size.  The largest decisions now spend little
-# of it: float d=24, l=m=12 spends 0.3e5-1e5 cells, d=64, l=m=24 0.5e6-3.5e6.
-# On a 2-core machine a swept float cell costs 80-190 ns, pricing included
-# (full-grid LPs of 2281 x 4693 and 4321 x 8773 cells), so a float solve
-# that spends it all stops within about three minutes.  A Fraction cell
-# costs ~2.7 us (61 x 150 tableau, more as denominators grow), so a
-# Fraction tableau is charged 64 units per cell.
-_WORK_BUDGET = 10**9
+# bounds real work at any LP size.  The largest spends measured are at most
+# a twentieth of it: 4.3e5 cells in the tests, 1.4e4 in the benchmark's
+# workloads, 0.4e6-3.2e6 on float d=64, l=m=24 decisions.  On a 2-core
+# machine a swept float cell costs 80-190 ns, pricing included (full-grid
+# LPs of 2281 x 4693 and 4321 x 8773 cells), so a float solve that spends
+# it all stops within about 20 s: three full-grid LPs at d=32, l=m=12
+# stopped after 16-20 s, their assembly included.  A Fraction cell costs
+# ~2.7 us (61 x 150 tableau, more as denominators grow), so a Fraction
+# tableau is charged 64 units per cell.
+_WORK_BUDGET = 10**8
 _FRACTION_CELL_COST = 64
 
 

@@ -47,16 +47,26 @@ def synthesize_to(u: StateVector, v: StateVector, ctx: GibbsContext) -> TOMatrix
 
 def synthesize_cto(source: CQState, target: CQState, ctx: GibbsContext,
                    decision: Decision | None = None) -> CTOPlan:
-    """A full plan realizing a convertible pair: control map plus branch maps."""
+    """A full plan realizing a convertible pair: control map plus branch maps.
+
+    A given decision's plan seed must be an ell x m row-stochastic matrix,
+    and the source is validated with it (check_cto validates it otherwise).
+    """
     policy = ctx.policy
     if source.dim != ctx.dim or target.dim != ctx.dim:
         raise DimensionMismatch("joint states do not match the context dimension")
-    if decision is None:
-        decision = check_cto(source, target, ctx)
+    given = decision is not None
+    if not given:
+        decision = check_cto(source, target, ctx)  # validates both states
     if not decision.convertible:
         raise NotConvertible("pair is not convertible under CTO")
     control = decision.plan_seed
     ell, m, p = source.n_branches, target.n_branches, source.branch_masses
+    if given:  # build_lorenz validates the target's columns
+        source.validate(policy)
+        if control is None or len(control) != ell or any(len(r) != m for r in control):
+            raise ValidationError(f"plan seed is not an {ell} x {m} matrix")
+        CTOPlan(control, {}).validate(ctx)  # nonnegative rows that sum to 1
     ident = TOMatrix.identity(ctx.dim, policy)
     branch_maps = {(x, y): ident for x in range(ell) for y in range(m)}
     for y in range(m):

@@ -28,7 +28,7 @@ from ctoconv import (
     verify_witness,
 )
 from ctoconv import convert, lorenz
-from ctoconv.lorenz import cq_branch_curves, _eval_clamped, merged_bend_grid
+from ctoconv.lorenz import cq_branch_curves, merged_bend_grid
 from ctoconv.testkit import conditional_lt_majorize, pq_increments
 from ctoconv.synth import apply_cto, synthesize_cto
 from ctoconv.errors import (
@@ -912,3 +912,67 @@ class TestValidatesEachColumnOnce:
             assert info.type is ValidationError
             assert ("exceeds 1" if kind == "over-mass" else "negative component") \
                 in str(info.value)
+
+
+_DYADIC = 2 ** 48
+
+
+def _dyadic(xs):
+    """Nonnegative Fractions rounded to multiples of 2^-48 summing to exactly
+    one, the largest absorbing the rounding.  Each is exactly a float, and
+    so is every partial sum, so float and rational arithmetic see the same
+    numbers and Fraction(float(x)) == x."""
+    n = [round(x * _DYADIC) for x in xs]
+    n[n.index(max(n))] += _DYADIC - sum(n)
+    return [F(k, _DYADIC) for k in n]
+
+
+def _dyadic_pair(state):
+    """A joint state rounded by `_dyadic` over all its entries, as floats and
+    as the Fractions of those floats."""
+    flat = _dyadic([F(x) for c in state.columns for x in c.w])
+    d = state.dim
+    cols = [flat[i:i + d] for i in range(0, len(flat), d)]
+    as_float = CQState(tuple(StateVector(tuple(float(x) for x in c)) for c in cols))
+    as_exact = CQState(tuple(StateVector(tuple(F(x) for x in c.w))
+                             for c in as_float.columns))
+    assert [x for c in as_exact.columns for x in c.w] == flat
+    return as_float, as_exact
+
+
+def test_float_agrees_with_rational_along_boundary_walks():
+    """Float instances, rounded to dyadic numbers so that Fraction(float)
+    gives the same instance in rational mode, walk a reachable target toward
+    a pure state in 256 steps.  The rational answers switch from yes to no
+    once (the reachable set is convex), and float check_cto agrees with
+    them at every step but the two that straddle that switch, where its
+    eps_lp may still answer yes."""
+    rng = random.Random(29)
+    walks, steps, crossed, straddling = 8, 256, 0, 0
+    for _ in range(walks):
+        d = rng.randint(3, 6)
+        g = _dyadic([F(x) for x in testkit.random_context(d, rng, FLOATS).gibbs])
+        ctx_f = GibbsContext.from_weights([float(x) for x in g], FLOATS)
+        ctx_q = GibbsContext.from_weights([F(float(x)) for x in g], RATIONAL)
+        src_f, src_q = _dyadic_pair(testkit.random_cq(ctx_f, rng.randint(1, 3), rng))
+        plan = testkit.random_cto(ctx_f, src_f.n_branches, rng.randint(1, 3), rng)
+        # a sixteenth of thermalization leaves every bend row slack at t = 0
+        start = CQState(tuple(
+            StateVector(tuple(F(w) * F(15, 16) + sum(map(F, c.w)) * gi / 16
+                              for w, gi in zip(c.w, g)))
+            for c in apply_cto(plan, src_f, ctx_f).columns))
+        exact, approx = [], []
+        for k in range(steps + 1):
+            tgt_f, tgt_q = _dyadic_pair(_toward_pure(start, ctx_q, k, steps))
+            exact.append(check_cto(src_q, tgt_q, ctx_q).convertible)
+            approx.append(check_cto(src_f, tgt_f, ctx_f).convertible)
+        first_no = exact.count(True)
+        assert exact[0] and exact == sorted(exact, reverse=True)
+        crossed += first_no <= steps
+        differ = [k for k in range(steps + 1) if approx[k] != exact[k]]
+        assert set(differ) <= {first_no - 1, first_no}
+        straddling += len(differ)
+    print(f"{crossed} of {walks} walks cross the rational boundary; float and "
+          f"rational differ at {straddling} of the {2 * crossed} steps that "
+          f"straddle it")
+    assert crossed >= walks - 2

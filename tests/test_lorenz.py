@@ -7,18 +7,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctoconv import (
+    CQState,
     GibbsContext,
+    NumericPolicy,
     StateVector,
     build_lorenz,
+    check_cto,
+    check_ensemble_to_state,
+    check_state_to_ensemble,
     embed_states,
+    p_min,
+    phi_monotones,
     testkit,
     thermo_majorizes,
+    verify_witness,
 )
 from ctoconv.lorenz import merged_bend_grid
 from ctoconv.errors import (
+    DegenerateSource,
     DimensionMismatch,
     EmptyInput,
     MassMismatch,
+    NotThermoMajorizing,
     OutOfRange,
 )
 
@@ -53,6 +63,50 @@ class TestBuildLorenz:
         assert curve.points == (
             (F(0), F(0)), (F(1, 3), F(3, 5)), (F(1), F(1))
         )
+
+
+class TestCurveInvariant:
+    """Abscissae strictly increase from 0 and end at exactly 1, also when a
+    Gibbs weight far below the float rounding of 1 comes last."""
+
+    def test_tiny_weight_last_in_the_order(self):
+        # 0.9526 + 0.0474 rounds to 1.0000000000000002 in float, before the
+        # level of weight 2.7e-20 closes the curve
+        ctx = GibbsContext.from_energies((0.0, 3.0, 45.0))
+        u = StateVector((0.0, 1.0, 0.0))
+        v = StateVector((0.5, 0.5, 0.0))
+        cv = build_lorenz(v, ctx)
+        assert cv.points == ((0.0, 0.0), (ctx.gibbs[1], 0.5), (1.0, 1.0))
+        assert thermo_majorizes(u, v, ctx)
+        assert check_cto(CQState((u,)), CQState((v,)), ctx).convertible
+        assert p_min(u, v, ctx) == pytest.approx(
+            (0.5 - ctx.gibbs[1]) / (1.0 - ctx.gibbs[1]), abs=1e-15)
+        mono = phi_monotones(CQState((u.scaled(0.5), v.scaled(0.5))), ctx)
+        assert all(0 < s < 1 for s in mono.abscissae)
+        assert mono.values[1] == pytest.approx(0.75)
+
+    def test_tiny_weight_between_two_levels(self):
+        # the level of weight 1.4e-20 comes second in the order, and adding
+        # it leaves the float abscissa 0.5 unchanged
+        ctx = GibbsContext.from_energies((0.0, 0.0, 45.0))
+        u = StateVector((0.6, 0.4, ctx.gibbs[2]))
+        assert build_lorenz(u, ctx).points == ((0.0, 0.0), (0.5, 0.6), (1.0, 1.0))
+
+    def test_steep_tiny_weight_segment_keeps_its_row(self):
+        # L[e_4] rises to 1 over a Gibbs weight of 4.7e-13 < eps_merge: its
+        # bend is not merged into s = 0, so no row is lost
+        ctx = GibbsContext.from_energies((0.0, 0.0, 0.0, 0.0, 27.0))
+        top = StateVector((0.0, 0.0, 0.0, 0.0, 1.0))
+        grid = merged_bend_grid([build_lorenz(top, ctx)], ctx.policy)
+        assert grid == [0.0, ctx.gibbs[4], 1.0]
+        _, (embedded,) = embed_states([top], ctx)
+        assert embedded.w == (1.0, 0.0)
+        source = CQState((StateVector((1.0, 0.0, 0.0, 0.0, 0.0)),))
+        target = CQState((source.columns[0].scaled(0.5), top.scaled(0.5)))
+        assert not check_state_to_ensemble(source.columns[0], target, ctx)
+        decision = check_cto(source, target, ctx)
+        assert not decision.convertible
+        assert verify_witness(decision.witness, source, target, ctx) < 0
 
 
 class TestEvalLorenz:
@@ -281,3 +335,46 @@ def test_embedding_roundtrip_property(n, d, seed):
         c1, c2 = build_lorenz(w, ctx), build_lorenz(w2, ctx2)
         for k in range(9):
             assert c1.value(F(k, 8)) == c2.value(F(k, 8))
+
+
+_energies = st.lists(st.floats(0.0, 50.0), min_size=2, max_size=5)
+_weights = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=5,
+                    max_size=5)
+
+
+def _normalized(ws, d):
+    w = ws[:d]
+    total = sum(w)
+    return StateVector(tuple(x / total for x in w) if total else
+                       (1.0,) + (0.0,) * (d - 1))
+
+
+@given(_energies, _weights, _weights, st.floats(0.05, 0.95))
+@settings(max_examples=150, deadline=None)
+def test_curve_invariant_up_to_50_kT(energies, wu, wv, q):
+    """Over energies up to 50 kT the curves keep the invariant, no query
+    raises OutOfRange, and the single-register checks answer as check_cto
+    does on their l = 1 and m = 1 pairs.  They compare with eps_cmp and
+    check_cto with eps_lp, so in that band only a check with eps_cmp
+    loosened past eps_lp must say yes too."""
+    ctx = GibbsContext.from_energies(energies)
+    loose = GibbsContext.from_energies(energies, policy=NumericPolicy(
+        eps_cmp=1e-6, eps_lp=1e-6))
+    d = ctx.dim
+    u, v = _normalized(wu, d), _normalized(wv, d)
+    for w in (u, v):
+        xs = [s for s, _ in build_lorenz(w, ctx).points]
+        assert xs[0] == 0 and xs[-1] == 1.0
+        assert all(a < b for a, b in zip(xs, xs[1:]))
+    assert thermo_majorizes(u, v, ctx) in (True, False)
+    try:
+        assert 0 <= p_min(u, v, ctx) <= 1
+    except (NotThermoMajorizing, DegenerateSource):
+        pass
+    mixed = CQState((u.scaled(q), v.scaled(1 - q)))
+    assert len(phi_monotones(mixed, ctx).values) > 0
+    for single, source, target in (
+            (lambda c: check_state_to_ensemble(u, mixed, c), CQState((u,)), mixed),
+            (lambda c: check_ensemble_to_state(mixed, v, c), mixed, CQState((v,)))):
+        joint = check_cto(source, target, ctx).convertible
+        assert single(ctx) <= joint <= single(loose)

@@ -27,6 +27,7 @@ from ctoconv.errors import (
     NotConvertible,
     NotStochasticSum,
     NotThermoMajorizing,
+    ValidationError,
 )
 
 from ctoconv.lorenz import build_lorenz, lorenz_order, merged_bend_grid
@@ -237,11 +238,29 @@ class TestSynthesisWithoutLP:
             StateVector((F(1, 2), F(0))),
             StateVector((F(1, 4), F(1, 4))),
         ))
-        # row 1 sums to 2: branch 1 gets twice its mass, and the mixed curve
-        # still lies above its target curve
-        double = Decision(convertible=True, plan_seed=((F(1), F(0)), (F(0), F(2))))
+        # row-stochastic, but branch 0 gets mass 3/4 where the target has 1/2
+        skewed = Decision(convertible=True,
+                          plan_seed=((F(1), F(0)), (F(1, 2), F(1, 2))))
         with pytest.raises(NotConvertible):
+            synthesize_cto(state, state, uniform2, skewed)
+        # row 1 sums to 2: branch 1 gets twice its mass, and the mixed curve
+        # still lies above its target curve; the seed is no control map
+        double = Decision(convertible=True, plan_seed=((F(1), F(0)), (F(0), F(2))))
+        with pytest.raises(ValidationError):
             synthesize_cto(state, state, uniform2, double)
+
+    def test_given_decision_validates_source_and_seed(self):
+        ctx = GibbsContext.from_weights((0.5, 0.5), FLOATS)
+        target = CQState((StateVector((0.5, 0.5)),))
+        bad = CQState((StateVector((1.2, -0.2)),))
+        with pytest.raises(ValidationError):
+            synthesize_cto(bad, target, ctx, Decision(True, plan_seed=((1.0,),)))
+        good = CQState((StateVector((1.0, 0.0)),))
+        for seed in (None, ((1.0, 0.0),), ((1.0,), (1.0,)), ((-0.5,),), ((0.5,),)):
+            with pytest.raises(ValidationError):
+                synthesize_cto(good, target, ctx, Decision(True, plan_seed=seed))
+        plan = synthesize_cto(good, target, ctx, Decision(True, plan_seed=((1.0,),)))
+        assert plan.control == ((1.0,),)
 
 
 class TestApplyCto:
