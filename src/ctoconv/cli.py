@@ -63,7 +63,7 @@ def _detect_mode(doc: dict) -> str:
     else:
         return FLOAT  # energies/beta form implies float arithmetic
     for key in ("source", "target"):
-        if key in doc and doc[key] is not None:
+        if isinstance(doc.get(key), dict):
             pools.append(doc[key].get("columns", []))
     for pool in pools:
         for leaf in _leaves(pool):
@@ -72,8 +72,32 @@ def _detect_mode(doc: dict) -> str:
     return RATIONAL
 
 
+def _float(value, field: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"'{field}' must be a number, got {value!r}") from None
+
+
+def _list(node, field: str) -> list:
+    if not isinstance(node, list):
+        raise ParseError(f"'{field}' must be a list")
+    return node
+
+
+def _matrix(node, policy: NumericPolicy, field: str) -> tuple:
+    """A list of lists of numbers, in the policy's number type."""
+    return tuple(
+        tuple(policy.number(x) for x in _list(row, f"{field}[{i}]"))
+        for i, row in enumerate(_list(node, field))
+    )
+
+
 def _build_policy(doc: dict, args) -> NumericPolicy:
-    spec = dict(doc.get("policy") or {})
+    spec = doc.get("policy")
+    if not isinstance(spec, (dict, type(None))):
+        raise ParseError("field 'policy' must be an object")
+    spec = dict(spec or {})
     mode = spec.pop("mode", None)
     if getattr(args, "policy", None):
         mode = args.policy
@@ -82,7 +106,7 @@ def _build_policy(doc: dict, args) -> NumericPolicy:
     kwargs = {}
     for key in ("eps_cmp", "eps_lp", "eps_merge"):
         if key in spec:
-            kwargs[key] = float(spec.pop(key))
+            kwargs[key] = _float(spec.pop(key), f"policy.{key}")
     if spec:
         raise ParseError(f"unknown policy fields: {sorted(spec)}")
     if getattr(args, "eps", None) is not None:
@@ -93,13 +117,11 @@ def _build_policy(doc: dict, args) -> NumericPolicy:
 def _parse_columns(node, policy: NumericPolicy, field: str) -> CQState:
     if not isinstance(node, dict) or "columns" not in node:
         raise ParseError(f"field '{field}' must be an object with 'columns'")
-    cols = node["columns"]
-    if not isinstance(cols, list) or not cols:
+    if not node["columns"]:
         raise ParseError(f"'{field}.columns' must be a non-empty list")
     try:
-        state = CQState(tuple(
-            StateVector(tuple(policy.number(x) for x in col)) for col in cols
-        ))
+        cols = _matrix(node["columns"], policy, f"{field}.columns")
+        state = CQState(tuple(StateVector(col) for col in cols))
         return canonicalize_cq(state, policy)
     except ValidationError as exc:
         raise ValidationError(f"{field}: {exc}") from exc
@@ -114,16 +136,20 @@ def parse_instance(text: str, args=None) -> Instance:
         raise ParseError("instance must be a JSON object")
     if "gibbs" not in doc:
         raise ParseError("missing field 'gibbs'")
-    policy = _build_policy(doc, args or argparse.Namespace())
     gibbs = doc["gibbs"]
+    if not isinstance(gibbs, dict):
+        raise ParseError("field 'gibbs' must be an object")
+    policy = _build_policy(doc, args or argparse.Namespace())
     if "weights" in gibbs:
         ctx = GibbsContext.from_weights(
-            [policy.number(x) for x in gibbs["weights"]], policy
+            [policy.number(x) for x in _list(gibbs["weights"], "gibbs.weights")],
+            policy,
         )
     elif "energies" in gibbs:
         ctx = GibbsContext.from_energies(
-            [float(e) for e in gibbs["energies"]],
-            beta=float(gibbs.get("beta", 1.0)),
+            [_float(e, "gibbs.energies")
+             for e in _list(gibbs["energies"], "gibbs.energies")],
+            beta=_float(gibbs.get("beta", 1.0), "gibbs.beta"),
             policy=policy,
         )
     else:
@@ -258,20 +284,18 @@ def _parse_plan(text: str, policy: NumericPolicy) -> CTOPlan:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed plan JSON: {exc}") from exc
-    if "R" not in doc or "T" not in doc:
+    if not isinstance(doc, dict) or "R" not in doc or "T" not in doc:
         raise ParseError("plan needs fields 'R' and 'T'")
-    control = tuple(
-        tuple(policy.number(x) for x in row) for row in doc["R"]
-    )
+    if not isinstance(doc["T"], dict):
+        raise ParseError("plan field 'T' must be an object")
+    control = _matrix(doc["R"], policy, "R")
     branch_maps = {}
     for key, rows in doc["T"].items():
         try:
             x, y = (int(tok) for tok in key.split(","))
         except ValueError as exc:
             raise ParseError(f"bad branch-map key {key!r}") from exc
-        branch_maps[(x, y)] = TOMatrix(tuple(
-            tuple(policy.number(v) for v in row) for row in rows
-        ))
+        branch_maps[(x, y)] = TOMatrix(_matrix(rows, policy, f"T.{key}"))
     return CTOPlan(control=control, branch_maps=branch_maps)
 
 
@@ -336,13 +360,13 @@ def _cmd_monotone(args) -> int:
     source = _require(inst, "source")
     abscissae = None
     if args.grid:
+        kind, _, n = args.grid.partition(":")
         if args.grid == "sigma":
             abscissae = convert.sigma_grid(inst.ctx)
-        elif args.grid.startswith("uniform:"):
-            n = int(args.grid.split(":", 1)[1])
-            abscissae = convert.uniform_grid(n, inst.policy)
+        elif kind == "uniform" and n.isdecimal() and int(n) > 0:
+            abscissae = convert.uniform_grid(int(n), inst.policy)
         else:
-            raise ParseError("--grid must be 'sigma' or 'uniform:N'")
+            raise ParseError("--grid must be 'sigma' or 'uniform:N' with N >= 1")
     report = convert.phi_monotones(source, inst.ctx, abscissae)
     payload = {
         "abscissae": list(report.abscissae),

@@ -29,7 +29,10 @@ RATIONAL = "rational"
 def parse_number(tok, mode: str) -> Number:
     """Convert a JSON scalar (number or 'a/b' string) to the mode's type."""
     if isinstance(tok, str):
-        val = Fraction(tok)
+        try:
+            val = Fraction(tok)
+        except (ValueError, ZeroDivisionError):
+            raise ValidationError(f"not a number: {tok!r}") from None
     elif isinstance(tok, bool):
         raise ValidationError(f"not a number: {tok!r}")
     elif isinstance(tok, int):

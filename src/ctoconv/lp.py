@@ -14,13 +14,15 @@ basis; y_in is read from the slack block's reduced costs, and y_eq from the
 equality rows' artificials, which are kept.
 
 Both modes build the same list-of-lists tableau of floats and run the same
-kernel under a work budget.  Rational mode runs it on the float image of
-its Fraction system and solves the final basis once in Fractions (after
-Applegate, Cook, Dash and Espinoza, "Exact solutions to linear programming
-problems", 2007); a Fraction tableau runs the kernel only when that basis
-gives no exact answer.  Every answer is re-verified against the raw system
-before being returned, in rational mode with tolerance 0; a NaN or infinite
-float entry never verifies.
+kernel under a work budget.  Float mode reads its point or multipliers from
+the final tableau and returns them if they verify within eps_lp.  Every
+other answer, and every rational one, comes from one exact step
+(`_refine_exact`, after Applegate, Cook, Dash and Espinoza, "Exact solutions
+to linear programming problems", 2007): the final basis is solved once in
+Fractions, and the kernel runs on a Fraction tableau only when that basis
+gives no answer.  Every answer is re-verified against the raw system before
+being returned, in rational mode with tolerance 0; a NaN or infinite float
+entry never verifies.
 """
 
 from __future__ import annotations
@@ -136,44 +138,42 @@ def _combination(rows, ys, n: int) -> list:
 def solve_feasibility(sys: LinearSystem, policy: NumericPolicy) -> FeasibilityResult:
     """Decide feasibility; exact in rational mode, tolerance eps_lp in float.
 
-    A rational system is solved on its float image first and answered
-    exactly at the final basis; the Fraction kernel runs only when an entry
-    has no float image or that basis gives no verified answer.  The result's
-    `work` is what all its kernel runs together spent of _WORK_BUDGET.
+    The kernel runs on the system's float image.  Float mode reads the point
+    or the multipliers from the final tableau and returns them if they
+    verify; every other answer comes from the exact step, `_refine_exact`,
+    at the final basis.  The result's `work` is what all its kernel runs
+    together spent of _WORK_BUDGET.
     """
     work = []  # budget units of each kernel run
+    # a rational system's float image is judged at the default float eps_lp
+    tol = NumericPolicy.eps_lp if policy.exact else policy.eps_lp
     res = None
-    if policy.exact:
-        try:
-            res = _solve(sys, policy, False, work)
-        except OverflowError:  # an entry beyond the float range
-            pass
-    res = res or _solve(sys, policy, policy.exact, work)
+    try:
+        tab, basis, signs, optimal = _solve(sys, False, work, min(1e-9, tol))
+    except OverflowError:  # an entry beyond the float range
+        basis, feasible = [], False
+    else:
+        value = -tab[-1][-1]
+        feasible = value <= tol
+        # a phase-1 value below zero is a sure sign of tableau corruption
+        if not policy.exact and optimal and value >= -tol:
+            res = _tableau_answer(sys, tab, basis, signs, feasible, tol)
+    res = res or _refine_exact(sys, policy, basis, feasible, work)
     return replace(res, work=sum(work))
 
 
-def _solve(sys: LinearSystem, policy: NumericPolicy, exact: bool, work: list):
-    """One kernel run, on a Fraction tableau if `exact`, else on floats.
+def _solve(sys: LinearSystem, exact: bool, work: list, eps: float = 1e-9):
+    """Build the phase-1 tableau of `sys` and run the kernel on it.
 
-    The float run of a rational system (its float image) returns the exact
-    answer at its final basis, or None when there is none.  The run may
-    spend what the runs listed in `work` left of the budget, and appends its
-    own spending.
+    The tableau holds Fractions if `exact` (kernel tolerance 0), else floats
+    (kernel tolerance `eps`).  The run may spend what the runs listed in
+    `work` left of the budget, and appends its own spending.  Returns the
+    final tableau, its basis, the row signs and whether the run was optimal.
     """
-    n = sys.n_vars
-    n_eq = len(sys.eq)
-    n_slack = len(sys.ineq)
+    n, n_eq, n_slack = sys.n_vars, len(sys.eq), len(sys.ineq)
     m = n_eq + n_slack
     ncols = n + n_slack + m + 1  # structural | slack | artificial | rhs
-
-    # eps_lp judges feasibility, but a rational system judges exactly on a
-    # Fraction tableau and at the default float eps_lp on its float image
-    tol = 0 if exact and policy.exact else (
-        NumericPolicy.eps_lp if policy.exact else policy.eps_lp)
-    if exact:
-        zero, one, eps = Fraction(0), Fraction(1), Fraction(0)
-    else:
-        zero, one, eps = 0.0, 1.0, min(1e-9, tol)
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
     tab = [[zero] * ncols for _ in range(m + 1)]
     basis = [0] * m
 
@@ -181,9 +181,8 @@ def _solve(sys: LinearSystem, policy: NumericPolicy, exact: bool, work: list):
     # are minus the non-artificial column sums, accumulated as rows fill in
     cost = tab[m]
     signs = []
-    rows = [(row, b, True) for row, b in sys.eq] + [
-        (row, b, False) for row, b in sys.ineq
-    ]
+    rows = [(row, b, True) for row, b in sys.eq]
+    rows += [(row, b, False) for row, b in sys.ineq]
     slack_no = 0
     for r, (row, b, is_eq) in enumerate(rows):
         sign = one if b >= 0 else -one
@@ -206,47 +205,38 @@ def _solve(sys: LinearSystem, policy: NumericPolicy, exact: bool, work: list):
 
     cell_cost = _FRACTION_CELL_COST if exact else 1
     max_cells = (_WORK_BUDGET - sum(work)) // cell_cost
-    status, swept = run_simplex(tab, basis, eps, max_cells, n + n_slack + n_eq)
+    status, swept = run_simplex(tab, basis, zero if exact else eps, max_cells,
+                                n + n_slack + n_eq)
     work.append(swept * cell_cost)
     if status == ITERATION_LIMIT:
         raise SolveBudgetExceeded(
             f"simplex work budget of {_WORK_BUDGET} spent: {sum(work)} on an LP "
-            f"of {m} rows and {ncols} tableau columns"
-        )
-    value = -tab[m][ncols - 1]
-    feasible = value <= tol
-    if exact or policy.exact:
-        # exact answers come from the final basis; a Fraction tableau's final
-        # basis is exactly optimal, so only a fault leaves it without one
-        res = status == OPTIMAL and _basis_answer(sys, basis, feasible,
-                                                  tol if exact else 0)
-        if exact and not res:
-            raise NumericBreakdown(f"no verified answer (simplex status {status})")
-        return res or None
-    # a phase-1 value below zero is a sure sign of tableau corruption
-    if status != OPTIMAL or value < -tol:
-        return _refine_exact(sys, policy, basis, feasible, work)
+            f"of {m} rows and {ncols} tableau columns")
+    return tab, basis, signs, status == OPTIMAL
 
+
+def _tableau_answer(sys: LinearSystem, tab, basis, signs, feasible: bool, tol):
+    """The float point or Farkas certificate read from a final phase-1
+    tableau, or None when it fails verification within tol."""
+    n, n_eq, n_slack = sys.n_vars, len(sys.eq), len(sys.ineq)
     if feasible:
-        point = [zero] * n
-        for r in range(m):
-            bv = basis[r]
+        point = [0.0] * n
+        for r, bv in enumerate(basis):
             if bv < n:
-                point[bv] = tab[r][ncols - 1]
+                point[bv] = tab[r][-1]
         point = [0.0 if -tol < x < 0 else x for x in point]
-        if verify_point(sys, point, tol):
-            return FeasibilityResult(FEASIBLE, point=tuple(point))
-        return _refine_exact(sys, policy, basis, feasible, work)
+        res = FeasibilityResult(FEASIBLE, point=tuple(point))
+        return res if verify_point(sys, point, tol) else None
 
     # simplex multipliers pi of the sign-flipped rows: an eq artificial has
     # cost 1 and column e_r, so pi_r = 1 - redcost; slack k of inequality
     # row r has cost 0 and column -sign_r e_r, so its redcost is sign_r pi_r
-    y_eq = [signs[r] * (one - tab[m][n + n_slack + r]) for r in range(n_eq)]
-    y_in = [0.0 if -tol < v < 0 else v for v in tab[m][n:n + n_slack]]
+    cost = tab[-1]
+    y_eq = [signs[r] * (1.0 - cost[n + n_slack + r]) for r in range(n_eq)]
+    y_in = [0.0 if -tol < v < 0 else v for v in cost[n:n + n_slack]]
     cert = (tuple(y_eq), tuple(y_in))
-    if verify_certificate(sys, cert, tol):
-        return FeasibilityResult(INFEASIBLE, certificate=cert)
-    return _refine_exact(sys, policy, basis, feasible, work)
+    res = FeasibilityResult(INFEASIBLE, certificate=cert)
+    return res if verify_certificate(sys, cert, tol) else None
 
 
 def _basis_answer(sys: LinearSystem, basis, feasible: bool, tol):
@@ -317,22 +307,31 @@ def _gauss(a, b):
 
 def _refine_exact(sys: LinearSystem, policy: NumericPolicy, basis, feasible,
                   work: list):
-    """Answer a float system exactly when its float answer fails verification.
+    """The exact step: the answer of `sys` at a final basis of the kernel.
 
-    Floats convert to Fractions without loss, so this solves the identical
-    system: first at the float run's final basis (`_basis_answer`), and only
-    if that gives no answer by a from-scratch Fraction kernel run.  Both
-    judge feasibility and verify with eps_lp, as the float path does, and
-    the answer is rounded back to floats.
+    The basis is solved once in Fractions (`_basis_answer`); only if that
+    gives no answer does the kernel run from scratch on a Fraction tableau,
+    whose final basis is solved the same way.  Rational mode judges
+    feasibility and verifies with tolerance 0.  Floats convert to Fractions
+    without loss, so a float system is solved as it stands, judged with
+    eps_lp as the float path does, and the answer is rounded back to floats.
     """
-    def exact(rows):
-        return tuple((tuple(map(Fraction, row)), Fraction(b)) for row, b in rows)
-
-    exact_sys = LinearSystem(sys.n_vars, eq=exact(sys.eq), ineq=exact(sys.ineq))
-    res = (_basis_answer(exact_sys, basis, feasible, policy.eps_lp)
-           or _solve(exact_sys, policy, True, work))
+    tol = 0 if policy.exact else policy.eps_lp
+    if not policy.exact:
+        sys = LinearSystem(sys.n_vars, *(
+            tuple((tuple(map(Fraction, row)), Fraction(b)) for row, b in rows)
+            for rows in (sys.eq, sys.ineq)))
+    res = _basis_answer(sys, basis, feasible, tol)
+    if not res:
+        tab, basis, _, optimal = _solve(sys, True, work)
+        # a Fraction tableau's final basis is exactly optimal, so only a
+        # fault leaves it without an answer
+        res = optimal and _basis_answer(sys, basis, -tab[-1][-1] <= tol, tol)
+        if not res:
+            raise NumericBreakdown("no verified answer from a Fraction simplex run")
+    if policy.exact:
+        return res
     if res.status == FEASIBLE:
-        return FeasibilityResult(FEASIBLE, point=tuple(map(float, res.point)))
-    y_eq, y_in = res.certificate
-    return FeasibilityResult(INFEASIBLE, certificate=(
-        tuple(map(float, y_eq)), tuple(map(float, y_in))))
+        return replace(res, point=tuple(map(float, res.point)))
+    return replace(res, certificate=tuple(tuple(map(float, y))
+                                          for y in res.certificate))

@@ -24,8 +24,8 @@ from bisect import bisect_left, bisect_right
 
 from .core import (CQState, CTOPlan, GibbsContext, NumericPolicy, StateVector,
                    TOMatrix, canonicalize_cq)
-from .errors import (DimensionMismatch, NotConvertible, NotStochasticSum,
-                     NotThermoMajorizing, ValidationError)
+from .errors import (DimensionMismatch, MassMismatch, NotConvertible,
+                     NotStochasticSum, NotThermoMajorizing, ValidationError)
 from .convert import Decision, check_cto
 from .lorenz import build_lorenz, lorenz_order, merged_bend_grid
 
@@ -35,6 +35,8 @@ def synthesize_to(u: StateVector, v: StateVector, ctx: GibbsContext) -> TOMatrix
     policy = ctx.policy
     if u.dim != ctx.dim or v.dim != ctx.dim:
         raise DimensionMismatch("states do not match the context dimension")
+    if not policy.close(u.mass, v.mass):
+        raise MassMismatch(f"masses {u.mass} and {v.mass} differ")
     if u.mass == 0 and v.mass == 0:
         return TOMatrix.identity(ctx.dim, policy)
     try:
@@ -203,7 +205,12 @@ def apply_cto(plan: CTOPlan, state: CQState, ctx: GibbsContext) -> CQState:
             r = plan.control[x][y]
             if r == 0:
                 continue
-            mapped = plan.branch_maps[(x, y)].apply(state.columns[x])
+            t = plan.branch_maps.get((x, y))
+            if t is None:
+                raise ValidationError(
+                    f"plan has no branch map for (x, y) = {(x, y)}, which its "
+                    f"control uses")
+            mapped = t.apply(state.columns[x])
             acc = [a + r * b for a, b in zip(acc, mapped.w)]
         cols.append(StateVector(tuple(acc)))
     return canonicalize_cq(CQState(tuple(cols)), policy)

@@ -110,6 +110,38 @@ class TestCheckCommand:
         assert code == 2
 
 
+_PLAN = {"R": [["1"]], "T": {"0,0": [["1", "0"], ["0", "1"]]}}
+
+
+@pytest.mark.parametrize("argv, doc, plan", [
+    (["monotone", "--grid", "uniform:x"], MINIMAL, None),
+    (["monotone", "--grid", "uniform:0"], MINIMAL, None),
+    (["check"], dict(MINIMAL, policy="rational"), None),
+    (["check"], dict(MINIMAL, policy=[["mode", "float"]]), None),
+    (["check"], dict(MINIMAL, policy={"eps_lp": "tiny"}), None),
+    (["check"], dict(MINIMAL, gibbs={"energies": [0.0, 1.0], "beta": "hot"}), None),
+    (["check"], dict(MINIMAL, gibbs={"weights": ["1/2", "1/0"]}), None),
+    (["check"], dict(MINIMAL, source={"columns": ["1", "0"]}), None),
+    (["check"], dict(MINIMAL, source={"columns": [5]}), None),
+    (["apply"], MINIMAL, dict(_PLAN, T={"0,0": 5})),
+    (["apply"], MINIMAL, dict(_PLAN, T={"0,0": ["1", "0"]})),
+    (["apply"], MINIMAL, dict(_PLAN, R=["1"])),
+    (["apply"], MINIMAL, dict(_PLAN, T={})),
+], ids=["grid-not-int", "grid-zero", "policy-string", "policy-list", "eps-text",
+        "beta-text", "weight-div-zero", "columns-flat", "column-int", "map-int",
+        "map-flat", "control-flat", "map-missing"])
+def test_malformed_field_exits_two(tmp_path, capsys, argv, doc, plan):
+    """A malformed field is an input error: exit 2 with one 'error:' line on
+    stderr and nothing on stdout, never a traceback or the 'no' code 1."""
+    files = [_write(tmp_path, doc)]
+    if plan is not None:  # apply PLAN FILE
+        files.insert(0, _write(tmp_path, plan, "plan.json"))
+    code = cli.main(argv[:1] + files + argv[1:])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def eval_frac(x):
     """Decode a JSON number or 'a/b' string to float."""
     if isinstance(x, str):

@@ -282,7 +282,6 @@ def test_work_budget_bounds_pivots(monkeypatch, policy, num):
     def no_refine(*args):
         raise AssertionError("exact re-solve after a spent budget")
 
-    monkeypatch.setattr(lp, "_refine_exact", no_refine)
     system = LinearSystem(
         3,
         eq=(((num(1), num(1), num(1)), num(1)),),
@@ -297,6 +296,7 @@ def test_work_budget_bounds_pivots(monkeypatch, policy, num):
     monkeypatch.setattr(lp, "_WORK_BUDGET", needed)
     assert solve_feasibility(system, policy).status == FEASIBLE
     monkeypatch.setattr(lp, "_WORK_BUDGET", needed - 1)
+    monkeypatch.setattr(lp, "_refine_exact", no_refine)
     with pytest.raises(SolveBudgetExceeded) as info:
         solve_feasibility(system, policy)
     assert isinstance(info.value, NumericBreakdown)
@@ -329,8 +329,29 @@ def test_float_agrees_with_rational_on_tight_pairs(monkeypatch):
             target = apply_cto(testkit.random_cto(ctx, k, k, rng), source, ctx)
             assert check_cto(source, target, ctx).convertible
             fctx = GibbsContext.from_weights(tuple(float(g) for g in ctx.gibbs), FLOATS)
+            refines.clear()  # every rational solve takes the exact step
             assert check_cto(to_float(source), to_float(target), fctx).convertible
-    assert not refines
+            assert not refines
+
+
+def test_exact_step_runs_once_per_rational_solve(monkeypatch):
+    """Every rational answer comes from _refine_exact, called once per
+    solve; a float solve whose tableau answer verifies never calls it."""
+    calls = []
+    orig = lp._refine_exact
+    monkeypatch.setattr(lp, "_refine_exact",
+                        lambda *args: calls.append(args[1]) or orig(*args))
+    for seed in range(60):
+        system = _random_system(seed, exact=True)
+        calls.clear()
+        res = solve_feasibility(system, RATIONAL)
+        assert calls == [RATIONAL] and _exact_entries(res)
+    sys_f = LinearSystem(2, eq=(((1.0, 1.0), 1.0),), ineq=(((1.0, -1.0), 0.25),))
+    bad = LinearSystem(2, eq=(((1.0, 1.0), 1.0),), ineq=(((1.0, 1.0), 2.0),))
+    calls.clear()
+    assert solve_feasibility(sys_f, FLOATS).status == FEASIBLE
+    assert solve_feasibility(bad, FLOATS).status == INFEASIBLE
+    assert calls == []
 
 
 def _exact_entries(res):
@@ -406,7 +427,9 @@ def _assert_same_as_fraction_kernel(sys):
     """The float-image basis answer has the Fraction kernel's status, holds
     only Fractions, and verifies at tolerance 0."""
     res = solve_feasibility(sys, RATIONAL)
-    assert res.status == lp._solve(sys, RATIONAL, True, []).status
+    # an empty basis answers nothing, so the exact step runs the Fraction
+    # kernel from scratch
+    assert res.status == lp._refine_exact(sys, RATIONAL, [], False, []).status
     assert _exact_entries(res)
     if res.status == FEASIBLE:
         assert verify_point(sys, res.point, F(0))

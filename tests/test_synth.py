@@ -24,6 +24,7 @@ from ctoconv import lp, synth
 from ctoconv.core import vdot
 from ctoconv.errors import (
     DimensionMismatch,
+    MassMismatch,
     NotConvertible,
     NotStochasticSum,
     NotThermoMajorizing,
@@ -69,6 +70,13 @@ class TestSynthesizeTo:
         g = StateVector(uniform2.gibbs)
         with pytest.raises(NotThermoMajorizing):
             synthesize_to(g, StateVector((F(1), F(0))), uniform2)
+
+    def test_unequal_masses_refused(self, uniform2):
+        # once mapped u to (1/4, 1/4), not v; thermo_majorizes refuses too
+        u = StateVector((F(1, 2), F(0)))
+        v = StateVector((F(1, 2), F(1, 2)))
+        with pytest.raises(MassMismatch):
+            synthesize_to(u, v, uniform2)
 
     def test_scale_invariant_on_branches(self, skew2):
         u = StateVector((F(1, 2), F(0)))
@@ -299,6 +307,14 @@ class TestApplyCto:
         with pytest.raises(DimensionMismatch):
             apply_cto(plan, state, skew2)
 
+    def test_missing_branch_map_named(self, skew2):
+        """A plan without a map its control uses passes validation, as a
+        plan seed does, and apply_cto names the missing (x, y)."""
+        state = CQState((StateVector((F(1), F(0))),))
+        plan = CTOPlan(control=((F(1),),), branch_maps={}).validate(skew2)
+        with pytest.raises(ValidationError, match=r"\(0, 0\)"):
+            apply_cto(plan, state, skew2)
+
     def test_output_is_canonical(self, skew2):
         rng = random.Random(7)
         state = testkit.random_cq(skew2, 2, rng)
@@ -501,14 +517,14 @@ class TestSparseEmbedding:
         tiny = 4e-13
         ctx = GibbsContext.from_weights((0.4, 0.3, 0.2, 0.1 - tiny, tiny), FLOATS)
         u = StateVector((0.9, 0.05, 0.05, 0.0, 0.0))
-        v = StateVector((0.5, 0.15, 0.05, 0.1 - 2e-13, 1e-13))
+        # v has mass 0.8; scaled to u's mass it keeps its curve's abscissae
+        v = StateVector((0.5, 0.15, 0.05, 0.1 - 2e-13, 1e-13)).normalized()
         t = synthesize_to(u, v, ctx)
         t.validate(ctx)
         for c in range(ctx.dim):
             assert abs(sum(row[c] for row in t.t) - 1) <= 1e-15
         assert all(x >= 0 for row in t.t for x in row)
-        # v has mass 0.8, and T carries u to v scaled to u's mass
-        assert max(abs(a - b / v.mass) for a, b in zip(t.apply(u).w, v.w)) <= 1e-12
+        assert max(abs(a - b) for a, b in zip(t.apply(u).w, v.w)) <= 1e-12
 
         # a weight of 1e-17 last in the order: its interval [1, 1] is empty
         ctx = GibbsContext.from_weights((0.3, 0.7 - 1e-17, 1e-17), FLOATS)
