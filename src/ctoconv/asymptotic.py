@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .core import CQState, GibbsContext, StateVector
-from .errors import FreeTarget, NotNormalized
+from .errors import DimensionMismatch, FreeTarget, NotNormalized
 
 _RATE_TOL = 1e-12
 
@@ -19,6 +19,8 @@ _RATE_TOL = 1e-12
 def free_energy(u: StateVector, ctx: GibbsContext) -> float:
     """F(u) = sum_i u_i (E_i + ln(u_i)/beta), with 0 ln 0 = 0."""
     policy = ctx.policy
+    if u.dim != ctx.dim:
+        raise DimensionMismatch(f"state has dimension {u.dim}, context has {ctx.dim}")
     if not policy.close(u.mass, policy.one()):
         raise NotNormalized(f"free energy needs a normalized state, mass {u.mass}")
     energies = ctx.energy_levels()

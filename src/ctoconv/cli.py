@@ -1,5 +1,10 @@
 """Command-line front end: JSON instances in, machine-readable results out.
 
+`main` parses the arguments, loads the instance once and runs the
+subcommand's handler on it.  The arithmetic mode comes from the instance
+or `--policy`; the tolerances come only from the instance's `policy`
+field.  Every payload is JSON, Fractions encoded as 'a/b' strings.
+
 Exit codes: 0 success / convertible, 1 clean mathematical negative
 (not convertible, mismatch on --expect-target), 2 input error, 3 internal
 or numeric error.  stdout carries only the payload; diagnostics go to
@@ -13,7 +18,6 @@ import json
 import random
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import asymptotic, convert, lorenz, synth, testkit
 from .core import (
@@ -43,7 +47,6 @@ class Instance:
     ctx: GibbsContext
     source: CQState | None
     target: CQState | None
-    policy: NumericPolicy
 
 
 def _leaves(node):
@@ -109,8 +112,6 @@ def _build_policy(doc: dict, args) -> NumericPolicy:
             kwargs[key] = _float(spec.pop(key), f"policy.{key}")
     if spec:
         raise ParseError(f"unknown policy fields: {sorted(spec)}")
-    if getattr(args, "eps", None) is not None:
-        kwargs["eps_lp"] = float(args.eps)
     return NumericPolicy(mode=mode, **kwargs)
 
 
@@ -141,10 +142,8 @@ def parse_instance(text: str, args=None) -> Instance:
         raise ParseError("field 'gibbs' must be an object")
     policy = _build_policy(doc, args or argparse.Namespace())
     if "weights" in gibbs:
-        ctx = GibbsContext.from_weights(
-            [policy.number(x) for x in _list(gibbs["weights"], "gibbs.weights")],
-            policy,
-        )
+        ctx = GibbsContext.from_weights(_list(gibbs["weights"], "gibbs.weights"),
+                                        policy)
     elif "energies" in gibbs:
         ctx = GibbsContext.from_energies(
             [_float(e, "gibbs.energies")
@@ -161,7 +160,7 @@ def parse_instance(text: str, args=None) -> Instance:
     if doc.get("target") is not None:
         target = _parse_columns(doc["target"], policy, "target")
         _check_dim(target, ctx, "target")
-    return Instance(ctx=ctx, source=source, target=target, policy=policy)
+    return Instance(ctx=ctx, source=source, target=target)
 
 
 def _check_dim(state: CQState, ctx: GibbsContext, field: str):
@@ -195,22 +194,8 @@ def _single_state(inst: Instance, field: str) -> StateVector:
     return state.columns[0].normalized()
 
 
-def _encode(obj):
-    if isinstance(obj, Fraction):
-        return encode_number(obj)
-    if isinstance(obj, dict):
-        return {k: _encode(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode(v) for v in obj]
-    return obj
-
-
 def _emit(payload):
-    print(json.dumps(_encode(payload)))
-
-
-def _rows(matrix) -> list:
-    return [list(row) for row in matrix]
+    print(json.dumps(payload, default=encode_number))
 
 
 def _witness_payload(inst: Instance, decision: convert.Decision) -> dict:
@@ -219,27 +204,25 @@ def _witness_payload(inst: Instance, decision: convert.Decision) -> dict:
     )
     return {
         "convertible": False,
-        "witness": _rows(decision.witness.a),
+        "witness": decision.witness.a,
         "omega_value": value,
     }
 
 
-# -- command handlers ---------------------------------------------------------
+# -- command handlers: each takes the loaded instance and the arguments -------
 
 
-def _cmd_check(args) -> int:
-    inst = parse_instance(_read(args.file), args)
+def _cmd_check(inst: Instance, args) -> int:
     decision = convert.check_cto(_require(inst, "source"),
                                  _require(inst, "target"), inst.ctx)
     if decision.convertible:
-        _emit({"convertible": True, "R": _rows(decision.plan_seed)})
+        _emit({"convertible": True, "R": decision.plan_seed})
         return 0
     _emit(_witness_payload(inst, decision))
     return 1
 
 
-def _cmd_witness(args) -> int:
-    inst = parse_instance(_read(args.file), args)
+def _cmd_witness(inst: Instance, args) -> int:
     decision = convert.check_cto(_require(inst, "source"),
                                  _require(inst, "target"), inst.ctx)
     if decision.convertible:
@@ -249,16 +232,14 @@ def _cmd_witness(args) -> int:
     return 1
 
 
-def _cmd_pmin(args) -> int:
-    inst = parse_instance(_read(args.file), args)
+def _cmd_pmin(inst: Instance, args) -> int:
     u = _single_state(inst, "source")
     v = _single_state(inst, "target")
     _emit({"p_min": convert.p_min(u, v, inst.ctx)})
     return 0
 
 
-def _cmd_synth(args) -> int:
-    inst = parse_instance(_read(args.file), args)
+def _cmd_synth(inst: Instance, args) -> int:
     source = _require(inst, "source")
     target = _require(inst, "target")
     decision = convert.check_cto(source, target, inst.ctx)
@@ -267,15 +248,14 @@ def _cmd_synth(args) -> int:
         return 1
     plan = synth.synthesize_cto(source, target, inst.ctx, decision)
     payload = {
-        "R": _rows(plan.control),
-        "T": {f"{x},{y}": _rows(t.t) for (x, y), t in sorted(plan.branch_maps.items())},
+        "R": plan.control,
+        "T": {f"{x},{y}": t.t for (x, y), t in sorted(plan.branch_maps.items())},
     }
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(_encode(payload), fh)
-        print(json.dumps({"plan": args.output}))
-    else:
-        _emit(payload)
+            json.dump(payload, fh, default=encode_number)
+        payload = {"plan": args.output}
+    _emit(payload)
     return 0
 
 
@@ -299,13 +279,13 @@ def _parse_plan(text: str, policy: NumericPolicy) -> CTOPlan:
     return CTOPlan(control=control, branch_maps=branch_maps)
 
 
-def _cmd_apply(args) -> int:
-    inst = parse_instance(_read(args.file), args)
+def _cmd_apply(inst: Instance, args) -> int:
+    policy = inst.ctx.policy
     source = _require(inst, "source")
-    plan = _parse_plan(_read(args.plan), inst.policy)
+    plan = _parse_plan(_read(args.plan), policy)
     plan.validate(inst.ctx)
     result = synth.apply_cto(plan, source, inst.ctx)
-    _emit({"columns": [list(c.w) for c in result.columns]})
+    _emit({"columns": [c.w for c in result.columns]})
     if args.expect_target:
         target = _require(inst, "target")
         if result.n_branches != target.n_branches:
@@ -315,14 +295,13 @@ def _cmd_apply(args) -> int:
             for ca, cb in zip(result.columns, target.columns)
             for a, b in zip(ca.w, cb.w)
         )
-        if not inst.policy.leq(err, 0, inst.policy.eps_lp):
+        if not policy.leq(err, 0, policy.eps_lp):
             print(f"mismatch: max deviation {err}", file=sys.stderr)
             return 1
     return 0
 
 
-def _cmd_rate(args) -> int:
-    inst = parse_instance(_read(args.file), args)
+def _cmd_rate(inst: Instance, args) -> int:
     source = _require(inst, "source")
     target = _require(inst, "target")
     relative = not args.raw
@@ -338,8 +317,7 @@ def _cmd_rate(args) -> int:
     return 0
 
 
-def _cmd_lorenz(args) -> int:
-    inst = parse_instance(_read(args.file), args)
+def _cmd_lorenz(inst: Instance, args) -> int:
     source = _require(inst, "source")
     curves = lorenz.cq_branch_curves(source, inst.ctx)
     if args.csv:
@@ -349,14 +327,13 @@ def _cmd_lorenz(args) -> int:
             print(f"{float(s)},{float(t)}")
         return 0
     if len(curves) == 1:
-        _emit({"points": [list(p) for p in curves[0].points]})
+        _emit({"points": curves[0].points})
     else:
-        _emit({"curves": [{"points": [list(p) for p in c.points]} for c in curves]})
+        _emit({"curves": [{"points": c.points} for c in curves]})
     return 0
 
 
-def _cmd_monotone(args) -> int:
-    inst = parse_instance(_read(args.file), args)
+def _cmd_monotone(inst: Instance, args) -> int:
     source = _require(inst, "source")
     abscissae = None
     if args.grid:
@@ -364,37 +341,36 @@ def _cmd_monotone(args) -> int:
         if args.grid == "sigma":
             abscissae = convert.sigma_grid(inst.ctx)
         elif kind == "uniform" and n.isdecimal() and int(n) > 0:
-            abscissae = convert.uniform_grid(int(n), inst.policy)
+            abscissae = convert.uniform_grid(int(n), inst.ctx.policy)
         else:
             raise ParseError("--grid must be 'sigma' or 'uniform:N' with N >= 1")
     report = convert.phi_monotones(source, inst.ctx, abscissae)
     payload = {
-        "abscissae": list(report.abscissae),
-        "source": list(report.values),
+        "abscissae": report.abscissae,
+        "source": report.values,
         "f_source": report.free_energy,
     }
     if inst.target is not None:
         t_report = convert.phi_monotones(inst.target, inst.ctx, report.abscissae)
-        payload["target"] = list(t_report.values)
+        payload["target"] = t_report.values
         payload["f_target"] = t_report.free_energy
     _emit(payload)
     return 0
 
 
-def _cmd_embed(args) -> int:
-    inst = parse_instance(_read(args.file), args)
+def _cmd_embed(inst: Instance, args) -> int:
     source = _require(inst, "source")
     states = source.conditionals()
     ctx2, embedded = lorenz.embed_states(states, inst.ctx)
     _emit({
-        "gibbs": list(ctx2.gibbs),
-        "states": [list(w.w) for w in embedded],
-        "masses": list(source.branch_masses),
+        "gibbs": ctx2.gibbs,
+        "states": [w.w for w in embedded],
+        "masses": source.branch_masses,
     })
     return 0
 
 
-def _cmd_random(args) -> int:
+def _cmd_random(_, args) -> int:
     policy = NumericPolicy(mode=args.mode)
     rng = random.Random(args.seed)
     ctx = testkit.random_context(args.d, rng, policy)
@@ -402,9 +378,9 @@ def _cmd_random(args) -> int:
     plan = testkit.random_cto(ctx, args.l, args.m, rng)
     target = synth.apply_cto(plan, source, ctx)
     _emit({
-        "gibbs": {"weights": list(ctx.gibbs)},
-        "source": {"columns": [list(c.w) for c in source.columns]},
-        "target": {"columns": [list(c.w) for c in target.columns]},
+        "gibbs": {"weights": ctx.gibbs},
+        "source": {"columns": [c.w for c in source.columns]},
+        "target": {"columns": [c.w for c in target.columns]},
         "policy": {"mode": policy.mode},
     })
     return 0
@@ -418,35 +394,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_file=True):
-        if needs_file:
-            p.add_argument("file", help="instance JSON file, or '-' for stdin")
+    def command(name, run, text, *, plan=False):
+        """A subcommand that reads an instance (after a plan, for apply)."""
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(run=run)
+        if plan:
+            p.add_argument("plan", help="plan JSON file")
+        p.add_argument("file", help="instance JSON file, or '-' for stdin")
         p.add_argument("--policy", choices=[FLOAT, RATIONAL],
                        help="override the instance arithmetic mode")
-        p.add_argument("--eps", type=float, help="override the LP tolerance")
+        return p
 
-    common(sub.add_parser("check", help="decide convertibility"))
-    common(sub.add_parser("pmin", help="threshold weight for (p u, (1-p) g) -> v"))
-    common(sub.add_parser("witness", help="non-convertibility witness matrix"))
-    p = sub.add_parser("synth", help="synthesize an explicit plan")
-    common(p)
-    p.add_argument("-o", "--output", help="write the plan JSON to this file")
-    p = sub.add_parser("apply", help="apply a plan to the source state")
-    p.add_argument("plan", help="plan JSON file")
-    common(p)
-    p.add_argument("--expect-target", action="store_true",
-                   help="exit 1 unless the result matches the target")
-    common(sub.add_parser("rate", help="asymptotic interconversion rate"))
-    sub.choices["rate"].add_argument("--raw", action="store_true",
-                                     help="use the literal free energy")
-    p = sub.add_parser("lorenz", help="emit Lorenz curve vertices")
-    common(p)
-    p.add_argument("--csv", action="store_true", help="CSV 's,t' lines")
-    p = sub.add_parser("monotone", help="curve-value monotones on a fixed grid")
-    common(p)
-    p.add_argument("--grid", help="'sigma' or 'uniform:N'")
-    common(sub.add_parser("embed", help="re-express states on their bend grid"))
+    command("check", _cmd_check, "decide convertibility")
+    command("pmin", _cmd_pmin, "threshold weight for (p u, (1-p) g) -> v")
+    command("witness", _cmd_witness, "non-convertibility witness matrix")
+    command("synth", _cmd_synth, "synthesize an explicit plan").add_argument(
+        "-o", "--output", help="write the plan JSON to this file")
+    command("apply", _cmd_apply, "apply a plan to the source state",
+            plan=True).add_argument(
+        "--expect-target", action="store_true",
+        help="exit 1 unless the result matches the target")
+    command("rate", _cmd_rate, "asymptotic interconversion rate").add_argument(
+        "--raw", action="store_true", help="use the literal free energy")
+    command("lorenz", _cmd_lorenz, "emit Lorenz curve vertices").add_argument(
+        "--csv", action="store_true", help="CSV 's,t' lines")
+    command("monotone", _cmd_monotone,
+            "curve-value monotones on a fixed grid").add_argument(
+        "--grid", help="'sigma' or 'uniform:N'")
+    command("embed", _cmd_embed, "re-express states on their bend grid")
     p = sub.add_parser("random", help="emit a random convertible instance")
+    p.set_defaults(run=_cmd_random)
     p.add_argument("--d", type=int, default=2, help="system dimension")
     p.add_argument("--l", type=int, default=2, help="source branches")
     p.add_argument("--m", type=int, default=2, help="target branches")
@@ -455,24 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "pmin": _cmd_pmin,
-    "witness": _cmd_witness,
-    "synth": _cmd_synth,
-    "apply": _cmd_apply,
-    "rate": _cmd_rate,
-    "lorenz": _cmd_lorenz,
-    "monotone": _cmd_monotone,
-    "embed": _cmd_embed,
-    "random": _cmd_random,
-}
-
-
 def main(argv=None) -> int:
+    """Parse the arguments, load the instance (every command but random
+    reads one) and run the command; errors become exit codes 2 and 3."""
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        inst = parse_instance(_read(args.file), args) if "file" in args else None
+        return args.run(inst, args)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,6 +31,7 @@ from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
     MassMismatch,
+    NotNormalized,
     NotThermoMajorizing,
     SolveBudgetExceeded,
     ValidationError,
@@ -72,10 +73,9 @@ class WitnessMatrix:
             for v in row:
                 if not policy.nonneg(v):
                     raise ValidationError(f"negative witness entry {v}")
-        for z in range(self.n_cols):
-            col = self.column(z)
-            for i in range(1, len(col)):
-                if not policy.leq(col[i], col[i - 1]):
+        for upper, lower in zip(self.a, self.a[1:]):
+            for z, (hi, lo) in enumerate(zip(upper, lower)):
+                if not policy.leq(lo, hi):
                     raise ValidationError(f"witness column {z} is not non-increasing")
         return self
 
@@ -393,13 +393,20 @@ def verify_witness(witness: WitnessMatrix, source: CQState, target: CQState,
 
     Negative values certify non-convertibility; computed on the weighted
     columns, which equals the conditional form by positive homogeneity.
+    Both joint states must have total mass one (the curves' values at
+    s = 1), and the witness must be a valid `WitnessMatrix`.
     """
+    policy = ctx.policy
     _, grid, cum_p, cum_q = _grid_values(source, target, ctx)
+    for total in (sum(cum_p[-1]), sum(cum_q[-1])):
+        if not policy.close(total, policy.one()):
+            raise NotNormalized(f"joint state mass {total} != 1")
     if len(grid) - 1 != witness.n_rows:
         raise DimensionMismatch(
             f"witness has {witness.n_rows} rows, target grid has "
             f"{len(grid) - 1} segments"
         )
+    witness.validate(policy)
     gain = sum(omega(witness, col) for col in zip(*_increments(cum_p)))
     loss = sum(omega(witness, col) for col in zip(*_increments(cum_q)))
     return gain - loss

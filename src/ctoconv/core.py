@@ -27,8 +27,11 @@ RATIONAL = "rational"
 
 
 def parse_number(tok, mode: str) -> Number:
-    """Convert a JSON scalar (number or 'a/b' string) to the mode's type."""
-    if isinstance(tok, str):
+    """Convert a JSON scalar (number or 'a/b' string) or a Fraction to the
+    mode's type; rational mode refuses floats."""
+    if isinstance(tok, Fraction):
+        val = tok
+    elif isinstance(tok, str):
         try:
             val = Fraction(tok)
         except (ValueError, ZeroDivisionError):
@@ -107,7 +110,10 @@ class NumericPolicy:
         return a <= b + eps
 
     def nonneg(self, a: Number, eps: float | None = None) -> bool:
-        return self.leq(self.zero(), a, eps)
+        """0 <= a, with absolute slack eps in float mode (as `leq`)."""
+        if self.exact:
+            return 0 <= a
+        return 0.0 <= a + (self.eps_cmp if eps is None else eps)
 
 
 # -- small generic linear algebra helpers ------------------------------------
@@ -169,10 +175,10 @@ class GibbsContext:
     def from_weights(
         weights: Sequence[Number], policy: NumericPolicy | None = None
     ) -> "GibbsContext":
-        """Gibbs weights supplied directly; beta defaults to 1, E_i = -ln g_i."""
+        """Gibbs weights supplied directly, each read by `policy.number`;
+        beta defaults to 1, E_i = -ln g_i."""
         policy = policy or NumericPolicy()
-        w = tuple(policy.number(x) if not isinstance(x, (float, Fraction)) else x
-                  for x in weights)
+        w = tuple(policy.number(x) for x in weights)
         ctx = GibbsContext(
             gibbs=w,
             beta=policy.one(),
@@ -223,9 +229,12 @@ class StateVector:
         return sum(self.w)
 
     def validate(self, policy: NumericPolicy) -> "StateVector":
+        exact = policy.exact
         for x in self.w:
             if not policy.nonneg(x):
                 raise ValidationError(f"negative component {x} in state vector")
+            if exact and isinstance(x, float):
+                raise ValidationError(f"float component {x} in rational mode")
         if not policy.leq(self.mass, policy.one()):
             raise ValidationError(f"state mass {self.mass} exceeds 1")
         return self

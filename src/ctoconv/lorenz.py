@@ -117,9 +117,11 @@ def _majorization_curves(u: StateVector, v: StateVector, ctx: GibbsContext):
 def _lies_below(curve: LorenzCurve, upper, policy: NumericPolicy) -> bool:
     """curve(s) <= upper(s) on [0, 1], for a concave `upper` that is 0 at
     s = 0: checked at the curve's vertices past 0 (its bends and s = 1), as
-    the curve is linear between them."""
+    the curve is linear between them.  Judged within eps_lp, as check_cto
+    judges the same question."""
+    eps = policy.eps_lp
     for s, t in curve.points[1:]:
-        if not policy.leq(t, upper(s)):
+        if not policy.leq(t, upper(s), eps):
             return False
     return True
 

@@ -190,13 +190,15 @@ def _transfers(p, q, widths, policy: NumericPolicy) -> list:
 
 
 def apply_cto(plan: CTOPlan, state: CQState, ctx: GibbsContext) -> CQState:
-    """Output branches: v^y = sum_x R[x][y] T^(x,y) u^x, then canonicalize."""
+    """Output branches: v^y = sum_x R[x][y] T^(x,y) u^x, then canonicalize.
+    The state is validated first."""
     if plan.n_in != state.n_branches:
         raise DimensionMismatch(
             f"plan expects {plan.n_in} source branches, state has "
             f"{state.n_branches}"
         )
     policy = ctx.policy
+    state.validate(policy)
     d = state.dim
     cols = []
     for y in range(plan.n_out):

@@ -26,6 +26,7 @@ from .convert import (
     _grid_values,
     _increments,
     check_cto,
+    extract_witness,
 )
 from .errors import DimensionMismatch, NotThermoMajorizing
 from .lorenz import thermo_majorizes
@@ -168,22 +169,15 @@ def reachable_sample(state: CQState, ctx: GibbsContext, count: int, seed) -> lis
 
 def random_witness(n_rows: int, n_cols: int, seed,
                    policy: NumericPolicy | None = None) -> WitnessMatrix:
-    """Uniform multipliers, reverse-cumsummed per column, normalized: the
-    exact image of the certificate construction."""
+    """`extract_witness` of uniform multipliers (lam[0][0] = 1 when all
+    are zero): the exact image of the certificate construction."""
     policy = policy or NumericPolicy()
     rng = _rng(seed)
     lam = [[_unit(rng, policy) for _ in range(n_cols)] for _ in range(n_rows)]
-    a = [[policy.zero()] * n_cols for _ in range(n_rows)]
-    for y in range(n_cols):
-        acc = policy.zero()
-        for i in range(n_rows - 1, -1, -1):
-            acc = acc + lam[i][y]
-            a[i][y] = acc
-    total = sum(sum(row) for row in a)
-    if total == 0:
-        a[0][0] = policy.one()
-        total = policy.one()
-    return WitnessMatrix(tuple(tuple(v / total for v in row) for row in a))
+    if not any(map(any, lam)):
+        lam[0][0] = policy.one()
+    flat = [lam[i][y] for y in range(n_cols) for i in range(n_rows)]
+    return extract_witness(((), flat), n_rows, n_cols)
 
 
 def pq_increments(source: CQState, target: CQState, ctx: GibbsContext):

@@ -18,7 +18,7 @@ from ctoconv import (
     testkit,
 )
 from ctoconv.asymptotic import gibbs_free_energy
-from ctoconv.errors import FreeTarget, NotNormalized
+from ctoconv.errors import DimensionMismatch, FreeTarget, NotNormalized
 
 from conftest import FLOATS, RATIONAL
 
@@ -48,6 +48,17 @@ class TestFreeEnergy:
         ctx = _trivial_h()
         with pytest.raises(NotNormalized):
             free_energy(StateVector((0.5, 0.25)), ctx)
+
+    def test_state_of_another_dimension_rejected(self):
+        """zip would cut the 3-level state to the 2-level context."""
+        ctx = GibbsContext.from_energies((0.0, 1.0))
+        u = StateVector((0.5, 0.3, 0.2))
+        with pytest.raises(DimensionMismatch):
+            free_energy(u, ctx)
+        with pytest.raises(DimensionMismatch):
+            resource_value(CQState((u,)), ctx)
+        with pytest.raises(DimensionMismatch):
+            asymptotic_rate(CQState((u,)), CQState((StateVector((0.7, 0.3)),)), ctx)
 
     def test_zero_component_handled(self):
         ctx = GibbsContext.from_energies((0.0, 1.0), beta=1.0)

@@ -45,23 +45,30 @@ def _run(capsys, argv):
 class TestParseInstance:
     def test_minimal_rational(self):
         inst = cli.parse_instance(json.dumps(MINIMAL))
-        assert inst.policy.exact
+        assert inst.ctx.policy.exact
         assert inst.ctx.dim == 2
         assert inst.source.n_branches == 1
 
     def test_float_mode_detection(self):
         doc = dict(MINIMAL, source={"columns": [[0.5, 0.5]]})
         inst = cli.parse_instance(json.dumps(doc))
-        assert not inst.policy.exact
+        assert not inst.ctx.policy.exact
 
     def test_energies_imply_float(self):
         doc = {"gibbs": {"beta": 1.0, "energies": [0.0, 1.0]},
                "source": {"columns": [[1, 0]]}}
         inst = cli.parse_instance(json.dumps(doc))
-        assert not inst.policy.exact
+        assert not inst.ctx.policy.exact
         assert inst.ctx.gibbs[0] == pytest.approx(
             1 / (1 + math.exp(-1.0))
         )
+
+    def test_tolerances_come_from_the_policy_field(self, tmp_path, capsys):
+        doc = dict(MINIMAL, policy={"mode": "float", "eps_lp": 1e-5})
+        assert cli.parse_instance(json.dumps(doc)).ctx.policy.eps_lp == 1e-5
+        with pytest.raises(SystemExit) as info:  # no flag overrides it
+            cli.main(["check", _write(tmp_path, doc), "--eps", "1e-3"])
+        assert info.value.code == 2
 
     def test_malformed_json(self):
         with pytest.raises(ParseError):

@@ -36,6 +36,7 @@ from ctoconv.errors import (
     DimensionMismatch,
     DimensionTooLarge,
     MassMismatch,
+    NotNormalized,
     NotThermoMajorizing,
     OutOfRange,
     ValidationError,
@@ -224,6 +225,15 @@ class TestCorollaries:
             check_ensemble_to_state(target, StateVector((F(1, 4), F(1, 4))),
                                     uniform2)
 
+    def test_single_register_checks_judge_with_eps_lp(self):
+        """Target (3/4 u, (1/4, 0, 0)) exceeds u's curve by about 9e-8,
+        between eps_cmp and eps_lp: the shortcut answers as check_cto."""
+        ctx = GibbsContext.from_energies((0.0, 0.0, 1.0))
+        u = StateVector((0.0, 1e-6 / (1 + 1e-6), 1 / (1 + 1e-6)))
+        target = CQState((u.scaled(0.75), StateVector((0.25, 0.0, 0.0))))
+        assert check_cto(_single(u.w), target, ctx).convertible
+        assert check_state_to_ensemble(u, target, ctx)
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_agreement_with_full_check(self, seed):
@@ -360,6 +370,27 @@ class TestWitness:
         monkeypatch.setattr(convert, "build_lorenz", spy)
         verify_witness(a, state, target, ctx)
         assert len(calls) == 3 + 2
+
+    def test_refuses_a_column_that_rises(self):
+        """The pair converts, so no witness refutes it; a column rising
+        downwards is no witness and is refused, not scored -1/6."""
+        ctx = GibbsContext.from_weights((F(1, 2), F(1, 4), F(1, 4)), RATIONAL)
+        source = _single((F(1), F(0), F(0)))
+        target = _single((F(1, 2), F(1, 3), F(1, 6)))
+        assert check_cto(source, target, ctx).convertible
+        rising = WitnessMatrix(((F(0),), (F(0),), (F(1),)))
+        with pytest.raises(ValidationError, match="not non-increasing"):
+            verify_witness(rising, source, target, ctx)
+
+    def test_refuses_a_joint_state_of_mass_below_one(self):
+        ctx = GibbsContext.from_weights((0.5, 0.5), FLOATS)
+        whole, half = _single((1.0, 0.0)), _single((0.2, 0.3))
+        witness = WitnessMatrix(((0.5,), (0.5,)))
+        for source, target in ((whole, half), (half, whole)):
+            with pytest.raises(NotNormalized):
+                check_cto(source, target, ctx)
+            with pytest.raises(NotNormalized):
+                verify_witness(witness, source, target, ctx)
 
     def test_witness_matrix_validation(self):
         with pytest.raises(ValidationError):  # mass != 1
@@ -850,6 +881,22 @@ def test_rational_results_hold_no_float(seed):
     results += [p_min(u, v, ctx), monotones.abscissae, monotones.values]
     leaked = [x for x in _numbers(results) if isinstance(x, float)]
     assert not leaked
+
+
+def test_floats_do_not_enter_rational_mode():
+    """Float weights and float state entries are refused in rational mode,
+    where they would surface as float entries of T or of apply_cto's output."""
+    for weights in ((0.75, 0.25), ("3/4", 0.25)):
+        with pytest.raises(ValidationError, match="rational mode"):
+            GibbsContext.from_weights(weights, RATIONAL)
+    ctx = GibbsContext.from_weights((F(3, 4), F(1, 4)), RATIONAL)
+    target = _single((F(3, 4), F(1, 4)))
+    plan = synthesize_cto(_single((F(1), F(0))), target, ctx)
+    floats = _single((1.0, 0.0))
+    for call in (lambda: apply_cto(plan, floats, ctx),
+                 lambda: check_cto(floats, target, ctx)):
+        with pytest.raises(ValidationError, match="float component"):
+            call()
 
 
 class TestValidatesEachColumnOnce:

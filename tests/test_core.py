@@ -49,6 +49,13 @@ class TestGibbsContext:
         with pytest.raises(NotNormalized):
             GibbsContext.from_weights((F(1, 2), F(1, 3)), RATIONAL)
 
+    def test_weights_read_by_the_policy(self):
+        ctx = GibbsContext.from_weights((F(3, 4), F(1, 4)), FLOATS)
+        assert ctx.gibbs == (0.75, 0.25)
+        assert all(type(g) is float for g in ctx.gibbs)
+        with pytest.raises(ValidationError):
+            GibbsContext.from_weights((F(3, 4), 0.25), RATIONAL)
+
     def test_energies_need_float_mode(self):
         with pytest.raises(ValidationError):
             GibbsContext.from_energies((0.0, 1.0), policy=RATIONAL)
@@ -88,6 +95,11 @@ class TestNumericPolicy:
             parse_number(True, "float")
         with pytest.raises(ValidationError):
             parse_number(None, "float")
+
+    def test_parse_number_takes_fractions(self):
+        assert parse_number(F(1, 4), "rational") == F(1, 4)
+        x = parse_number(F(1, 4), "float")
+        assert x == 0.25 and type(x) is float
 
     @given(st.fractions())
     @settings(max_examples=50, deadline=None)
@@ -155,6 +167,9 @@ class TestStateVector:
             StateVector((F(3, 4), F(1, 2))).validate(RATIONAL)
         with pytest.raises(ZeroTotalMass):
             StateVector((F(0), F(0))).normalized()
+        with pytest.raises(ValidationError, match="float component"):
+            StateVector((F(1, 2), 0.5)).validate(RATIONAL)
+        StateVector((0.5, F(1, 2))).validate(FLOATS)
 
 
 class TestCQState:

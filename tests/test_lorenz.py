@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from ctoconv import (
     CQState,
     GibbsContext,
-    NumericPolicy,
     StateVector,
     build_lorenz,
     check_cto,
@@ -354,12 +353,8 @@ def _normalized(ws, d):
 def test_curve_invariant_up_to_50_kT(energies, wu, wv, q):
     """Over energies up to 50 kT the curves keep the invariant, no query
     raises OutOfRange, and the single-register checks answer as check_cto
-    does on their l = 1 and m = 1 pairs.  They compare with eps_cmp and
-    check_cto with eps_lp, so in that band only a check with eps_cmp
-    loosened past eps_lp must say yes too."""
+    does on their l = 1 and m = 1 pairs (all judge with eps_lp)."""
     ctx = GibbsContext.from_energies(energies)
-    loose = GibbsContext.from_energies(energies, policy=NumericPolicy(
-        eps_cmp=1e-6, eps_lp=1e-6))
     d = ctx.dim
     u, v = _normalized(wu, d), _normalized(wv, d)
     for w in (u, v):
@@ -374,7 +369,6 @@ def test_curve_invariant_up_to_50_kT(energies, wu, wv, q):
     mixed = CQState((u.scaled(q), v.scaled(1 - q)))
     assert len(phi_monotones(mixed, ctx).values) > 0
     for single, source, target in (
-            (lambda c: check_state_to_ensemble(u, mixed, c), CQState((u,)), mixed),
-            (lambda c: check_ensemble_to_state(mixed, v, c), mixed, CQState((v,)))):
-        joint = check_cto(source, target, ctx).convertible
-        assert single(ctx) <= joint <= single(loose)
+            (check_state_to_ensemble(u, mixed, ctx), CQState((u,)), mixed),
+            (check_ensemble_to_state(mixed, v, ctx), mixed, CQState((v,)))):
+        assert single == check_cto(source, target, ctx).convertible
