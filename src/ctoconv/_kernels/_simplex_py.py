@@ -8,6 +8,8 @@ last column; row m holds the reduced costs with -objective in the corner.
 The caller minimizes, so a column enters while its reduced cost is < -eps.
 """
 
+from itertools import compress
+
 OPTIMAL = 0
 UNBOUNDED = 1
 ITERATION_LIMIT = 2
@@ -88,7 +90,7 @@ def _pivot(tab, basis, row, col, m, ncols) -> int:
     pr = tab[row]
     # slack and artificial columns leave most of a pivot row zero, and a
     # zero entry changes no other row, so only the nonzero columns are swept
-    nz = [j for j in range(ncols) if pr[j] != 0]
+    nz = list(compress(range(ncols), pr))  # the j with pr[j] != 0, NaN kept
     piv = pr[col]
     swept = ncols + m + 1
     if piv != 1:

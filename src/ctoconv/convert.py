@@ -108,9 +108,15 @@ def _grid_values(source: CQState, target: CQState, ctx: GibbsContext, *,
     tgt_curves = cq_branch_curves(target, ctx, validated=validated)
     grid = merged_bend_grid(tgt_curves, policy)
     src_curves = cq_branch_curves(source, ctx, validated=validated)
-    cum_p = [[c.value(s) for c in src_curves] for s in grid[1:]]
-    cum_q = [[c.value(s) for c in tgt_curves] for s in grid[1:]]
+    cum_p = _rows_of(src_curves, grid[1:])
+    cum_q = _rows_of(tgt_curves, grid[1:])
     return tgt_curves, grid, cum_p, cum_q
+
+
+def _rows_of(curves, xs) -> list:
+    """rows[i][x] = curves[x](xs[i]) for non-decreasing xs, one walk per curve."""
+    cols = [c.values(xs) for c in curves]
+    return [list(row) for row in zip(*cols)] if cols else [[] for _ in xs]
 
 
 def _increments(cum):
@@ -314,7 +320,7 @@ def check_state_to_ensemble(u: StateVector, target: CQState,
     target.validate(policy)
     cu = build_lorenz(u, ctx)
     curves = cq_branch_curves(target, ctx, validated=True)
-    return all(_lies_below(cv, lambda s, qy=qy: qy * cu.value(s), policy)
+    return all(_lies_below(cv, [qy * t for t in cu.values(cv.abscissae[1:])], policy)
                for qy, cv in zip(target.branch_masses, curves))
 
 
@@ -327,24 +333,25 @@ def check_ensemble_to_state(source: CQState, v: StateVector,
     source.validate(policy)
     curves = cq_branch_curves(source, ctx, validated=True)
     cv = build_lorenz(v, ctx)
-    return _lies_below(cv, lambda s: sum(c.value(s) for c in curves), policy)
+    return _lies_below(cv, map(sum, _rows_of(curves, cv.abscissae[1:])), policy)
 
 
 def p_min(u: StateVector, v: StateVector, ctx: GibbsContext):
     """Threshold weight for converting (p*u, (1-p)*g) into v."""
     policy = ctx.policy
     cu, cv = _majorization_curves(u, v, ctx)
-    if not _lies_below(cv, cu.value, policy):
+    upper = cu.values(cv.abscissae[1:])  # L[u] at L[v]'s vertices past 0
+    if not _lies_below(cv, upper, policy):
         raise NotThermoMajorizing("source does not thermo-majorize the target")
     diagonal_u = len(cu.bend_abscissae) == 0
     best = policy.zero()
-    for s in cv.bend_abscissae:
-        num = cv.value(s) - s
+    for (s, t), tu in zip(cv.points[1:-1], upper):  # L[v]'s bends
+        num = t - s
         if num <= 0:
             continue
         if diagonal_u:
             raise DegenerateSource("source is the Gibbs state but target is not")
-        den = cu.value(s) - s
+        den = tu - s
         if den <= 0:
             # thermo-majorization gives den >= num > 0; float noise only
             ratio = policy.one()
@@ -407,8 +414,9 @@ def verify_witness(witness: WitnessMatrix, source: CQState, target: CQState,
             f"{len(grid) - 1} segments"
         )
     witness.validate(policy)
-    gain = sum(omega(witness, col) for col in zip(*_increments(cum_p)))
-    loss = sum(omega(witness, col) for col in zip(*_increments(cum_q)))
+    cols = list(zip(*witness.a))  # omega's columns, built once for all
+    gain = sum(max(vdot(a, p) for a in cols) for p in zip(*_increments(cum_p)))
+    loss = sum(max(vdot(a, q) for a in cols) for q in zip(*_increments(cum_q)))
     return gain - loss
 
 
@@ -453,6 +461,9 @@ def phi_monotones(state: CQState, ctx: GibbsContext,
             abscissae = sigma_grid(ctx)
         else:
             abscissae = uniform_grid(64, ctx.policy)
+    xs = tuple(abscissae)
+    order = sorted(range(len(xs)), key=xs.__getitem__)  # walked sorted, kept in order
     curves = cq_branch_curves(state, ctx, validated=True)
-    values = tuple(sum(c.value(s) for c in curves) for s in abscissae)
-    return MonotoneValues(abscissae=tuple(abscissae), values=values, free_energy=free)
+    sums = map(sum, _rows_of(curves, [xs[i] for i in order]))
+    values = tuple(v for _, v in sorted(zip(order, sums)))
+    return MonotoneValues(abscissae=xs, values=values, free_energy=free)

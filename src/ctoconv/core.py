@@ -69,19 +69,17 @@ class NumericPolicy:
     eps_cmp: float = 1e-9
     eps_lp: float = 1e-7
     eps_merge: float = 1e-12
+    exact: bool = field(init=False, repr=False, compare=False)  # mode == RATIONAL
 
     def __post_init__(self):
         if self.mode not in (FLOAT, RATIONAL):
             raise ValidationError(f"unknown numeric mode {self.mode!r}")
+        object.__setattr__(self, "exact", self.mode == RATIONAL)
         if self.mode == FLOAT:
             if not (0 < self.eps_merge <= self.eps_cmp <= self.eps_lp):
                 raise ValidationError(
                     "tolerances must satisfy 0 < eps_merge <= eps_cmp <= eps_lp"
                 )
-
-    @property
-    def exact(self) -> bool:
-        return self.mode == RATIONAL
 
     def zero(self) -> Number:
         return Fraction(0) if self.exact else 0.0
@@ -229,13 +227,22 @@ class StateVector:
         return sum(self.w)
 
     def validate(self, policy: NumericPolicy) -> "StateVector":
-        exact = policy.exact
-        for x in self.w:
-            if not policy.nonneg(x):
-                raise ValidationError(f"negative component {x} in state vector")
-            if exact and isinstance(x, float):
-                raise ValidationError(f"float component {x} in rational mode")
-        if not policy.leq(self.mass, policy.one()):
+        """Entries nonnegative and mass at most 1 as `policy.nonneg` and
+        `policy.leq` judge, inlined per mode; no floats in rational mode."""
+        if policy.exact:
+            for x in self.w:
+                if not 0 <= x:
+                    raise ValidationError(f"negative component {x} in state vector")
+                if isinstance(x, float):
+                    raise ValidationError(f"float component {x} in rational mode")
+            bound = 1
+        else:
+            eps = policy.eps_cmp
+            for x in self.w:
+                if not 0.0 <= x + eps:
+                    raise ValidationError(f"negative component {x} in state vector")
+            bound = 1.0 + eps
+        if not self.mass <= bound:
             raise ValidationError(f"state mass {self.mass} exceeds 1")
         return self
 

@@ -4,17 +4,16 @@ A curve is stored as its vertex list after merging collinear vertices, so
 the interior abscissae are exactly the bends and segment slopes strictly
 decrease left to right.  `build_lorenz` establishes the curve invariant that
 every other function relies on: the abscissae strictly increase from 0 and
-end at exactly 1, so `LorenzCurve.value` is defined on all of [0, 1].  In
-float mode the cumulative abscissa is capped at 1, a vertex that rounding
-leaves at or before the previous one joins it, and the endpoint is pinned
-to 1.0.
+end at exactly 1, so `LorenzCurve.values`, the one evaluator, is defined on
+all of [0, 1].  In float mode the cumulative abscissa is capped at 1, a
+vertex that rounding leaves at or before the previous one joins it, and the
+endpoint is pinned to 1.0.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
-from functools import cached_property
+import math
+from dataclasses import dataclass, field
 
 from .core import CQState, GibbsContext, NumericPolicy, StateVector
 from .errors import DimensionMismatch, EmptyInput, MassMismatch, OutOfRange
@@ -25,34 +24,46 @@ class LorenzCurve:
     """Piecewise-linear concave curve from (0,0) to (1, mass)."""
 
     points: tuple  # ((s, t), ...)
+    abscissae: tuple = field(init=False, repr=False, compare=False)  # the s of points
+
+    def __post_init__(self):
+        object.__setattr__(self, "abscissae", tuple([s for s, _ in self.points]))
 
     @property
     def mass(self):
         return self.points[-1][1]
 
-    @cached_property
-    def _xs(self) -> tuple:
-        """Vertex abscissae, computed once for `value`'s bisection."""
-        return tuple(p[0] for p in self.points)
-
     @property
     def bend_abscissae(self) -> tuple:
-        return self._xs[1:-1]
+        return self.abscissae[1:-1]
 
     def value(self, s):
-        """Linear interpolation; exact at vertices."""
-        pts = self.points
-        lo, hi = pts[0][0], pts[-1][0]
-        if s < lo or s > hi:
-            raise OutOfRange(f"abscissa {s} outside [{lo}, {hi}]")
-        k = bisect_right(self._xs, s)
-        if k >= len(pts):
-            return pts[-1][1]
-        s0, t0 = pts[k - 1]
-        s1, t1 = pts[k]
-        if s == s0:
-            return t0
-        return t0 + (t1 - t0) * (s - s0) / (s1 - s0)
+        """The curve at s (see `values`)."""
+        return self.values((s,))[0]
+
+    def values(self, xs) -> list:
+        """The curve at each abscissa of xs, by linear interpolation, exact at
+        vertices: one walk along the vertices takes each s to the segment
+        `bisect_right` on the abscissae gives.  xs must not decrease and must
+        lie in the curve's range; else, NaN included, OutOfRange."""
+        pts, ab = self.points, self.abscissae
+        n = len(pts)
+        prev, k, out = ab[0], 1, []
+        for s in xs:
+            if not prev <= s:
+                raise OutOfRange(f"abscissa {s} outside [{prev}, {ab[-1]}]")
+            prev = s
+            while k < n and ab[k] <= s:
+                k += 1
+            s0, t0 = pts[k - 1]
+            if s == s0 or k == n:  # k == n: s at or past the last abscissa
+                out.append(t0)
+            else:
+                s1, t1 = pts[k]
+                out.append(t0 + (t1 - t0) * (s - s0) / (s1 - s0))
+        if not prev <= ab[-1]:  # the largest s, checked after the walk
+            raise OutOfRange(f"abscissa {prev} outside [{ab[0]}, {ab[-1]}]")
+        return out
 
 
 def build_lorenz(w: StateVector, ctx: GibbsContext, *,
@@ -68,7 +79,7 @@ def build_lorenz(w: StateVector, ctx: GibbsContext, *,
         )
     if not validated:
         w.validate(ctx.policy)
-    g = ctx.gibbs
+    g, wv = ctx.gibbs, w.w
     ratios, order = lorenz_order(w, g)
 
     policy = ctx.policy
@@ -76,33 +87,36 @@ def build_lorenz(w: StateVector, ctx: GibbsContext, *,
     noisy = not policy.exact  # a float cumsum may pass 1, or stall on a tiny g
     pts = [(zero, zero)]
     s = t = zero
-    prev_slope = None
+    prev = math.nan  # equals no slope, so the first level starts a segment
     for i in order:
         s = s + g[i]
-        t = t + w.w[i]
-        if noisy and s > 1.0:
-            s = 1.0
+        t = t + wv[i]
         slope = ratios[i]
-        if prev_slope is not None and (policy.close(prev_slope, slope, eps)
-                                       or noisy and s <= pts[-1][0]):
+        if noisy:
+            if s > 1.0:
+                s = 1.0
+            join = abs(prev - slope) <= eps or s <= pts[-1][0]
+        else:
+            join = prev == slope
+        if join:
             pts[-1] = (s, t)  # extend the collinear segment, or join the vertex
         else:
             pts.append((s, t))
-            prev_slope = slope
+            prev = slope
     pts[-1] = (policy.one(), t)  # pin the endpoint
     return LorenzCurve(tuple(pts))
 
 
 def lorenz_order(w: StateVector, g) -> tuple:
     """Slopes w_i/g_i, and the levels by slope, non-increasing (L[w]'s order)."""
-    ratios = [w.w[i] / g[i] for i in range(w.dim)]
+    ratios = [x / gi for x, gi in zip(w.w, g)]
     return ratios, sorted(range(w.dim), key=ratios.__getitem__, reverse=True)
 
 
 def thermo_majorizes(u: StateVector, v: StateVector, ctx: GibbsContext) -> bool:
     """True when L[u] lies nowhere below L[v]."""
     cu, cv = _majorization_curves(u, v, ctx)
-    return _lies_below(cv, cu.value, ctx.policy)
+    return _lies_below(cv, cu.values(cv.abscissae[1:]), ctx.policy)
 
 
 def _majorization_curves(u: StateVector, v: StateVector, ctx: GibbsContext):
@@ -115,15 +129,12 @@ def _majorization_curves(u: StateVector, v: StateVector, ctx: GibbsContext):
 
 
 def _lies_below(curve: LorenzCurve, upper, policy: NumericPolicy) -> bool:
-    """curve(s) <= upper(s) on [0, 1], for a concave `upper` that is 0 at
-    s = 0: checked at the curve's vertices past 0 (its bends and s = 1), as
-    the curve is linear between them.  Judged within eps_lp, as check_cto
-    judges the same question."""
+    """curve <= f on [0, 1], for a concave f that is 0 at s = 0, given
+    `upper`, the values of f at the curve's vertices past 0 (its bends and
+    s = 1): the curve is linear between them.  Judged within eps_lp, as
+    check_cto judges the same question."""
     eps = policy.eps_lp
-    for s, t in curve.points[1:]:
-        if not policy.leq(t, upper(s), eps):
-            return False
-    return True
+    return all(policy.leq(t, u, eps) for (_, t), u in zip(curve.points[1:], upper))
 
 
 def merged_bend_grid(curves, policy: NumericPolicy) -> list:
@@ -169,9 +180,8 @@ def embed_states(states, ctx: GibbsContext):
     ctx2 = GibbsContext.from_weights(weights, policy)
     out = []
     for c in curves:
-        vals = [c.value(s) for s in grid]
-        out.append(StateVector(tuple(vals[i] - vals[i - 1]
-                                     for i in range(1, len(grid)))))
+        vals = c.values(grid)
+        out.append(StateVector(tuple(b - a for a, b in zip(vals, vals[1:]))))
     return ctx2, out
 
 

@@ -576,6 +576,26 @@ class TestPhiMonotones:
         with pytest.raises(OutOfRange):
             phi_monotones(_gibbs_column(uniform2), uniform2, (F(3, 2),))
 
+    def test_nan_abscissa_is_out_of_range(self):
+        ctx = GibbsContext.from_energies((0, 1, 2))
+        with pytest.raises(OutOfRange):
+            phi_monotones(_single((0.7, 0.2, 0.1)), ctx, [0.5, float("nan")])
+
+    def test_abscissae_from_a_generator(self, skew2):
+        state = testkit.random_cq(skew2, 2, 4)
+        report = phi_monotones(state, skew2, (F(s, 4) for s in range(1, 5)))
+        assert report.abscissae == (F(1, 4), F(1, 2), F(3, 4), F(1))
+        assert len(report.values) == 4
+
+    def test_abscissae_keep_the_given_order(self, skew2):
+        state = testkit.random_cq(skew2, 3, 8)
+        given = (F(3, 4), F(1, 5), F(1), F(0), F(1, 5), F(1, 2))
+        report = phi_monotones(state, skew2, given)
+        curves = cq_branch_curves(state, skew2)
+        assert report.abscissae == given
+        assert report.values == tuple(
+            sum(c.value(s) for c in curves) for s in given)
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
     def test_never_increases_under_plans(self, seed):

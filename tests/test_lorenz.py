@@ -1,6 +1,8 @@
 """Lorenz curves: construction, evaluation, majorization and embedding."""
 
+import math
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -127,6 +129,149 @@ class TestEvalLorenz:
             curve.value(F(-1, 10))
         with pytest.raises(OutOfRange):
             curve.value(F(11, 10))
+
+    def test_nan_abscissa_is_out_of_range(self):
+        curve = build_lorenz(StateVector((0.7, 0.2, 0.1)),
+                             GibbsContext.from_energies((0, 1, 2)))
+        with pytest.raises(OutOfRange):
+            curve.value(math.nan)
+        with pytest.raises(OutOfRange):
+            curve.values([0.5, math.nan])
+        with pytest.raises(OutOfRange):
+            curve.values([math.nan, 0.5])
+
+    def test_values_refuses_a_decreasing_abscissa(self, uniform2):
+        curve = build_lorenz(StateVector((F(3, 4), F(1, 4))), uniform2)
+        assert curve.values([F(1, 4), F(1, 4), F(3, 4)]) == [
+            F(3, 8), F(3, 8), F(7, 8)]
+        with pytest.raises(OutOfRange):
+            curve.values([F(3, 4), F(1, 4)])
+
+
+def _reference_value(curve, s):
+    """The curve at s by `bisect_right` on its abscissae, apart from the walk
+    in `LorenzCurve.values`; the same interpolation formula."""
+    pts = curve.points
+    xs = tuple(p[0] for p in pts)
+    if s < xs[0] or s > xs[-1]:
+        raise OutOfRange(s)
+    k = bisect_right(xs, s)
+    if k >= len(pts):
+        return pts[-1][1]
+    (s0, t0), (s1, t1) = pts[k - 1], pts[k]
+    if s == s0:
+        return t0
+    return t0 + (t1 - t0) * (s - s0) / (s1 - s0)
+
+
+def _reference_build(w, ctx):
+    """`build_lorenz`'s loop written through the policy's methods, one call
+    per level: slopes within eps_merge extend a segment, and in float mode
+    the abscissa is capped at 1 and a vertex at or before the last joins it."""
+    policy, g = ctx.policy, ctx.gibbs
+    ratios = [w.w[i] / g[i] for i in range(w.dim)]
+    order = sorted(range(w.dim), key=ratios.__getitem__, reverse=True)
+    noisy = not policy.exact
+    pts = [(policy.zero(), policy.zero())]
+    s = t = policy.zero()
+    prev_slope = None
+    for i in order:
+        s = s + g[i]
+        t = t + w.w[i]
+        if noisy and s > 1.0:
+            s = 1.0
+        slope = ratios[i]
+        if prev_slope is not None and (
+                policy.close(prev_slope, slope, policy.eps_merge)
+                or noisy and s <= pts[-1][0]):
+            pts[-1] = (s, t)
+        else:
+            pts.append((s, t))
+            prev_slope = slope
+    pts[-1] = (policy.one(), t)
+    return pts, order
+
+
+def _bits(xs):
+    """Floats by their bits (hex), Fractions as they are."""
+    return [x.hex() if isinstance(x, float) else x for x in xs]
+
+
+def _walk_cases(exact, seed):
+    """Seeded (state, context) pairs: random states; Gibbs weights down to
+    1e-13 and 1e-17 in float mode; collinear levels (w_i / g_i equal on a
+    group of levels); an all-zero column."""
+    rng = random.Random(seed)
+    policy = RATIONAL if exact else FLOATS
+    if not exact:
+        # the float cumulative abscissa passes 1 one level before the last,
+        # and that level's weight, 5.7e-16, moves it on: the cap at 1 joins
+        ctx = GibbsContext.from_energies((0.6, 0.2, 0.4, 0.2, 1.1, 0.6, 35.1))
+        w = [k * g for k, g in zip((4, 7, 5, 6, 2, 3, 0), ctx.gibbs)]
+        yield StateVector(tuple(x / sum(w) for x in w)), ctx
+    for _ in range(60):
+        d = rng.randint(2, 9)
+        if exact:
+            ctx = testkit.random_context(d, rng, RATIONAL)
+        else:
+            energies = [rng.choice((rng.uniform(0.0, 3.0), 30.0, 39.0, 1.0))
+                        for _ in range(d)]
+            ctx = GibbsContext.from_energies(energies)
+        g = ctx.gibbs
+        yield testkit.random_state(ctx, rng), ctx
+        group = set(rng.sample(range(d), rng.randint(2, d)))
+        c = testkit.random_distribution(2, rng, policy)[0]
+        left = 1 - c * sum(g[i] for i in group)
+        others = testkit.random_distribution(d, rng, policy)
+        yield StateVector(tuple(c * g[i] if i in group else left * others[i]
+                                for i in range(d))), ctx
+        yield StateVector(tuple(0 * x for x in g)), ctx
+
+
+def _walk_abscissae(curve, order, ctx, rng):
+    """0, 1, every vertex twice, every cumulative Gibbs sum in the curve's
+    order (where merged vertices lay), midpoints and random points."""
+    one = ctx.policy.one()
+    xs = [0 * one, one]
+    for s in curve.abscissae:
+        xs += [s, s]
+    acc = 0 * one
+    for i in order:
+        acc = acc + ctx.gibbs[i]
+        xs.append(min(acc, one))
+    xs += [(a + b) / 2 for a, b in zip(curve.abscissae, curve.abscissae[1:])]
+    xs += [F(rng.randint(0, 97), 97) if ctx.policy.exact else rng.random()
+           for _ in range(8)]
+    return sorted(xs)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_values_match_bisect_reference(exact):
+    """One walk gives, at every abscissa, the value of a `bisect_right`
+    lookup: the same float bits, the same Fraction."""
+    rng = random.Random(5)
+    for w, ctx in _walk_cases(exact, 17):
+        curve = build_lorenz(w, ctx)
+        _, order = _reference_build(w, ctx)
+        xs = _walk_abscissae(curve, order, ctx, rng)
+        want = [_reference_value(curve, s) for s in xs]
+        assert _bits(curve.values(xs)) == _bits(want)
+        assert _bits([curve.value(s) for s in xs]) == _bits(want)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_build_matches_per_level_reference(exact):
+    """The one-loop build gives the reference loop's vertices, bit for bit,
+    and its values at them and between them."""
+    rng = random.Random(9)
+    for w, ctx in _walk_cases(exact, 23):
+        curve = build_lorenz(w, ctx)
+        pts, order = _reference_build(w, ctx)
+        assert [_bits(p) for p in curve.points] == [_bits(p) for p in pts]
+        assert curve.abscissae == tuple(s for s, _ in pts)
+        xs = _walk_abscissae(curve, order, ctx, rng)
+        assert _bits(curve.values(xs)) == _bits(
+            [_reference_value(curve, s) for s in xs])
 
 
 class TestThermoMajorizes:
