@@ -229,6 +229,11 @@ class StateVector:
     def validate(self, policy: NumericPolicy) -> "StateVector":
         """Entries nonnegative and mass at most 1 as `policy.nonneg` and
         `policy.leq` judge, inlined per mode; no floats in rational mode."""
+        self._validated_mass(policy)
+        return self
+
+    def _validated_mass(self, policy: NumericPolicy) -> Number:
+        """The mass, once `validate`'s checks pass (they raise otherwise)."""
         if policy.exact:
             for x in self.w:
                 if not 0 <= x:
@@ -242,9 +247,10 @@ class StateVector:
                 if not 0.0 <= x + eps:
                     raise ValidationError(f"negative component {x} in state vector")
             bound = 1.0 + eps
-        if not self.mass <= bound:
-            raise ValidationError(f"state mass {self.mass} exceeds 1")
-        return self
+        mass = self.mass
+        if not mass <= bound:
+            raise ValidationError(f"state mass {mass} exceeds 1")
+        return mass
 
     def normalized(self) -> "StateVector":
         m = self.mass
@@ -293,13 +299,13 @@ class CQState:
     def validate(self, policy: NumericPolicy) -> "CQState":
         if not self.columns:
             raise ZeroTotalMass("joint state has no columns")
-        d = self.dim
-        for c in self.columns:
+        d, total = self.dim, 0
+        for c in self.columns:  # each column summed once
             if c.dim != d:
                 raise DimensionMismatch("joint state columns differ in dimension")
-            c.validate(policy)
-        if not policy.close(self.total_mass, policy.one()):
-            raise NotNormalized(f"joint state mass {self.total_mass} != 1")
+            total += c._validated_mass(policy)
+        if not policy.close(total, policy.one()):
+            raise NotNormalized(f"joint state mass {total} != 1")
         return self
 
 
@@ -347,11 +353,14 @@ class TOMatrix:
     def apply(self, v: StateVector) -> StateVector:
         if v.dim != self.dim:
             raise DimensionMismatch("matrix/vector dimension mismatch")
-        w = v.w  # zero entries are skipped; a zero row gives its entries' zero
-        return StateVector(tuple(
-            sum((x * w[j] for j, x in enumerate(row) if x), 0 * row[0])
-            for row in self.t
-        ))
+        w, out = v.w, []  # zeros are skipped: each would cost a Fraction product
+        for row in self.t:
+            acc = None  # the first product starts the sum: no Fraction(0) to add
+            for x, y in zip(row, w):
+                if x:
+                    acc = x * y if acc is None else acc + x * y
+            out.append(0 * row[0] if acc is None else acc)  # a zero row: its entries' zero
+        return StateVector(tuple(out))
 
     def validate(self, ctx: GibbsContext) -> "TOMatrix":
         policy = ctx.policy

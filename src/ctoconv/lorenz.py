@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import CQState, GibbsContext, NumericPolicy, StateVector
+from .core import (CQState, GibbsContext, NumericPolicy, StateVector,
+                   validate_context)
 from .errors import DimensionMismatch, EmptyInput, MassMismatch, OutOfRange
 
 
@@ -176,8 +177,12 @@ def embed_states(states, ctx: GibbsContext):
             raise MassMismatch(f"embedding requires normalized states, mass {w.mass}")
     curves = [build_lorenz(w, ctx) for w in states]
     grid = merged_bend_grid(curves, policy)
-    weights = [grid[i] - grid[i - 1] for i in range(1, len(grid))]
-    ctx2 = GibbsContext.from_weights(weights, policy)
+    # the gaps are numbers of the policy's type already: no parsing, as
+    # GibbsContext.from_weights would do, only its defaults and checks
+    gaps = tuple([grid[i] - grid[i - 1] for i in range(1, len(grid))])
+    one = policy.one()
+    ctx2 = validate_context(GibbsContext(gibbs=gaps, beta=one, partition=one,
+                                         policy=policy))
     out = []
     for c in curves:
         vals = c.values(grid)

@@ -5,12 +5,15 @@ target branch v mixed from sources u^x with coefficients c_x, the cells are
 the segments of L[v] and T^x = B S E_x.  E_x[k][i] = |cell_k & I_i(u^x)| / g_i,
 with I_i(u) level i's interval in u's Lorenz order, maps g to the cell
 widths and u^x to its increments; row k stores only the levels whose
-interval overlaps cell k, at most n + d - 1 entries for n cells.  S, a
-Hardy-Littlewood-Polya sequence of at most n - 1 two-cell partial
-thermalizations, takes p = sum_x c_x E_x u^x to v's increments q; a step
-mixes two rows of E_x over the union of their supports.  It needs the
-partial sums of p to dominate those of q with equal totals, which is checked
-here (exactly in rational mode, within eps_lp in float mode).
+interval overlaps cell k, at most n + d - 1 entries for n cells.  A plan
+puts each source in Lorenz order once, and each embedding is one walk along
+the grid and the intervals together, as both increase in that order; the
+walk adds each piece's mass into p = sum_x c_x E_x u^x as it places it.  S,
+a Hardy-Littlewood-Polya sequence of at most n - 1 two-cell partial
+thermalizations, takes p to v's increments q; a step mixes two rows of E_x
+over the union of their supports.  It needs the partial sums of p to
+dominate those of q with equal totals, which is checked here (exactly in
+rational mode, within eps_lp in float mode).
 B[i][k] = |cell_k & I_i(v)| / |cell_k| maps the cells back to g and to v.
 The grid points are ends of v's own level intervals (merging nearby bends
 only joins cells), so level i lies in one cell k and row i of T is B[i][k]
@@ -19,8 +22,6 @@ both modes, so no plan entry needs clamping.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left, bisect_right
 
 from .core import (CQState, CTOPlan, GibbsContext, NumericPolicy, StateVector,
                    TOMatrix, canonicalize_cq)
@@ -40,8 +41,8 @@ def synthesize_to(u: StateVector, v: StateVector, ctx: GibbsContext) -> TOMatrix
     if u.mass == 0 and v.mass == 0:
         return TOMatrix.identity(ctx.dim, policy)
     try:
-        (t,) = _branch_maps([u.normalized().validate(policy)], [policy.one()],
-                            v.normalized(), ctx)
+        (t,) = _branch_maps([_levels(u.normalized().validate(policy), ctx)],
+                            [policy.one()], v.normalized(), ctx)
     except NotConvertible:
         raise NotThermoMajorizing("source does not thermo-majorize the target") from None
     return t
@@ -69,13 +70,14 @@ def synthesize_cto(source: CQState, target: CQState, ctx: GibbsContext,
         if control is None or len(control) != ell or any(len(r) != m for r in control):
             raise ValidationError(f"plan seed is not an {ell} x {m} matrix")
         CTOPlan(control, {}).validate(ctx)  # nonnegative rows that sum to 1
+    levels = [_levels(u, ctx) for u in source.columns]  # once per plan
     ident = TOMatrix.identity(ctx.dim, policy)
     branch_maps = {(x, y): ident for x in range(ell) for y in range(m)}
     for y in range(m):
         support = [x for x in range(ell) if p[x] * control[x][y] > 0]
         if not support:
             raise NotConvertible(f"target branch {y} receives no mass")
-        maps = _branch_maps([source.columns[x] for x in support],
+        maps = _branch_maps([levels[x] for x in support],
                             [control[x][y] for x in support],
                             target.columns[y], ctx)
         branch_maps.update(((x, y), t) for x, t in zip(support, maps))
@@ -85,70 +87,96 @@ def synthesize_cto(source: CQState, target: CQState, ctx: GibbsContext,
 def _branch_maps(sources, coeffs, target: StateVector, ctx: GibbsContext) -> list:
     """Gibbs-stochastic T_x = B S E_x with sum_x coeffs[x] T_x sources[x] = target.
 
-    Sources and target may be weighted; the coefficients must carry the
-    target's mass.  Raises NotConvertible when they cannot.
+    Sources come as `_levels` gives them; sources and target may be
+    weighted, and the coefficients must carry the target's mass.  Raises
+    NotConvertible when they cannot.
     """
     policy = ctx.policy
-    g, d, zero = ctx.gibbs, ctx.dim, policy.zero()
+    d, zero, one = ctx.dim, policy.zero(), policy.one()
     grid = merged_bend_grid([build_lorenz(target, ctx)], policy)
     n = len(grid) - 1
     widths = [grid[k + 1] - grid[k] for k in range(n)]
-    spreads = [_embedding(u, grid, ctx) for u in sources]
-    cover = _embedding(target, grid, ctx)
-    p = [zero] * n
-    for c, e, u in zip(coeffs, spreads, sources):
-        for k, row in enumerate(e):
-            p[k] += c * sum(x * u.w[i] for i, x in row.items())
-    q = [sum(x * target.w[i] for i, x in row.items()) for row in cover]
-    steps = _transfers(p, q, widths, policy)
-    home = {i: (k, x * g[i] / widths[k])  # level i -> (its cell k, B[i][k])
-            for k, row in enumerate(cover) for i, x in row.items()}
+    p, q = [zero] * n, [zero] * n
+    spreads = [_embedding(levels, grid, c, p, policy)
+               for c, levels in zip(coeffs, sources)]
+    cover = _embedding(_levels(target, ctx), grid, one, q, policy)
+    steps = [(j, k, keep, a, b, keep + a, keep + b)
+             for j, k, keep, a, b in _transfers(p, q, widths, policy)]
+    home = [None] * d  # level i -> (its cell k, B[i][k]), in level order
+    for k, row in enumerate(cover):
+        for i, x in row.items():
+            home[i] = (k, x * ctx.gibbs[i] / widths[k])
     maps = []
     for e in spreads:
-        for j, k, keep, a, b in steps:
+        for j, k, keep, a, b, ka, kb in steps:
             ej, ek = e[j], e[k]
-            for c in ej.keys() | ek.keys():
-                x, y = ej.get(c, zero), ek.get(c, zero)
-                s = x + y
-                ej[c], ek[c] = keep * x + a * s, keep * y + b * s
-        t = [[zero] * d for _ in range(d)]
-        for i, (k, b) in home.items():
+            for c, x in ej.items():
+                y = ek.get(c)
+                if y is None:  # a cell held by one row takes two products
+                    ej[c], ek[c] = ka * x, b * x
+                else:
+                    s = x + y
+                    ej[c], ek[c] = keep * x + a * s, keep * y + b * s
+            if len(ek) > len(ej):  # ek now holds every key of ej
+                for c, y in ek.items():
+                    if c not in ej:
+                        ej[c], ek[c] = a * y, kb * y
+        rows = []
+        for k, b in home:
+            row = [zero] * d
             for c, x in e[k].items():
-                t[i][c] = b * x
-        maps.append(TOMatrix(t))
+                row[c] = b * x
+            rows.append(row)
+        maps.append(TOMatrix(rows))
     return maps
 
 
-def _embedding(u: StateVector, grid, ctx: GibbsContext) -> list:
+def _levels(u: StateVector, ctx: GibbsContext) -> list:
+    """u's levels in Lorenz order as (i, lo, hi, g_i, u_i), [lo, hi] being
+    level i's interval I_i(u): the partial sums of g in that order, with the
+    last interval ending at 1 (a float sum may stop short of it or pass it)."""
+    g, w = ctx.gibbs, u.w
+    _, order = lorenz_order(u, g)
+    out, lo = [], ctx.policy.zero()
+    for i in order:
+        hi = lo + g[i]
+        out.append((i, lo, hi, g[i], w[i]))
+        lo = hi
+    i, lo, _, gi, wi = out[-1]
+    out[-1] = (i, lo, ctx.policy.one(), gi, wi)
+    return out
+
+
+def _embedding(levels, grid, c, p: list, policy: NumericPolicy) -> list:
     """Row k of E as {i: |cell_k & I_i| / g_i} over the levels i whose
-    interval I_i in u's Lorenz order overlaps cell k (the last interval ends
-    at 1), at most n + d - 1 entries for n cells, found by bisecting the
-    grid at each interval's ends.  Keys come in level order, so float sums
-    over a row add in the order of a dense dot product.
+    interval I_i overlaps cell k, at most n + d - 1 entries for n cells;
+    adds c (E u)_k into p[k].  Levels come in Lorenz order (`_levels`), so
+    their intervals and the grid are walked together: a level starts in
+    the cell that holds its lower end and takes a piece of each cell that
+    ends inside it.
 
     A level's pieces add up to one, so its last piece is one minus the
     others (zero if rounding makes them overshoot): in float mode
     |I_i| / g_i is off by ulp(lo) / g_i, which a tiny g_i makes large.  A
     level whose interval rounds away lies whole in the cell of its start.
     """
-    g = ctx.gibbs
-    zero, one = ctx.policy.zero(), ctx.policy.one()
-    _, order = lorenz_order(u, g)
-    ends = [zero]
-    for i in order[:-1]:
-        ends.append(ends[-1] + g[i])
-    ends.append(grid[-1])
+    zero, one = policy.zero(), policy.one()
     n = len(grid) - 1
     e = [{} for _ in range(n)]
-    for i, lo, hi in sorted(zip(order, ends, ends[1:])):
-        first = bisect_right(grid, lo, 0, n) - 1
-        last = max(first, bisect_left(grid, hi, 0, n) - 1)
-        rest = one
-        for k in range(first, last):  # cells that end inside I_i
-            x = (grid[k + 1] - max(lo, grid[k])) / g[i]
+    k = 0
+    for i, lo, hi, gi, wi in levels:
+        while k + 1 < n and grid[k + 1] <= lo:
+            k += 1
+        cw, rest = c * wi, one
+        while k + 1 < n and grid[k + 1] < hi:  # cell k ends inside I_i
+            x = (grid[k + 1] - max(lo, grid[k])) / gi
             e[k][i] = x
+            p[k] += x * cw
             rest -= x
-        e[last][i] = rest if rest > zero else zero
+            k += 1
+        x = rest if rest > zero else zero
+        e[k][i] = x
+        p[k] += x * cw
     return e
 
 
@@ -156,8 +184,10 @@ def _transfers(p, q, widths, policy: NumericPolicy) -> list:
     """Steps (j, k, 1 - lam, lam w_j/(w_j+w_k), lam w_k/(w_j+w_k)) whose
     product maps p to q and fixes the widths w, for q/w non-increasing.
 
-    Each moves mass from the last cell where p exceeds q to the first later
-    one where it falls short, closing one gap; lam <= 1 as q/w is sorted.
+    Each moves mass from the last cell where p exceeds q that has a later
+    one where it falls short to the first such later one, closing one gap;
+    lam <= 1 as q/w is sorted.  One walk from the right finds them: the
+    cells still short to the right of j wait on a stack, the nearest on top.
     """
     zero, one = policy.zero(), policy.one()
     gap = [a - b for a, b in zip(p, q)]
@@ -168,25 +198,26 @@ def _transfers(p, q, widths, policy: NumericPolicy) -> list:
             raise NotConvertible("mixed source curve falls below the target curve")
     if not policy.close(acc, zero, policy.eps_lp):
         raise NotConvertible("control map does not carry the target branch's mass")
-    steps = []
-    while True:
-        short = [k for k, r in enumerate(gap) if r < 0]
-        over = [j for j in range(short[-1]) if gap[j] > 0] if short else []
-        if not over:
-            return steps
-        j = over[-1]
-        k = next(k for k in short if k > j)
-        wj, wk = widths[j], widths[k]
-        den = (q[j] + gap[j]) * wk - (q[k] + gap[k]) * wj
-        if gap[j] <= -gap[k]:
-            delta, gap[j] = gap[j], zero
-            gap[k] += delta
-        else:
-            delta, gap[k] = -gap[k], zero
-            gap[j] -= delta
-        if den > 0:  # den > 0 and lam <= 1 hold exactly; these guard rounding
-            lam = min(one, delta * (wj + wk) / den)
-            steps.append((j, k, one - lam, lam * wj / (wj + wk), lam * wk / (wj + wk)))
+    steps, short = [], []
+    for j in range(len(gap) - 1, -1, -1):
+        if gap[j] < 0:
+            short.append(j)
+        while gap[j] > 0 and short:
+            k = short[-1]
+            wj, wk = widths[j], widths[k]
+            den = (q[j] + gap[j]) * wk - (q[k] + gap[k]) * wj
+            if gap[j] <= -gap[k]:
+                delta, gap[j] = gap[j], zero
+                gap[k] += delta
+            else:
+                delta, gap[k] = -gap[k], zero
+                gap[j] -= delta
+            if not gap[k] < 0:
+                short.pop()
+            if den > 0:  # den > 0 and lam <= 1 hold exactly; these guard rounding
+                lam = min(one, delta * (wj + wk) / den)
+                steps.append((j, k, one - lam, lam * wj / (wj + wk), lam * wk / (wj + wk)))
+    return steps
 
 
 def apply_cto(plan: CTOPlan, state: CQState, ctx: GibbsContext) -> CQState:

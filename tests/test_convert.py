@@ -924,14 +924,16 @@ class TestValidatesEachColumnOnce:
 
     @staticmethod
     def _spy(monkeypatch):
+        """Records each column checked; StateVector.validate and
+        CQState.validate both check a column through `_validated_mass`."""
         checked = []
-        orig = StateVector.validate
+        orig = StateVector._validated_mass
 
         def spy(self, policy):
             checked.append(self)
             return orig(self, policy)
 
-        monkeypatch.setattr(StateVector, "validate", spy)
+        monkeypatch.setattr(StateVector, "_validated_mass", spy)
         return checked
 
     @pytest.mark.parametrize("policy", [FLOATS, RATIONAL], ids=["float", "rational"])

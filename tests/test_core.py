@@ -1,6 +1,7 @@
 """Domain types: contexts, states, plans, numeric policy and canonicalization."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +17,7 @@ from ctoconv import (
     canonicalize_cq,
     testkit,
 )
-from ctoconv.core import encode_number, parse_number
+from ctoconv.core import encode_number, matvec, parse_number
 from ctoconv.errors import (
     DimensionMismatch,
     NonPositiveGibbsWeight,
@@ -187,6 +188,21 @@ class TestCQState:
         with pytest.raises(NotNormalized):
             CQState(((F(1, 4), F(0)),)).validate(RATIONAL)
 
+    def test_errors_come_in_a_fixed_order(self):
+        """Negative entry, then a float in rational mode, then a column mass
+        over 1, then a total other than 1: each state below has every fault
+        of the ones after it, and raises its own."""
+        faults = [
+            ("negative component", ((F(-1, 2), 0.5, F(2)), (F(1, 4), F(0), F(0)))),
+            ("float component", ((F(1, 2), 0.5, F(2)), (F(1, 4), F(0), F(0)))),
+            ("exceeds 1", ((F(1, 2), F(1, 2), F(2)), (F(1, 4), F(0), F(0)))),
+            ("!= 1", ((F(1, 2), F(1, 4), F(0)), (F(1, 2), F(0), F(0)))),
+        ]
+        for message, cols in faults:
+            with pytest.raises(ValidationError, match=message) as info:
+                CQState(cols).validate(RATIONAL)
+            assert (info.type is NotNormalized) == (message == "!= 1")
+
 
 class TestTOMatrix:
     def test_identity_valid(self, uniform2):
@@ -195,6 +211,19 @@ class TestTOMatrix:
     def test_apply(self):
         t = TOMatrix(((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))))
         assert t.apply(StateVector((F(1), F(0)))).w == (F(1, 2), F(1, 2))
+
+    @pytest.mark.parametrize("kind", [F, float])
+    def test_apply_matches_dense_product(self, kind):
+        """Skipping zero entries changes no value or type, a zero row included."""
+        rng = random.Random(2)
+        for _ in range(60):
+            d = rng.randint(1, 6)
+            rows = [[kind(F(rng.randint(1, 7), 8)) if rng.random() < 0.5 else kind(0)
+                     for _ in range(d)] for _ in range(d)]
+            w = [kind(F(rng.randint(0, 5), 16)) for _ in range(d)]
+            out = TOMatrix(rows).apply(StateVector(w)).w
+            assert out == tuple(matvec(rows, w))
+            assert all(type(x) is kind for x in out)
 
     def test_column_sum_checked(self, uniform2):
         with pytest.raises(ValidationError):

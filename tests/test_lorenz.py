@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from ctoconv import (
     CQState,
     GibbsContext,
+    NumericPolicy,
     StateVector,
     build_lorenz,
     check_cto,
@@ -358,6 +359,25 @@ class TestEmbedStates:
         for w in out:
             ratios = [wi / gi for wi, gi in zip(w.w, ctx2.gibbs)]
             assert all(a >= b for a, b in zip(ratios, ratios[1:]))
+
+    @pytest.mark.parametrize("policy", [FLOATS, RATIONAL], ids=["float", "rational"])
+    def test_gaps_keep_their_type_and_values(self, monkeypatch, policy):
+        """The new context's weights are the grid gaps themselves, of the
+        policy's type; none is read again through the number parser."""
+        rng = random.Random(17)
+        ctx = testkit.random_context(5, rng, policy)
+        states = [testkit.random_state(ctx, rng) for _ in range(3)]
+        grid = merged_bend_grid([build_lorenz(w, ctx) for w in states], policy)
+        parsed = []
+        orig = NumericPolicy.number
+        monkeypatch.setattr(NumericPolicy, "number",
+                            lambda self, tok: parsed.append(tok) or orig(self, tok))
+        ctx2, _ = embed_states(states, ctx)
+        assert not parsed
+        assert ctx2.gibbs == tuple(b - a for a, b in zip(grid, grid[1:]))
+        kind = F if policy.exact else float
+        assert all(type(g) is kind for g in ctx2.gibbs)
+        assert ctx2.beta == 1 and ctx2.partition == 1 and ctx2.energies is None
 
     def test_empty_input(self, uniform2):
         with pytest.raises(EmptyInput):

@@ -399,6 +399,14 @@ def _dense_embedding(u, grid, ctx):
     return e
 
 
+def _levels_state(levels):
+    """The source vector that `synth._levels` put in Lorenz order."""
+    w = [None] * len(levels)
+    for i, _, _, _, wi in levels:
+        w[i] = wi
+    return StateVector(tuple(w))
+
+
 def _dense_branch_maps(sources, coeffs, target, ctx):
     """Reference T_x = B S E_x with dense factors and d^2 generator sums."""
     policy = ctx.policy
@@ -428,6 +436,53 @@ def _dense_branch_maps(sources, coeffs, target, ctx):
     return maps
 
 
+def _rescanning_transfers(p, q, widths, policy):
+    """Reference HLP steps: rescan the gaps before each step for the last
+    cell over q that has a later short one, and the first such later one."""
+    zero, one = policy.zero(), policy.one()
+    gap = [a - b for a, b in zip(p, q)]
+    steps = []
+    while True:
+        short = [k for k, r in enumerate(gap) if r < 0]
+        over = [j for j in range(short[-1]) if gap[j] > 0] if short else []
+        if not over:
+            return steps
+        j = over[-1]
+        k = next(k for k in short if k > j)
+        wj, wk = widths[j], widths[k]
+        den = (q[j] + gap[j]) * wk - (q[k] + gap[k]) * wj
+        if gap[j] <= -gap[k]:
+            delta, gap[j] = gap[j], zero
+            gap[k] += delta
+        else:
+            delta, gap[k] = -gap[k], zero
+            gap[j] -= delta
+        if den > 0:
+            lam = min(one, delta * (wj + wk) / den)
+            steps.append((j, k, one - lam, lam * wj / (wj + wk), lam * wk / (wj + wk)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_transfers_match_rescanning_reference(seed):
+    """The one-walk step search gives the reference's steps, in its order,
+    on random exact gap patterns with ties and zero gaps."""
+    rng = random.Random(seed)
+    checked = 0
+    while checked < 150:
+        n = rng.randint(1, 9)
+        widths = [F(rng.randint(1, 6)) for _ in range(n)]
+        slopes = sorted((F(rng.randint(0, 6)) for _ in range(n)), reverse=True)
+        q = [s * w for s, w in zip(slopes, widths)]
+        p = [F(rng.choice([0, 0, 1, 2, 3, 6, 9])) for _ in range(n)]
+        p[0] += sum(q) - sum(p)
+        partial = [sum(p[:i + 1]) - sum(q[:i + 1]) for i in range(n)]
+        if p[0] < 0 or min(partial) < 0:
+            continue
+        assert synth._transfers(p, q, widths, RATIONAL) == \
+            _rescanning_transfers(p, q, widths, RATIONAL)
+        checked += 1
+
+
 class TestSparseEmbedding:
     """The sparse construction against the dense B S E_x it replaced."""
 
@@ -440,7 +495,8 @@ class TestSparseEmbedding:
 
         def both(sources, coeffs, target, ctx):
             maps = orig(sources, coeffs, target, ctx)
-            pairs.extend(zip(maps, _dense_branch_maps(sources, coeffs, target, ctx)))
+            states = [_levels_state(levels) for levels in sources]
+            pairs.extend(zip(maps, _dense_branch_maps(states, coeffs, target, ctx)))
             return maps
 
         monkeypatch.setattr(synth, "_branch_maps", both)
@@ -488,7 +544,8 @@ class TestSparseEmbedding:
         v = StateVector(tuple((a + b) / 2 for a, b in zip(u.w, g)))
         grid = merged_bend_grid([build_lorenz(v, ctx)], FLOATS)
         assert grid[1] > FLOATS.eps_merge
-        cover = synth._embedding(v, grid, ctx)
+        q = [0.0] * (len(grid) - 1)
+        cover = synth._embedding(synth._levels(v, ctx), grid, 1.0, q, FLOATS)
         assert sorted(cover[0]) == [0, 4]
         # the merge joins cells; it never splits a level of v between two
         assert sorted(i for row in cover for i in row) == list(range(5))
@@ -537,9 +594,9 @@ class TestSparseEmbedding:
         sizes = []
         orig = synth._embedding
 
-        def spy(u, grid, ctx):
-            e = orig(u, grid, ctx)
-            n, d = len(grid) - 1, ctx.dim
+        def spy(levels, grid, c, p, policy):
+            e = orig(levels, grid, c, p, policy)
+            n, d = len(grid) - 1, len(levels)
             sizes.append((sum(len(row) for row in e), n + d - 1))
             return e
 
@@ -548,3 +605,31 @@ class TestSparseEmbedding:
             self._synthesize(seed, policy)
         assert len(sizes) >= 40
         assert all(stored <= bound for stored, bound in sizes), sizes
+
+    @pytest.mark.parametrize("policy", [FLOATS, RATIONAL], ids=["float", "rational"])
+    def test_each_source_is_ordered_once_per_plan(self, monkeypatch, policy):
+        """synthesize_cto puts each source column in Lorenz order once, not
+        once per target branch it feeds; each target branch is ordered once."""
+        calls = []
+        orig = synth.lorenz_order
+
+        def spy(u, g):
+            calls.append(u)
+            return orig(u, g)
+
+        monkeypatch.setattr(synth, "lorenz_order", spy)
+        rng = random.Random(5)
+        multi = 0
+        for _ in range(30):
+            ctx = testkit.random_context(rng.randint(2, 8), rng, policy)
+            source = testkit.random_cq(ctx, rng.randint(1, 4), rng)
+            gen = testkit.random_cto(ctx, source.n_branches, rng.randint(2, 4), rng)
+            target = apply_cto(gen, source, ctx)
+            calls.clear()
+            synthesize_cto(source, target, ctx,
+                           Decision(convertible=True, plan_seed=gen.control))
+            for u in source.columns:
+                assert sum(c is u for c in calls) == 1
+            assert len(calls) == source.n_branches + target.n_branches
+            multi += any(sum(x > 0 for x in r) > 1 for r in gen.control)
+        assert multi  # some source fed more than one target branch
