@@ -43,7 +43,11 @@ def resource_value(state: CQState, ctx: GibbsContext, relative: bool = True) -> 
 
     relative=True subtracts F(g) per branch, so free states score exactly 0.
     """
-    state.validate(ctx.policy)
+    return _resource_value(state.validate(ctx.policy), ctx, relative)
+
+
+def _resource_value(state: CQState, ctx: GibbsContext, relative: bool) -> float:
+    """`resource_value` of a state checked already."""
     base = gibbs_free_energy(ctx) if relative else 0.0
     total = 0.0
     for col in state.columns:
@@ -56,8 +60,11 @@ def resource_value(state: CQState, ctx: GibbsContext, relative: bool = True) -> 
 
 def asymptotic_rate(source: CQState, target: CQState, ctx: GibbsContext) -> float:
     """Optimal copies-out per copy-in in the many-copy limit: f(U)/f(V)."""
-    f_u = resource_value(source, ctx, relative=True)
-    f_v = resource_value(target, ctx, relative=True)
+    return _rate(resource_value(source, ctx), resource_value(target, ctx))
+
+
+def _rate(f_u: float, f_v: float) -> float:
+    """f_u/f_v; FreeTarget when |f_v| <= _RATE_TOL, and 0.0 when |f_u| <= it."""
     if abs(f_v) <= _RATE_TOL:
         raise FreeTarget("target is a free state; the rate is unbounded")
     if abs(f_u) <= _RATE_TOL:

@@ -308,9 +308,7 @@ def _cmd_rate(inst: Instance, args) -> int:
     f_u = asymptotic.resource_value(source, inst.ctx, relative=relative)
     f_v = asymptotic.resource_value(target, inst.ctx, relative=relative)
     try:
-        rate = f_u / f_v if args.raw else asymptotic.asymptotic_rate(
-            source, target, inst.ctx
-        )
+        rate = f_u / f_v if args.raw else asymptotic._rate(f_u, f_v)
     except (FreeTarget, ZeroDivisionError):
         rate = "inf"
     _emit({"f_source": f_u, "f_target": f_v, "rate": rate})

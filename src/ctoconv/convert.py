@@ -31,7 +31,6 @@ from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
     MassMismatch,
-    NotNormalized,
     NotThermoMajorizing,
     SolveBudgetExceeded,
     ValidationError,
@@ -95,19 +94,17 @@ class MonotoneValues(NamedTuple):
     free_energy: float
 
 
-def _grid_values(source: CQState, target: CQState, ctx: GibbsContext, *,
-                 validated: bool = False):
+def _grid_values(source: CQState, target: CQState, ctx: GibbsContext):
     """The target branch curves, their merged bend grid 0 = s_0 < ... < s_D = 1,
     and the source and target curve values at s_1..s_D.
 
-    Values come as rows: cum[i][x] = L[curve x](s_{i+1}).  Target curves
-    are built first, then source curves; validated=True when both states'
-    columns are checked already.
+    Values come as rows: cum[i][x] = L[curve x](s_{i+1}).  Both states are
+    checked by `cq_branch_curves` as their curves are built, the source
+    first, so a source's error comes before a target's.
     """
-    policy = ctx.policy
-    tgt_curves = cq_branch_curves(target, ctx, validated=validated)
-    grid = merged_bend_grid(tgt_curves, policy)
-    src_curves = cq_branch_curves(source, ctx, validated=validated)
+    src_curves = cq_branch_curves(source, ctx)
+    tgt_curves = cq_branch_curves(target, ctx)
+    grid = merged_bend_grid(tgt_curves, ctx.policy)
     cum_p = _rows_of(src_curves, grid[1:])
     cum_q = _rows_of(tgt_curves, grid[1:])
     return tgt_curves, grid, cum_p, cum_q
@@ -207,9 +204,7 @@ def check_cto(source: CQState, target: CQState, ctx: GibbsContext) -> Decision:
     All rounds together get one work budget.
     """
     policy = ctx.policy
-    source.validate(policy)
-    target.validate(policy)
-    tgt_curves, grid, cum_p, cum_q = _grid_values(source, target, ctx, validated=True)
+    tgt_curves, grid, cum_p, cum_q = _grid_values(source, target, ctx)
     tol = policy.zero() if policy.exact else policy.eps_lp
     mix = [sum(row) for row in cum_p]  # the mixed source curve, sum_x L[u^x]
     rows, left = [], []  # per branch: rows in the LP, own rows left out
@@ -315,24 +310,21 @@ def check_state_to_ensemble(u: StateVector, target: CQState,
     target conditionals (weighted form avoids dividing by branch masses).
     Each target curve is checked at its own bends and at s = 1."""
     policy = ctx.policy
-    if not policy.close(u.mass, policy.one()):
-        raise MassMismatch("source state must be normalized")
-    target.validate(policy)
     cu = build_lorenz(u, ctx)
-    curves = cq_branch_curves(target, ctx, validated=True)
-    return all(_lies_below(cv, [qy * t for t in cu.values(cv.abscissae[1:])], policy)
-               for qy, cv in zip(target.branch_masses, curves))
+    if not policy.close(cu.mass, policy.one()):
+        raise MassMismatch("source state must be normalized")
+    return all(_lies_below(cv, [cv.mass * t for t in cu.values(cv.abscissae[1:])], policy)
+               for cv in cq_branch_curves(target, ctx))
 
 
 def check_ensemble_to_state(source: CQState, v: StateVector,
                             ctx: GibbsContext) -> bool:
     """Single-branch target: the averaged source curve must dominate L[v]."""
     policy = ctx.policy
-    if not policy.close(v.mass, policy.one()):
-        raise MassMismatch("target state must be normalized")
-    source.validate(policy)
-    curves = cq_branch_curves(source, ctx, validated=True)
+    curves = cq_branch_curves(source, ctx)
     cv = build_lorenz(v, ctx)
+    if not policy.close(cv.mass, policy.one()):
+        raise MassMismatch("target state must be normalized")
     return _lies_below(cv, map(sum, _rows_of(curves, cv.abscissae[1:])), policy)
 
 
@@ -400,14 +392,11 @@ def verify_witness(witness: WitnessMatrix, source: CQState, target: CQState,
 
     Negative values certify non-convertibility; computed on the weighted
     columns, which equals the conditional form by positive homogeneity.
-    Both joint states must have total mass one (the curves' values at
-    s = 1), and the witness must be a valid `WitnessMatrix`.
+    Both joint states must pass `cq_branch_curves`'s checks, and the
+    witness must be a valid `WitnessMatrix`.
     """
     policy = ctx.policy
     _, grid, cum_p, cum_q = _grid_values(source, target, ctx)
-    for total in (sum(cum_p[-1]), sum(cum_q[-1])):
-        if not policy.close(total, policy.one()):
-            raise NotNormalized(f"joint state mass {total} != 1")
     if len(grid) - 1 != witness.n_rows:
         raise DimensionMismatch(
             f"witness has {witness.n_rows} rows, target grid has "
@@ -453,9 +442,10 @@ def phi_monotones(state: CQState, ctx: GibbsContext,
                   abscissae: Sequence | None = None) -> MonotoneValues:
     """Curve-value monotones sum_x L[u^x](s) on a source-independent grid,
     plus the averaged relative free energy."""
-    from .asymptotic import resource_value  # local import, avoids a cycle
+    from .asymptotic import _resource_value  # local import, avoids a cycle
 
-    free = resource_value(state, ctx, relative=True)  # validates the state
+    curves = cq_branch_curves(state, ctx)  # checks the state
+    free = _resource_value(state, ctx, relative=True)
     if abscissae is None:
         if ctx.dim <= 6:
             abscissae = sigma_grid(ctx)
@@ -463,7 +453,6 @@ def phi_monotones(state: CQState, ctx: GibbsContext,
             abscissae = uniform_grid(64, ctx.policy)
     xs = tuple(abscissae)
     order = sorted(range(len(xs)), key=xs.__getitem__)  # walked sorted, kept in order
-    curves = cq_branch_curves(state, ctx, validated=True)
     sums = map(sum, _rows_of(curves, [xs[i] for i in order]))
     values = tuple(v for _, v in sorted(zip(order, sums)))
     return MonotoneValues(abscissae=xs, values=values, free_energy=free)

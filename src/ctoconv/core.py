@@ -229,10 +229,10 @@ class StateVector:
     def validate(self, policy: NumericPolicy) -> "StateVector":
         """Entries nonnegative and mass at most 1 as `policy.nonneg` and
         `policy.leq` judge, inlined per mode; no floats in rational mode."""
-        self._validated_mass(policy)
+        self._checked_mass(policy)
         return self
 
-    def _validated_mass(self, policy: NumericPolicy) -> Number:
+    def _checked_mass(self, policy: NumericPolicy) -> Number:
         """The mass, once `validate`'s checks pass (they raise otherwise)."""
         if policy.exact:
             for x in self.w:
@@ -297,16 +297,22 @@ class CQState:
         return [c.normalized() for c in self.columns]
 
     def validate(self, policy: NumericPolicy) -> "CQState":
-        if not self.columns:
-            raise ZeroTotalMass("joint state has no columns")
-        d, total = self.dim, 0
+        d, masses = self.dim, []
         for c in self.columns:  # each column summed once
             if c.dim != d:
                 raise DimensionMismatch("joint state columns differ in dimension")
-            total += c._validated_mass(policy)
-        if not policy.close(total, policy.one()):
-            raise NotNormalized(f"joint state mass {total} != 1")
+            masses.append(c._checked_mass(policy))
+        _check_joint(masses, policy)
         return self
+
+
+def _check_joint(masses, policy: NumericPolicy) -> None:
+    """The joint rule on column masses: at least one column, a total of one."""
+    if not masses:
+        raise ZeroTotalMass("joint state has no columns")
+    total = sum(masses)
+    if not policy.close(total, policy.one()):
+        raise NotNormalized(f"joint state mass {total} != 1")
 
 
 def canonicalize_cq(state: CQState, policy: NumericPolicy) -> CQState:

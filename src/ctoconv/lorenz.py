@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from .core import (CQState, GibbsContext, NumericPolicy, StateVector,
-                   validate_context)
+                   _check_joint, validate_context)
 from .errors import DimensionMismatch, EmptyInput, MassMismatch, OutOfRange
 
 
@@ -67,19 +67,17 @@ class LorenzCurve:
         return out
 
 
-def build_lorenz(w: StateVector, ctx: GibbsContext, *,
-                 validated: bool = False) -> LorenzCurve:
+def build_lorenz(w: StateVector, ctx: GibbsContext) -> LorenzCurve:
     """Sort levels by w_i/g_i non-increasing and connect the cumulative points.
 
-    validated=True skips `w.validate`, for a caller that has checked w
-    already (as CQState.validate checks each column).
+    The one place a column is checked (its dimension, `StateVector.validate`);
+    callers read w's mass from the curve, summed in Lorenz order.
     """
     if w.dim != ctx.dim:
         raise DimensionMismatch(
             f"state has dimension {w.dim}, context has {ctx.dim}"
         )
-    if not validated:
-        w.validate(ctx.policy)
+    w.validate(ctx.policy)
     g, wv = ctx.gibbs, w.w
     ratios, order = lorenz_order(w, g)
 
@@ -121,12 +119,11 @@ def thermo_majorizes(u: StateVector, v: StateVector, ctx: GibbsContext) -> bool:
 
 
 def _majorization_curves(u: StateVector, v: StateVector, ctx: GibbsContext):
-    """L[u] and L[v], for states of one dimension and equal mass."""
-    if u.dim != v.dim:
-        raise DimensionMismatch("states differ in dimension")
-    if not ctx.policy.close(u.mass, v.mass):
-        raise MassMismatch(f"masses {u.mass} and {v.mass} differ")
-    return build_lorenz(u, ctx), build_lorenz(v, ctx)
+    """L[u] and L[v], for states of the context's dimension and equal mass."""
+    cu, cv = build_lorenz(u, ctx), build_lorenz(v, ctx)
+    if not ctx.policy.close(cu.mass, cv.mass):
+        raise MassMismatch(f"masses {cu.mass} and {cv.mass} differ")
+    return cu, cv
 
 
 def _lies_below(curve: LorenzCurve, upper, policy: NumericPolicy) -> bool:
@@ -172,10 +169,10 @@ def embed_states(states, ctx: GibbsContext):
     if not states:
         raise EmptyInput("no states to embed")
     policy = ctx.policy
-    for w in states:
-        if not policy.close(w.mass, policy.one()):
-            raise MassMismatch(f"embedding requires normalized states, mass {w.mass}")
     curves = [build_lorenz(w, ctx) for w in states]
+    for c in curves:
+        if not policy.close(c.mass, policy.one()):
+            raise MassMismatch(f"embedding requires normalized states, mass {c.mass}")
     grid = merged_bend_grid(curves, policy)
     # the gaps are numbers of the policy's type already: no parsing, as
     # GibbsContext.from_weights would do, only its defaults and checks
@@ -190,8 +187,10 @@ def embed_states(states, ctx: GibbsContext):
     return ctx2, out
 
 
-def cq_branch_curves(state: CQState, ctx: GibbsContext, *,
-                     validated: bool = False) -> list:
-    """Lorenz curves of the weighted columns of a joint state (see
-    `build_lorenz` for validated)."""
-    return [build_lorenz(c, ctx, validated=validated) for c in state.columns]
+def cq_branch_curves(state: CQState, ctx: GibbsContext) -> list:
+    """Lorenz curves of the weighted columns of a joint state, the one place
+    a joint state is checked: each column by `build_lorenz`, then the curves'
+    masses by the joint rule of `CQState.validate`."""
+    curves = [build_lorenz(c, ctx) for c in state.columns]
+    _check_joint([c.mass for c in curves], ctx.policy)
+    return curves

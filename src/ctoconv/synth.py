@@ -53,7 +53,7 @@ def synthesize_cto(source: CQState, target: CQState, ctx: GibbsContext,
     """A full plan realizing a convertible pair: control map plus branch maps.
 
     A given decision's plan seed must be an ell x m row-stochastic matrix,
-    and the source is validated with it (check_cto validates it otherwise).
+    and the source is checked with it (check_cto checks it otherwise).
     """
     policy = ctx.policy
     if source.dim != ctx.dim or target.dim != ctx.dim:
@@ -222,7 +222,7 @@ def _transfers(p, q, widths, policy: NumericPolicy) -> list:
 
 def apply_cto(plan: CTOPlan, state: CQState, ctx: GibbsContext) -> CQState:
     """Output branches: v^y = sum_x R[x][y] T^(x,y) u^x, then canonicalize.
-    The state is validated first."""
+    The state is checked first."""
     if plan.n_in != state.n_branches:
         raise DimensionMismatch(
             f"plan expects {plan.n_in} source branches, state has "

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from ctoconv import cli
+from ctoconv import asymptotic, cli
 from ctoconv.errors import ParseError, ValidationError
 
 from conftest import FLOATS
@@ -224,6 +224,26 @@ class TestOtherCommands:
         code, payload = _run(capsys, ["rate", _write(tmp_path, doc)])
         assert code == 0
         assert payload["rate"] == "inf"
+
+    @pytest.mark.parametrize("raw", [False, True], ids=["relative", "raw"])
+    def test_rate_computes_each_free_energy_once(self, tmp_path, capsys,
+                                                 monkeypatch, raw):
+        calls = []
+        orig = asymptotic.resource_value
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(asymptotic, "resource_value", spy)
+        doc = {
+            "gibbs": {"beta": 1.0, "energies": [0.0, 0.0]},
+            "source": {"columns": [[1.0, 0.0]]},
+            "target": {"columns": [[0.75, 0.25]]},
+        }
+        code, _ = _run(capsys, ["rate", _write(tmp_path, doc)] + ["--raw"] * raw)
+        assert code == 0
+        assert len(calls) == 2
 
     def test_lorenz_csv_diagonal(self, tmp_path, capsys):
         doc = {

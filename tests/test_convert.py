@@ -28,9 +28,11 @@ from ctoconv import (
     verify_witness,
 )
 from ctoconv import convert, lorenz
-from ctoconv.lorenz import cq_branch_curves, merged_bend_grid
+from ctoconv.lorenz import (cq_branch_curves, embed_states, merged_bend_grid,
+                            thermo_majorizes)
 from ctoconv.testkit import conditional_lt_majorize, pq_increments
-from ctoconv.synth import apply_cto, synthesize_cto
+from ctoconv.synth import apply_cto, synthesize_cto, synthesize_to
+from ctoconv.asymptotic import asymptotic_rate, resource_value
 from ctoconv.errors import (
     DegenerateCertificate,
     DimensionMismatch,
@@ -40,6 +42,7 @@ from ctoconv.errors import (
     NotThermoMajorizing,
     OutOfRange,
     ValidationError,
+    ZeroTotalMass,
 )
 
 from conftest import FLOATS, RATIONAL, scipy_feasible
@@ -924,37 +927,63 @@ class TestValidatesEachColumnOnce:
 
     @staticmethod
     def _spy(monkeypatch):
-        """Records each column checked; StateVector.validate and
-        CQState.validate both check a column through `_validated_mass`."""
-        checked = []
-        orig = StateVector._validated_mass
+        """Records each column checked and each column summed;
+        StateVector.validate and CQState.validate both check a column
+        through `_checked_mass`, which sums it through `mass`."""
+        checked, summed = [], []
+        check, mass = StateVector._checked_mass, StateVector.mass.fget
 
-        def spy(self, policy):
+        def spy_check(self, policy):
             checked.append(self)
-            return orig(self, policy)
+            return check(self, policy)
 
-        monkeypatch.setattr(StateVector, "_validated_mass", spy)
-        return checked
+        def spy_mass(self):
+            summed.append(self)
+            return mass(self)
+
+        monkeypatch.setattr(StateVector, "_checked_mass", spy_check)
+        monkeypatch.setattr(StateVector, "mass", property(spy_mass))
+        return checked, summed
 
     @pytest.mark.parametrize("policy", [FLOATS, RATIONAL], ids=["float", "rational"])
     def test_one_check_per_column(self, monkeypatch, policy):
         rng = random.Random(8)
         ctx = testkit.random_context(4, rng, policy)
-        source = testkit.random_cq(ctx, 3, rng)
-        target = testkit.random_cq(ctx, 2, rng)
+        ell, m, k = 3, 2, 3
+        source = testkit.random_cq(ctx, ell, rng)
+        target = testkit.random_cq(ctx, m, rng)
         u = testkit.random_state(ctx, rng)
-        witness = testkit.random_witness(_n_segments(target, ctx), 2, rng, policy)
-        checked = self._spy(monkeypatch)
-        for call, count in [
-            (lambda: check_cto(source, target, ctx), 3 + 2),
-            (lambda: verify_witness(witness, source, target, ctx), 3 + 2),
-            (lambda: check_state_to_ensemble(u, target, ctx), 1 + 2),
-            (lambda: check_ensemble_to_state(source, u, ctx), 3 + 1),
-            (lambda: phi_monotones(source, ctx), 3),
+        g = StateVector(ctx.gibbs)  # every state thermo-majorizes it
+        states = [u, g, testkit.random_state(ctx, rng)]
+        witness = testkit.random_witness(_n_segments(target, ctx), m, rng, policy)
+        plan = testkit.random_cto(ctx, ell, m, rng)
+        reached = apply_cto(plan, source, ctx)
+        decision = check_cto(source, reached, ctx)
+        assert decision.convertible
+        checked, summed = self._spy(monkeypatch)
+        # (call, columns checked, columns summed or None when not pinned)
+        for call, checks, sums in [
+            (lambda: check_cto(source, target, ctx), ell + m, ell + m),
+            (lambda: verify_witness(witness, source, target, ctx), ell + m, ell + m),
+            (lambda: check_state_to_ensemble(u, target, ctx), 1 + m, 1 + m),
+            (lambda: check_ensemble_to_state(source, u, ctx), ell + 1, ell + 1),
+            (lambda: phi_monotones(source, ctx), ell, None),
+            (lambda: thermo_majorizes(u, g, ctx), 2, 2),
+            (lambda: p_min(u, g, ctx), 2, 2),
+            (lambda: embed_states(states, ctx), k, k),
+            (lambda: resource_value(source, ctx), ell, None),
+            (lambda: asymptotic_rate(source, target, ctx), ell + m, None),
+            (lambda: synthesize_to(u, g, ctx), 2, None),
+            (lambda: synthesize_cto(source, reached, ctx, decision),
+             ell + reached.n_branches, None),
+            (lambda: apply_cto(plan, source, ctx), ell, None),
         ]:
             checked.clear()
+            summed.clear()
             call()
-            assert len(checked) == count
+            assert len(checked) == checks
+            if sums is not None:
+                assert len(summed) == sums
 
     BAD_COLUMNS = {
         "negative": (0.6, -0.1, 0.5),
@@ -981,6 +1010,67 @@ class TestValidatesEachColumnOnce:
             assert info.type is ValidationError
             assert ("exceeds 1" if kind == "over-mass" else "negative component") \
                 in str(info.value)
+
+
+class TestJointRuleOnCurves:
+    """`cq_branch_curves` applies the joint rule to every entry point that
+    takes a joint state: no columns raises ZeroTotalMass, a total other
+    than one raises NotNormalized, and the source's error comes first."""
+
+    @staticmethod
+    def _setup(policy):
+        ctx = GibbsContext.from_weights(("1/2", "3/10", "1/5"), policy)
+
+        def col(*xs):
+            return StateVector(tuple(policy.number(x) for x in xs))
+
+        good = CQState((col("1/2", "3/10", "1/5"),))
+        empty = CQState(())
+        half = CQState((col("1/5", "1/5", "1/10"),))  # total 1/2
+        return ctx, col("7/10", "1/5", "1/10"), good, empty, half
+
+    @staticmethod
+    def _cases(ctx, u, good, witness):
+        """(entry point, a call on one joint state) for each joint state an
+        entry point takes, the other state good."""
+        return [
+            ("check_cto source", lambda s: check_cto(s, good, ctx)),
+            ("check_cto target", lambda s: check_cto(good, s, ctx)),
+            ("verify_witness source", lambda s: verify_witness(witness, s, good, ctx)),
+            ("verify_witness target", lambda s: verify_witness(witness, good, s, ctx)),
+            ("check_state_to_ensemble", lambda s: check_state_to_ensemble(u, s, ctx)),
+            ("check_ensemble_to_state", lambda s: check_ensemble_to_state(s, u, ctx)),
+            ("phi_monotones", lambda s: phi_monotones(s, ctx)),
+            ("cq_branch_curves", lambda s: cq_branch_curves(s, ctx)),
+        ]
+
+    @pytest.mark.parametrize("policy", [FLOATS, RATIONAL], ids=["float", "rational"])
+    def test_bad_joint_state_raises(self, policy):
+        ctx, u, good, empty, half = self._setup(policy)
+        witness = WitnessMatrix(((policy.one(),),))
+        for name, call in self._cases(ctx, u, good, witness):
+            with pytest.raises(ZeroTotalMass):
+                call(empty)
+            with pytest.raises(NotNormalized, match="joint state mass") as info:
+                call(half)
+            assert info.type is NotNormalized, name
+
+    @pytest.mark.parametrize("policy", [FLOATS, RATIONAL], ids=["float", "rational"])
+    def test_source_error_comes_first(self, policy):
+        ctx, u, _, empty, half = self._setup(policy)
+        witness = WitnessMatrix(((policy.one(),),))
+        for call in (lambda a, b: check_cto(a, b, ctx),
+                     lambda a, b: verify_witness(witness, a, b, ctx)):
+            with pytest.raises(ZeroTotalMass):
+                call(empty, half)
+            with pytest.raises(NotNormalized) as info:
+                call(half, empty)
+            assert info.type is NotNormalized
+        unnormalized = StateVector(tuple(x / 2 for x in u.w))
+        with pytest.raises(MassMismatch, match="source state"):
+            check_state_to_ensemble(unnormalized, empty, ctx)
+        with pytest.raises(NotNormalized, match="joint state mass"):
+            check_ensemble_to_state(half, unnormalized, ctx)
 
 
 _DYADIC = 2 ** 48
