@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .core import CQState, GibbsContext, StateVector
+from .core import CQState, GibbsContext, StateVector, _exact_sum
 from .errors import DimensionMismatch, FreeTarget, NotNormalized
 
 _RATE_TOL = 1e-12
@@ -23,10 +23,13 @@ def free_energy(u: StateVector, ctx: GibbsContext) -> float:
         raise DimensionMismatch(f"state has dimension {u.dim}, context has {ctx.dim}")
     if not policy.close(u.mass, policy.one()):
         raise NotNormalized(f"free energy needs a normalized state, mass {u.mass}")
-    energies = ctx.energy_levels()
-    beta = float(ctx.beta)
+    return _free_energy(u.w, ctx.energy_levels(), float(ctx.beta))
+
+
+def _free_energy(w, energies, beta: float) -> float:
+    """`free_energy` of the normalized entries w, one per energy level."""
     total = 0.0
-    for ui, ei in zip(u.w, energies):
+    for ui, ei in zip(w, energies):
         x = float(ui)
         if x > 0:
             total += x * (ei + math.log(x) / beta)
@@ -47,14 +50,21 @@ def resource_value(state: CQState, ctx: GibbsContext, relative: bool = True) -> 
 
 
 def _resource_value(state: CQState, ctx: GibbsContext, relative: bool) -> float:
-    """`resource_value` of a state checked already."""
+    """`resource_value` of a state checked already: each column is summed
+    once, and that mass both weighs and normalizes it."""
+    if state.dim != ctx.dim:  # free_energy's first check, once per state
+        raise DimensionMismatch(f"state has dimension {state.dim}, context has {ctx.dim}")
+    exact = ctx.policy.exact
+    energies, beta = ctx.energy_levels(), float(ctx.beta)
     base = gibbs_free_energy(ctx) if relative else 0.0
     total = 0.0
     for col in state.columns:
-        p_x = float(col.mass)
+        mass = _exact_sum(col.w) if exact else col.mass
+        p_x = float(mass)
         if p_x == 0:
             continue
-        total += p_x * (free_energy(col.normalized(), ctx) - base)
+        u = [x / mass for x in col.w]  # col.normalized(), on the mass read once
+        total += p_x * (_free_energy(u, energies, beta) - base)
     return total
 
 

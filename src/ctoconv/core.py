@@ -25,6 +25,8 @@ Number = Union[float, Fraction]
 FLOAT = "float"
 RATIONAL = "rational"
 
+_ZERO, _ONE = Fraction(0), Fraction(1)  # shared: a Fraction is immutable
+
 
 def parse_number(tok, mode: str) -> Number:
     """Convert a JSON scalar (number or 'a/b' string) or a Fraction to the
@@ -82,10 +84,10 @@ class NumericPolicy:
                 )
 
     def zero(self) -> Number:
-        return Fraction(0) if self.exact else 0.0
+        return _ZERO if self.exact else 0.0
 
     def one(self) -> Number:
-        return Fraction(1) if self.exact else 1.0
+        return _ONE if self.exact else 1.0
 
     def number(self, tok) -> Number:
         return parse_number(tok, self.mode)
@@ -125,6 +127,13 @@ def vdot(a: Sequence[Number], b: Sequence[Number]) -> Number:
 
 def matvec(m: Sequence[Sequence[Number]], v: Sequence[Number]) -> list:
     return [vdot(row, v) for row in m]
+
+
+def _exact_sum(xs) -> Fraction:
+    """The sum of ints and Fractions as one Fraction: the numerators over the
+    lcm of the denominators, with no Fraction built per addition."""
+    den = math.lcm(*[x.denominator for x in xs])
+    return Fraction(sum([x.numerator * (den // x.denominator) for x in xs]), den)
 
 
 # -- Gibbs context -----------------------------------------------------------
@@ -235,19 +244,18 @@ class StateVector:
     def _checked_mass(self, policy: NumericPolicy) -> Number:
         """The mass, once `validate`'s checks pass (they raise otherwise)."""
         if policy.exact:
-            for x in self.w:
-                if not 0 <= x:
-                    raise ValidationError(f"negative component {x} in state vector")
-                if isinstance(x, float):
+            for x in self.w:  # an int or Fraction is judged by its numerator
+                if isinstance(x, float) or x.numerator < 0:
+                    if not 0 <= x:
+                        raise ValidationError(f"negative component {x} in state vector")
                     raise ValidationError(f"float component {x} in rational mode")
-            bound = 1
+            mass, bound = _exact_sum(self.w), 1
         else:
             eps = policy.eps_cmp
             for x in self.w:
                 if not 0.0 <= x + eps:
                     raise ValidationError(f"negative component {x} in state vector")
-            bound = 1.0 + eps
-        mass = self.mass
+            mass, bound = self.mass, 1.0 + eps
         if not mass <= bound:
             raise ValidationError(f"state mass {mass} exceeds 1")
         return mass

@@ -8,12 +8,19 @@ end at exactly 1, so `LorenzCurve.values`, the one evaluator, is defined on
 all of [0, 1].  In float mode the cumulative abscissa is capped at 1, a
 vertex that rounding leaves at or before the previous one joins it, and the
 endpoint is pinned to 1.0.
+
+In rational mode a curve is built and walked on integer numerators over a
+common denominator: vertex k is (S_k/G, T_k/W), with G the lcm of the Gibbs
+denominators and W that of the column's.  Only outputs become Fractions,
+one per vertex coordinate and one per value between vertices, and each is
+the Fraction that exact arithmetic step by step gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .core import (CQState, GibbsContext, NumericPolicy, StateVector,
                    _check_joint, validate_context)
@@ -26,6 +33,9 @@ class LorenzCurve:
 
     points: tuple  # ((s, t), ...)
     abscissae: tuple = field(init=False, repr=False, compare=False)  # the s of points
+    # (G, W, S, T) with points[k] == (S[k]/G, T[k]/W) on ints, () for a
+    # curve with a float coordinate, None until `values` first derives it
+    _ints: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "abscissae", tuple([s for s, _ in self.points]))
@@ -46,70 +56,157 @@ class LorenzCurve:
         """The curve at each abscissa of xs, by linear interpolation, exact at
         vertices: one walk along the vertices takes each s to the segment
         `bisect_right` on the abscissae gives.  xs must not decrease and must
-        lie in the curve's range; else, NaN included, OutOfRange."""
+        lie in the curve's range; else, NaN included, OutOfRange.
+
+        A rational curve is walked on its integer vertices (S_k/G, T_k/W): an
+        int or Fraction s = a/b lies at or past vertex k when S_k*b <= a*G,
+        a vertex gives its stored value, and a point between vertices k-1
+        and k gives the one Fraction (T_0*dS*b + dT*(a*G - S_0*b)) / (W*dS*b),
+        with S_0, T_0 vertex k-1's and dS, dT the segment's rise.  A float
+        curve, and a float s on a rational curve, take the generic formula
+        t0 + (t1 - t0) * (s - s0) / (s1 - s0); on Fractions it gives the
+        same Fraction."""
+        ints = self._ints
+        if ints is None:
+            ints = _integer_vertices(self.points)
+            object.__setattr__(self, "_ints", ints)
+        big_g, big_w, ss, ts = ints or (None, None, None, None)
         pts, ab = self.points, self.abscissae
         n = len(pts)
-        prev, k, out = ab[0], 1, []
+        # the last abscissa, and pa/pb its value when it was walked on ints
+        prev, pa, pb = ab[0], (ss[0] if ints else None), big_g
+        k, out = 1, []
         for s in xs:
+            if ints and isinstance(s, (int, Fraction)):
+                a, b = s.numerator, s.denominator
+                if not (prev <= s if pa is None else pa * b <= a * pb):
+                    raise OutOfRange(f"abscissa {s} outside [{prev}, {ab[-1]}]")
+                prev, pa, pb = s, a, b
+                ag = a * big_g
+                while k < n and ss[k] * b <= ag:
+                    k += 1
+                sb = ss[k - 1] * b
+                if sb == ag or k == n:  # k == n: s at or past the last abscissa
+                    out.append(pts[k - 1][1])
+                else:
+                    t0, ds = ts[k - 1], ss[k] - ss[k - 1]
+                    out.append(Fraction(t0 * ds * b + (ts[k] - t0) * (ag - sb),
+                                        big_w * ds * b))
+                continue
             if not prev <= s:
                 raise OutOfRange(f"abscissa {s} outside [{prev}, {ab[-1]}]")
-            prev = s
+            prev, pa = s, None
             while k < n and ab[k] <= s:
                 k += 1
             s0, t0 = pts[k - 1]
-            if s == s0 or k == n:  # k == n: s at or past the last abscissa
+            if s == s0 or k == n:
                 out.append(t0)
             else:
                 s1, t1 = pts[k]
                 out.append(t0 + (t1 - t0) * (s - s0) / (s1 - s0))
-        if not prev <= ab[-1]:  # the largest s, checked after the walk
+        # the largest s, checked after the walk
+        if not (prev <= ab[-1] if pa is None else pa * big_g <= ss[-1] * pb):
             raise OutOfRange(f"abscissa {prev} outside [{ab[0]}, {ab[-1]}]")
         return out
+
+
+def _integer_vertices(points) -> tuple:
+    """`LorenzCurve._ints` of a curve given by its points: G and W the lcm of
+    the abscissa and value denominators; () if a coordinate is neither an
+    int nor a Fraction."""
+    if not all(isinstance(x, (int, Fraction)) for p in points for x in p):
+        return ()
+    big_g = math.lcm(*[s.denominator for s, _ in points])
+    big_w = math.lcm(*[t.denominator for _, t in points])
+    return (big_g, big_w,
+            tuple([s.numerator * (big_g // s.denominator) for s, _ in points]),
+            tuple([t.numerator * (big_w // t.denominator) for _, t in points]))
 
 
 def build_lorenz(w: StateVector, ctx: GibbsContext) -> LorenzCurve:
     """Sort levels by w_i/g_i non-increasing and connect the cumulative points.
 
     The one place a column is checked (its dimension, `StateVector.validate`);
-    callers read w's mass from the curve, summed in Lorenz order.
+    callers read w's mass from the curve, summed in Lorenz order.  In
+    rational mode the cumulative sums are the integers S = sum G_i and
+    T = sum W_i of `lorenz_order`'s integer form, levels of equal slope key
+    join one segment, and each vertex becomes (Fraction(S, G), Fraction(T, W)).
     """
     if w.dim != ctx.dim:
         raise DimensionMismatch(
             f"state has dimension {w.dim}, context has {ctx.dim}"
         )
-    w.validate(ctx.policy)
-    g, wv = ctx.gibbs, w.w
-    ratios, order = lorenz_order(w, g)
-
     policy = ctx.policy
-    zero, eps = policy.zero(), policy.eps_merge
-    noisy = not policy.exact  # a float cumsum may pass 1, or stall on a tiny g
-    pts = [(zero, zero)]
-    s = t = zero
+    w.validate(policy)
+    g, wv = ctx.gibbs, w.w
+    slopes, order, ints = _by_slope(w, g)
+    if policy.exact:
+        return _build_exact(slopes, order, *ints)
+
+    eps = policy.eps_merge
+    pts = [(0.0, 0.0)]
+    s = t = 0.0
     prev = math.nan  # equals no slope, so the first level starts a segment
     for i in order:
         s = s + g[i]
         t = t + wv[i]
-        slope = ratios[i]
-        if noisy:
-            if s > 1.0:
-                s = 1.0
-            join = abs(prev - slope) <= eps or s <= pts[-1][0]
-        else:
-            join = prev == slope
-        if join:
+        if s > 1.0:  # a float cumsum may pass 1, or stall on a tiny g
+            s = 1.0
+        slope = slopes[i]
+        if abs(prev - slope) <= eps or s <= pts[-1][0]:
             pts[-1] = (s, t)  # extend the collinear segment, or join the vertex
         else:
             pts.append((s, t))
             prev = slope
-    pts[-1] = (policy.one(), t)  # pin the endpoint
-    return LorenzCurve(tuple(pts))
+    pts[-1] = (1.0, t)  # pin the endpoint
+    return LorenzCurve(tuple(pts), ())
+
+
+def _build_exact(keys, order, big_g, gs, big_w, ws) -> LorenzCurve:
+    """`build_lorenz`'s rational loop, on the integers of `_by_slope`."""
+    ss, ts = [0], [0]
+    s = t = 0
+    prev = None
+    for i in order:
+        s += gs[i]
+        t += ws[i]
+        if keys[i] == prev:
+            ss[-1], ts[-1] = s, t  # extend the collinear segment
+        else:
+            ss.append(s)
+            ts.append(t)
+            prev = keys[i]
+    ss[-1] = big_g  # pin the endpoint
+    pts = tuple([(Fraction(a, big_g), Fraction(b, big_w)) for a, b in zip(ss, ts)])
+    return LorenzCurve(pts, (big_g, big_w, tuple(ss), tuple(ts)))
 
 
 def lorenz_order(w: StateVector, g) -> tuple:
-    """Slopes w_i/g_i, and the levels by slope, non-increasing (L[w]'s order)."""
-    ratios = [x / gi for x, gi in zip(w.w, g)]
-    return ratios, sorted(range(w.dim), key=ratios.__getitem__, reverse=True)
+    """Slopes w_i/g_i, and the levels by slope, non-increasing (L[w]'s order).
+
+    For rational entries the slopes are the integer keys W_i*(P // G_i),
+    each w_i/g_i times the same positive integer: g_i = G_i/G with G the lcm
+    of g's denominators, P the lcm of the G_i, and w_i = W_i/W with W the
+    lcm of w's denominators.  The order is the one Fraction slopes give."""
+    slopes, order, _ = _by_slope(w, g)
+    return slopes, order
+
+
+def _by_slope(w: StateVector, g) -> tuple:
+    """`lorenz_order`'s slopes and order, and for rational entries the
+    integers (G, [G_i], W, [W_i]) behind them; None for float entries."""
+    wv = w.w
+    if g and isinstance(g[0], float):
+        slopes, ints = [x / gi for x, gi in zip(wv, g)], None
+    else:
+        big_g = math.lcm(*[x.denominator for x in g])
+        gs = [x.numerator * (big_g // x.denominator) for x in g]
+        big_w = math.lcm(*[x.denominator for x in wv])
+        ws = [x.numerator * (big_w // x.denominator) for x in wv]
+        p = math.lcm(*gs)
+        slopes = [wi * (p // gi) for wi, gi in zip(ws, gs)]
+        ints = big_g, gs, big_w, ws
+    return slopes, sorted(range(w.dim), key=slopes.__getitem__, reverse=True), ints
 
 
 def thermo_majorizes(u: StateVector, v: StateVector, ctx: GibbsContext) -> bool:

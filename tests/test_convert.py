@@ -27,7 +27,7 @@ from ctoconv import (
     testkit,
     verify_witness,
 )
-from ctoconv import convert, lorenz
+from ctoconv import asymptotic, convert, core, lorenz
 from ctoconv.lorenz import (cq_branch_curves, embed_states, merged_bend_grid,
                             thermo_majorizes)
 from ctoconv.testkit import conditional_lt_majorize, pq_increments
@@ -929,9 +929,11 @@ class TestValidatesEachColumnOnce:
     def _spy(monkeypatch):
         """Records each column checked and each column summed;
         StateVector.validate and CQState.validate both check a column
-        through `_checked_mass`, which sums it through `mass`."""
+        through `_checked_mass`, which sums it through `mass` in float mode
+        and through `core._exact_sum` in rational mode."""
         checked, summed = [], []
         check, mass = StateVector._checked_mass, StateVector.mass.fget
+        exact_sum = core._exact_sum
 
         def spy_check(self, policy):
             checked.append(self)
@@ -941,8 +943,14 @@ class TestValidatesEachColumnOnce:
             summed.append(self)
             return mass(self)
 
+        def spy_exact_sum(xs):
+            summed.append(xs)
+            return exact_sum(xs)
+
         monkeypatch.setattr(StateVector, "_checked_mass", spy_check)
         monkeypatch.setattr(StateVector, "mass", property(spy_mass))
+        for module in (core, asymptotic):  # the modules that call it by name
+            monkeypatch.setattr(module, "_exact_sum", spy_exact_sum)
         return checked, summed
 
     @pytest.mark.parametrize("policy", [FLOATS, RATIONAL], ids=["float", "rational"])
@@ -967,12 +975,13 @@ class TestValidatesEachColumnOnce:
             (lambda: verify_witness(witness, source, target, ctx), ell + m, ell + m),
             (lambda: check_state_to_ensemble(u, target, ctx), 1 + m, 1 + m),
             (lambda: check_ensemble_to_state(source, u, ctx), ell + 1, ell + 1),
-            (lambda: phi_monotones(source, ctx), ell, None),
+            (lambda: phi_monotones(source, ctx), ell, 2 * ell),
             (lambda: thermo_majorizes(u, g, ctx), 2, 2),
             (lambda: p_min(u, g, ctx), 2, 2),
             (lambda: embed_states(states, ctx), k, k),
-            (lambda: resource_value(source, ctx), ell, None),
-            (lambda: asymptotic_rate(source, target, ctx), ell + m, None),
+            # a check, then one read of the mass that weighs and normalizes
+            (lambda: resource_value(source, ctx), ell, 2 * ell),
+            (lambda: asymptotic_rate(source, target, ctx), ell + m, 2 * (ell + m)),
             (lambda: synthesize_to(u, g, ctx), 2, None),
             (lambda: synthesize_cto(source, reached, ctx, decision),
              ell + reached.n_branches, None),

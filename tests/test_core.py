@@ -86,6 +86,15 @@ class TestNumericPolicy:
         assert RATIONAL.exact and not FLOATS.exact
         assert RATIONAL.one() == F(1) and isinstance(FLOATS.one(), float)
 
+    def test_rational_constants_are_shared(self):
+        """zero() and one() build no Fraction per call: a Fraction is
+        immutable, so every policy hands out the same two."""
+        other = NumericPolicy(mode="rational")
+        assert RATIONAL.zero() is RATIONAL.zero() is other.zero()
+        assert RATIONAL.one() is RATIONAL.one() is other.one()
+        assert type(RATIONAL.zero()) is F and RATIONAL.zero() == 0
+        assert type(RATIONAL.one()) is F and RATIONAL.one() == 1
+
     def test_parse_number(self):
         assert parse_number("2/3", "rational") == F(2, 3)
         assert parse_number(3, "rational") == F(3)

@@ -11,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 from ctoconv import (
     CQState,
     GibbsContext,
+    LorenzCurve,
     NumericPolicy,
     StateVector,
+    apply_cto,
     build_lorenz,
     check_cto,
     check_ensemble_to_state,
@@ -194,8 +196,10 @@ def _reference_build(w, ctx):
 
 
 def _bits(xs):
-    """Floats by their bits (hex), Fractions as they are."""
-    return [x.hex() if isinstance(x, float) else x for x in xs]
+    """Floats by their bits (hex), other numbers by type, numerator and
+    denominator: equal Fractions are told apart from an equal int."""
+    return [x.hex() if isinstance(x, float)
+            else (type(x).__name__, x.numerator, x.denominator) for x in xs]
 
 
 def _walk_cases(exact, seed):
@@ -227,6 +231,34 @@ def _walk_cases(exact, seed):
         yield StateVector(tuple(c * g[i] if i in group else left * others[i]
                                 for i in range(d))), ctx
         yield StateVector(tuple(0 * x for x in g)), ctx
+    if exact:
+        yield from _exact_walk_cases(rng)
+
+
+_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def _exact_walk_cases(rng):
+    """Rational cases on the integer walk's edges: Gibbs weights 1/3, 1/7,
+    1/11, ... of coprime denominators (G is their product); entries of 100+
+    bits, from chained `apply_cto`; int entries; an all-int zero column."""
+    for d in range(2, 9):
+        head = [F(1, p) for p in rng.sample(_PRIMES, d - 1)]
+        ctx = GibbsContext.from_weights(head + [1 - sum(head)], RATIONAL)
+        g = ctx.gibbs
+        yield testkit.random_state(ctx, rng), ctx
+        yield StateVector(tuple(g[i] if i % 2 else 0 * g[i] for i in range(d))), ctx
+        pure = [0] * d
+        pure[rng.randrange(d)] = 1
+        yield StateVector(tuple(pure)), ctx
+        yield StateVector((0,) * d), ctx
+    ctx = testkit.random_context(3, rng, RATIONAL)
+    state = testkit.random_cq(ctx, 2, rng)
+    while max(x.denominator.bit_length() for c in state.columns for x in c.w) < 100:
+        plan = testkit.random_cto(ctx, state.n_branches, 2, rng)
+        state = apply_cto(plan, state, ctx)
+    for c in state.columns:
+        yield c, ctx
 
 
 def _walk_abscissae(curve, order, ctx, rng):
@@ -243,13 +275,16 @@ def _walk_abscissae(curve, order, ctx, rng):
     xs += [(a + b) / 2 for a, b in zip(curve.abscissae, curve.abscissae[1:])]
     xs += [F(rng.randint(0, 97), 97) if ctx.policy.exact else rng.random()
            for _ in range(8)]
+    if ctx.policy.exact:  # ints, and floats amid the Fractions
+        xs += [0, 1] + [rng.random() for _ in range(3)]
     return sorted(xs)
 
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_values_match_bisect_reference(exact):
     """One walk gives, at every abscissa, the value of a `bisect_right`
-    lookup: the same float bits, the same Fraction."""
+    lookup: the same float bits, the same Fraction.  So does the curve
+    given by the same points, which derives its own integers."""
     rng = random.Random(5)
     for w, ctx in _walk_cases(exact, 17):
         curve = build_lorenz(w, ctx)
@@ -258,6 +293,7 @@ def test_values_match_bisect_reference(exact):
         want = [_reference_value(curve, s) for s in xs]
         assert _bits(curve.values(xs)) == _bits(want)
         assert _bits([curve.value(s) for s in xs]) == _bits(want)
+        assert _bits(LorenzCurve(curve.points).values(xs)) == _bits(want)
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -273,6 +309,32 @@ def test_build_matches_per_level_reference(exact):
         xs = _walk_abscissae(curve, order, ctx, rng)
         assert _bits(curve.values(xs)) == _bits(
             [_reference_value(curve, s) for s in xs])
+
+
+class TestRationalWalk:
+    """Edges of the integer walk of a rational curve; its values are held
+    to the generic formula by `test_values_match_bisect_reference`."""
+
+    def test_hand_built_curve_derives_its_integers(self):
+        curve = LorenzCurve(((0, 0), (F(1, 3), F(1, 2)), (1, 1)))
+        xs = [0, F(1, 6), F(1, 3), F(2, 3), 1]
+        assert _bits(curve.values(xs)) == _bits(
+            [0, F(1, 4), F(1, 2), F(3, 4), 1])
+        assert curve._ints == (3, 2, (0, 1, 3), (0, 1, 2))
+
+    @pytest.mark.parametrize("xs", [
+        [F(-1, 7)], [-1], [F(8, 7)], [2], [F(1, 2), F(9, 8)],
+        [F(1, 2), F(1, 3)], [1, 0], [F(1, 2), 0.25], [0.75, F(1, 2)],
+        [math.nan], [F(1, 2), math.nan], [math.nan, F(1, 2)],
+        [F(1, 2), math.inf], [-math.inf],
+    ], ids=repr)
+    def test_out_of_range(self, xs):
+        for w, ctx in _exact_walk_cases(random.Random(29)):
+            curve = build_lorenz(w, ctx)
+            with pytest.raises(OutOfRange):
+                curve.values(xs)
+            with pytest.raises(OutOfRange):
+                LorenzCurve(curve.points).values(xs)
 
 
 class TestThermoMajorizes:
