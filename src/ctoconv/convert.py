@@ -7,14 +7,16 @@ Convertibility of a source joint state U (ell branches) into a target V
 
 at every bend s of the target branch curve L[v^y] and at s = 1: the left
 side is concave in s and the right side is linear between its own bends,
-so their difference is smallest at one of those points.  These own rows,
-placed on the union bend grid of all target branches, enter the decision
-LP by row generation: a few rows per branch first, then each round the
-most violated row of each branch, until R satisfies them all (most are
-slack at the answer).  Infeasibility of any round yields a Farkas
-certificate; its inequality multipliers, zero-padded onto every (branch,
-grid row) pair, reverse-cumsum into a nonnegative, column-non-increasing
-witness matrix A with a strictly negative conversion functional.
+so their difference is smallest at one of those points.  With ell = 1, R is
+forced to (q_1, ..., q_m), with m = 1 to all ones, and the check and its
+Farkas certificate are closed-form.  Otherwise these own rows, placed on the
+union bend grid of all target branches, enter the decision LP by row
+generation: a few rows per branch first, then each round the most violated
+row of each branch, until R satisfies them all (most are slack at the
+answer); infeasibility of any round yields a Farkas certificate.  A
+certificate's inequality multipliers, zero-padded onto every (branch, grid
+row) pair, reverse-cumsum into a nonnegative, column-non-increasing witness
+matrix A with a strictly negative conversion functional.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .lorenz import (
-    _lies_below,
+    _first_above,
     _majorization_curves,
     _merge_sorted,
     build_lorenz,
@@ -94,20 +96,11 @@ class MonotoneValues(NamedTuple):
     free_energy: float
 
 
-def _grid_values(source: CQState, target: CQState, ctx: GibbsContext):
-    """The target branch curves, their merged bend grid 0 = s_0 < ... < s_D = 1,
-    and the source and target curve values at s_1..s_D.
-
-    Values come as rows: cum[i][x] = L[curve x](s_{i+1}).  Both states are
-    checked by `cq_branch_curves` as their curves are built, the source
-    first, so a source's error comes before a target's.
-    """
-    src_curves = cq_branch_curves(source, ctx)
-    tgt_curves = cq_branch_curves(target, ctx)
-    grid = merged_bend_grid(tgt_curves, ctx.policy)
-    cum_p = _rows_of(src_curves, grid[1:])
-    cum_q = _rows_of(tgt_curves, grid[1:])
-    return tgt_curves, grid, cum_p, cum_q
+def _grid_values(src_curves, tgt_curves, policy: NumericPolicy):
+    """The target curves' merged bend grid 0 = s_0 < ... < s_D = 1, and the
+    curves' values at s_1..s_D as rows, cum[i][x] = L[curve x](s_{i+1})."""
+    grid = merged_bend_grid(tgt_curves, policy)
+    return grid, _rows_of(src_curves, grid[1:]), _rows_of(tgt_curves, grid[1:])
 
 
 def _rows_of(curves, xs) -> list:
@@ -196,15 +189,34 @@ def _clean_control(point, ell: int, m: int, policy: NumericPolicy):
 def check_cto(source: CQState, target: CQState, ctx: GibbsContext) -> Decision:
     """Decide convertibility of source into target under CTO.
 
-    The first LP holds, per branch y, the s = 1 row and the own row where
-    the target's conditional curve most exceeds the mixed source curve.  A
-    refusal is final; a control R is checked against the own rows left out
-    (exactly in rational mode, within eps_lp in float mode), and each
-    branch's most violated row joins the next LP until none is violated.
-    All rounds together get one work budget.
+    A control forced by ell = 1 or m = 1 is checked in closed form.  Row
+    generation serves ell, m >= 2: the first LP holds, per branch y, the
+    s = 1 row and the own row where the target's conditional curve most
+    exceeds the mixed source curve.  A refusal is final; a control R is
+    checked against the own rows left out (exactly in rational mode, within
+    eps_lp in float mode), and each branch's most violated row joins the
+    next LP until none is violated.  All rounds get one work budget.
     """
     policy = ctx.policy
-    tgt_curves, grid, cum_p, cum_q = _grid_values(source, target, ctx)
+    src_curves = cq_branch_curves(source, ctx)
+    tgt_curves = cq_branch_curves(target, ctx)
+    m = len(tgt_curves)
+    if len(src_curves) == 1 or m == 1:
+        found = _forced_violation(src_curves, tgt_curves, policy)
+        if found is None:  # the forced R is the plan seed
+            return Decision(True, ((policy.one(),),) * len(src_curves) if m == 1
+                            else (tuple(c.mass for c in tgt_curves),))
+        # Farkas certificate: y_in is 1 at branch y's row i that s merged into (as in
+        # `_own_rows`) and, if ell = 1, c = cum_p[i][0] at the other s = 1 rows, and
+        # y_eq = -cum_p[i]; gain cum_q[i][y] - c q_y, or cum_q[i] - sum(cum_p[i]).
+        (y, s), grid = found, merged_bend_grid(tgt_curves, policy)
+        n, i = len(grid) - 1, bisect_right(grid, s) - 2
+        y_eq = [-c.value(grid[i + 1]) for c in src_curves]
+        c = -y_eq[0] if len(src_curves) == 1 else policy.zero()
+        y_in = ([policy.zero()] * (n - 1) + [c]) * m
+        y_in[y * n + n - 1], y_in[y * n + i] = policy.zero(), policy.one()
+        return Decision(False, witness=extract_witness((y_eq, y_in), n, m))
+    grid, cum_p, cum_q = _grid_values(src_curves, tgt_curves, policy)
     tol = policy.zero() if policy.exact else policy.eps_lp
     mix = [sum(row) for row in cum_p]  # the mixed source curve, sum_x L[u^x]
     rows, left = [], []  # per branch: rows in the LP, own rows left out
@@ -234,6 +246,18 @@ def check_cto(source: CQState, target: CQState, ctx: GibbsContext) -> Decision:
                 added = True
         if not added:
             return decision
+
+
+def _forced_violation(src_curves, tgt_curves, policy: NumericPolicy):
+    """(y, s), the first target branch and vertex where L[v^y] lies above
+    sum_x R[x][y] L[u^x] for the R that ell = 1 or m = 1 forces, or None."""
+    for y, cv in enumerate(tgt_curves):
+        xs = cv.abscissae[1:]
+        upper = (map(sum, _rows_of(src_curves, xs)) if len(tgt_curves) == 1
+                 else [cv.mass * t for t in src_curves[0].values(xs)])
+        if (s := _first_above(cv, upper, policy)) is not None:
+            return y, s
+    return None
 
 
 def _most_violated(col, cum_p, cum_q, y, pending, tol):
@@ -306,26 +330,24 @@ def _lt_transfer(p, q, policy: NumericPolicy):
 
 def check_state_to_ensemble(u: StateVector, target: CQState,
                             ctx: GibbsContext) -> bool:
-    """Trivial classical register on the source: one curve must dominate all
-    target conditionals (weighted form avoids dividing by branch masses).
-    Each target curve is checked at its own bends and at s = 1."""
+    """Trivial classical register on the source: `check_cto`'s rule for
+    ell = 1, without its certificate."""
     policy = ctx.policy
     cu = build_lorenz(u, ctx)
     if not policy.close(cu.mass, policy.one()):
         raise MassMismatch("source state must be normalized")
-    return all(_lies_below(cv, [cv.mass * t for t in cu.values(cv.abscissae[1:])], policy)
-               for cv in cq_branch_curves(target, ctx))
+    return _forced_violation([cu], cq_branch_curves(target, ctx), policy) is None
 
 
 def check_ensemble_to_state(source: CQState, v: StateVector,
                             ctx: GibbsContext) -> bool:
-    """Single-branch target: the averaged source curve must dominate L[v]."""
+    """Single-branch target: `check_cto`'s rule for m = 1, without its certificate."""
     policy = ctx.policy
     curves = cq_branch_curves(source, ctx)
     cv = build_lorenz(v, ctx)
     if not policy.close(cv.mass, policy.one()):
         raise MassMismatch("target state must be normalized")
-    return _lies_below(cv, map(sum, _rows_of(curves, cv.abscissae[1:])), policy)
+    return _forced_violation(curves, [cv], policy) is None
 
 
 def p_min(u: StateVector, v: StateVector, ctx: GibbsContext):
@@ -333,7 +355,7 @@ def p_min(u: StateVector, v: StateVector, ctx: GibbsContext):
     policy = ctx.policy
     cu, cv = _majorization_curves(u, v, ctx)
     upper = cu.values(cv.abscissae[1:])  # L[u] at L[v]'s vertices past 0
-    if not _lies_below(cv, upper, policy):
+    if _first_above(cv, upper, policy) is not None:
         raise NotThermoMajorizing("source does not thermo-majorize the target")
     diagonal_u = len(cu.bend_abscissae) == 0
     best = policy.zero()
@@ -396,7 +418,8 @@ def verify_witness(witness: WitnessMatrix, source: CQState, target: CQState,
     witness must be a valid `WitnessMatrix`.
     """
     policy = ctx.policy
-    _, grid, cum_p, cum_q = _grid_values(source, target, ctx)
+    grid, cum_p, cum_q = _grid_values(cq_branch_curves(source, ctx),
+                                      cq_branch_curves(target, ctx), policy)
     if len(grid) - 1 != witness.n_rows:
         raise DimensionMismatch(
             f"witness has {witness.n_rows} rows, target grid has "

@@ -206,6 +206,8 @@ class GibbsContext:
 def validate_context(ctx: GibbsContext) -> GibbsContext:
     if ctx.dim < 1:
         raise ValidationError("Gibbs context needs dimension >= 1")
+    if ctx.policy.exact and not all(isinstance(g, (int, Fraction)) for g in ctx.gibbs):
+        raise ValidationError("rational mode takes int or Fraction Gibbs weights")
     for g in ctx.gibbs:
         if g <= 0:
             raise NonPositiveGibbsWeight(f"Gibbs weight {g} is not positive")

@@ -24,7 +24,8 @@ from fractions import Fraction
 
 from .core import (CQState, GibbsContext, NumericPolicy, StateVector,
                    _check_joint, validate_context)
-from .errors import DimensionMismatch, EmptyInput, MassMismatch, OutOfRange
+from .errors import (DimensionMismatch, EmptyInput, MassMismatch, OutOfRange,
+                     ValidationError)
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,8 @@ def build_lorenz(w: StateVector, ctx: GibbsContext) -> LorenzCurve:
     g, wv = ctx.gibbs, w.w
     slopes, order, ints = _by_slope(w, g)
     if policy.exact:
+        if ints is None:  # float weights in a context validate_context refuses
+            raise ValidationError("rational mode takes int or Fraction Gibbs weights")
         return _build_exact(slopes, order, *ints)
 
     eps = policy.eps_merge
@@ -212,7 +215,7 @@ def _by_slope(w: StateVector, g) -> tuple:
 def thermo_majorizes(u: StateVector, v: StateVector, ctx: GibbsContext) -> bool:
     """True when L[u] lies nowhere below L[v]."""
     cu, cv = _majorization_curves(u, v, ctx)
-    return _lies_below(cv, cu.values(cv.abscissae[1:]), ctx.policy)
+    return _first_above(cv, cu.values(cv.abscissae[1:]), ctx.policy) is None
 
 
 def _majorization_curves(u: StateVector, v: StateVector, ctx: GibbsContext):
@@ -223,13 +226,14 @@ def _majorization_curves(u: StateVector, v: StateVector, ctx: GibbsContext):
     return cu, cv
 
 
-def _lies_below(curve: LorenzCurve, upper, policy: NumericPolicy) -> bool:
-    """curve <= f on [0, 1], for a concave f that is 0 at s = 0, given
-    `upper`, the values of f at the curve's vertices past 0 (its bends and
-    s = 1): the curve is linear between them.  Judged within eps_lp, as
-    check_cto judges the same question."""
+def _first_above(curve: LorenzCurve, upper, policy: NumericPolicy):
+    """The abscissa of the curve's first vertex past 0 above f, for a concave
+    f that is 0 at s = 0, given `upper`, the values of f at the curve's
+    vertices past 0 (its bends and s = 1); None if the curve, linear between
+    them, lies nowhere above f.  Judged within eps_lp, or exactly."""
     eps = policy.eps_lp
-    return all(policy.leq(t, u, eps) for (_, t), u in zip(curve.points[1:], upper))
+    return next((s for (s, t), u in zip(curve.points[1:], upper)
+                 if not policy.leq(t, u, eps)), None)
 
 
 def merged_bend_grid(curves, policy: NumericPolicy) -> list:

@@ -29,7 +29,7 @@ from .convert import (
     extract_witness,
 )
 from .errors import DimensionMismatch, NotThermoMajorizing
-from .lorenz import thermo_majorizes
+from .lorenz import cq_branch_curves, thermo_majorizes
 from .synth import apply_cto
 from .core import TOMatrix
 
@@ -183,7 +183,8 @@ def random_witness(n_rows: int, n_cols: int, seed,
 def pq_increments(source: CQState, target: CQState, ctx: GibbsContext):
     """Lorenz increments P (D x ell) and Q (D x m), as rows, of the source
     and target branches over the target's merged bend grid."""
-    _, _, cum_p, cum_q = _grid_values(source, target, ctx)
+    _, cum_p, cum_q = _grid_values(cq_branch_curves(source, ctx),
+                                   cq_branch_curves(target, ctx), ctx.policy)
     return _increments(cum_p), _increments(cum_q)
 
 

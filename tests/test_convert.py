@@ -27,7 +27,7 @@ from ctoconv import (
     testkit,
     verify_witness,
 )
-from ctoconv import asymptotic, convert, core, lorenz
+from ctoconv import asymptotic, convert, core, lorenz, lp
 from ctoconv.lorenz import (cq_branch_curves, embed_states, merged_bend_grid,
                             thermo_majorizes)
 from ctoconv.testkit import conditional_lt_majorize, pq_increments
@@ -240,16 +240,46 @@ class TestCorollaries:
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_agreement_with_full_check(self, seed):
+        """In both modes, on ell = 1 and m = 1 pairs both ways, the
+        single-register checks answer as check_cto, which runs no LP there
+        and agrees with the full-grid LP (`_checked_forced_decision`)."""
         rng = random.Random(seed)
-        ctx = testkit.random_context(rng.randint(2, 4), rng, RATIONAL)
-        u = testkit.random_state(ctx, rng)
-        target = testkit.random_cq(ctx, rng.randint(1, 3), rng)
-        fast = check_state_to_ensemble(u, target, ctx)
-        assert fast == check_cto(_single(u.w), target, ctx).convertible
-        source = testkit.random_cq(ctx, rng.randint(1, 3), rng)
-        v = testkit.random_state(ctx, rng)
-        fast = check_ensemble_to_state(source, v, ctx)
-        assert fast == check_cto(source, _single(v.w), ctx).convertible
+        for policy in (RATIONAL, FLOATS):
+            ctx = testkit.random_context(rng.randint(2, 4), rng, policy)
+            u = testkit.random_state(ctx, rng)
+            target = testkit.random_cq(ctx, rng.randint(1, 3), rng)
+            if rng.random() < 0.5:
+                target = apply_cto(testkit.random_cto(ctx, 1, target.n_branches, rng),
+                                   _single(u.w), ctx)
+            fast = check_state_to_ensemble(u, target, ctx)
+            assert fast == _checked_forced_decision(_single(u.w), target, ctx).convertible
+            source = testkit.random_cq(ctx, rng.randint(1, 3), rng)
+            v = testkit.random_state(ctx, rng)
+            if rng.random() < 0.5:
+                v = apply_cto(testkit.random_cto(ctx, source.n_branches, 1, rng),
+                              source, ctx).columns[0]
+            fast = check_ensemble_to_state(source, v, ctx)
+            assert fast == _checked_forced_decision(source, _single(v.w), ctx).convertible
+
+    def test_forced_controls_need_no_lp(self):
+        """Reachable and random pairs with ell = 1 or m = 1, both ways and in
+        both modes, d up to 8: check_cto answers them with no LP, as the
+        full-grid LP does, with certificates and plans that hold."""
+        verdicts = {}
+        for policy in (RATIONAL, FLOATS):
+            rng = random.Random(23)
+            for k in range(24):
+                ctx = testkit.random_context(rng.randint(2, 8), rng, policy)
+                ell, m = (1, rng.randint(1, 4)) if k % 2 else (rng.randint(2, 4), 1)
+                source = testkit.random_cq(ctx, ell, rng)
+                target = (apply_cto(testkit.random_cto(ctx, ell, m, rng), source, ctx)
+                          if k % 4 < 2 else testkit.random_cq(ctx, m, rng))
+                for pair in ((source, target), (target, source)):
+                    decision = _checked_forced_decision(*pair, ctx)
+                    key = policy.mode, pair[0].n_branches == 1
+                    verdicts.setdefault(key, set()).add(decision.convertible)
+        assert len(verdicts) == 4
+        assert all(v == {True, False} for v in verdicts.values())
 
 
 class TestPMin:
@@ -655,6 +685,46 @@ def _full_decision_system(source, target, ctx):
     return LinearSystem(ell * m, eq=tuple(eq), ineq=tuple(ineq))
 
 
+def _checked_forced_decision(source, target, ctx):
+    """check_cto on a pair with ell = 1 or m = 1, run with
+    `convert.solve_feasibility` raising, so no LP may run, and checked
+    against the full-grid LP.  A refusal's closed-form Farkas certificate,
+    caught on its way to `extract_witness`, holds on the full-grid system
+    (at tolerance 0 in rational mode) and its witness has a negative
+    functional; an acceptance's plan seed synthesizes a plan that reaches
+    the target."""
+    policy = ctx.policy
+    certificates = []
+    extract = convert.extract_witness
+
+    def spy(certificate, n_rows, m):
+        certificates.append(certificate)
+        return extract(certificate, n_rows, m)
+
+    def no_lp(*args):
+        raise AssertionError("a forced control needs no LP")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convert, "extract_witness", spy)
+        mp.setattr(convert, "solve_feasibility", no_lp)
+        decision = check_cto(source, target, ctx)
+    full = conditional_lt_majorize(*pq_increments(source, target, ctx), policy)
+    assert decision.convertible == full.convertible
+    if decision.convertible:
+        reached = apply_cto(synthesize_cto(source, target, ctx, decision), source, ctx)
+        for got, want in zip(reached.columns, target.columns):
+            if policy.exact:
+                assert got == want
+            else:
+                assert got.w == pytest.approx(want.w, abs=1e-9)
+    else:
+        eps = 0 if policy.exact else policy.eps_cmp
+        system = _full_decision_system(source, target, ctx)
+        assert lp.verify_certificate(system, certificates[0], eps)
+        assert verify_witness(decision.witness, source, target, ctx) < 0
+    return decision
+
+
 def _decision_instances(policy, seed, count):
     """Reachable pairs, boundary refusals and unrelated random targets."""
     rng = random.Random(seed)
@@ -746,7 +816,8 @@ class TestReducedDecisionLP:
         for rows in seen:
             assert all(r <= o for r, o in zip(rows, own))
         assert decision.convertible
-        _, _, cum_p, cum_q = convert._grid_values(source, target, ctx)
+        _, cum_p, cum_q = convert._grid_values(cq_branch_curves(source, ctx),
+                                               cq_branch_curves(target, ctx), ctx.policy)
         r = decision.plan_seed
         for y, rows in enumerate(own):
             for i in rows:
@@ -756,7 +827,6 @@ class TestReducedDecisionLP:
         """The rounds of one decision share the work budget: at their summed
         work the decision passes, one unit short it raises, though every
         round alone fits."""
-        from ctoconv import lp
         from ctoconv.errors import SolveBudgetExceeded
 
         source, target, ctx = _two_round_pair()
@@ -912,6 +982,13 @@ def test_floats_do_not_enter_rational_mode():
     for weights in ((0.75, 0.25), ("3/4", 0.25)):
         with pytest.raises(ValidationError, match="rational mode"):
             GibbsContext.from_weights(weights, RATIONAL)
+    built = GibbsContext(gibbs=(0.5, 0.5), beta=1, partition=1, policy=RATIONAL)
+    for call in (lambda: core.validate_context(built),
+                 lambda: lorenz.build_lorenz(StateVector((F(1), F(0))), built),
+                 lambda: check_cto(_single((F(1), F(0))), _single((F(1, 2), F(1, 2))),
+                                   built)):
+        with pytest.raises(ValidationError, match="int or Fraction"):
+            call()
     ctx = GibbsContext.from_weights((F(3, 4), F(1, 4)), RATIONAL)
     target = _single((F(3, 4), F(1, 4)))
     plan = synthesize_cto(_single((F(1), F(0))), target, ctx)
