@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+from .asymptotic import _resource_value
 from .core import CQState, GibbsContext, NumericPolicy, StateVector, vdot
 from .errors import (
     DegenerateCertificate,
@@ -67,13 +68,16 @@ class WitnessMatrix:
         return tuple(row[z] for row in self.a)
 
     def validate(self, policy: NumericPolicy) -> "WitnessMatrix":
-        total = sum(sum(row) for row in self.a)
-        if not policy.close(total, policy.one()):
-            raise ValidationError(f"witness mass {total} != 1")
+        exact = policy.exact
         for row in self.a:
             for v in row:
                 if not policy.nonneg(v):
                     raise ValidationError(f"negative witness entry {v}")
+                if exact and isinstance(v, float):
+                    raise ValidationError(f"float witness entry {v} in rational mode")
+        total = sum(sum(row) for row in self.a)
+        if not policy.close(total, policy.one()):
+            raise ValidationError(f"witness mass {total} != 1")
         for upper, lower in zip(self.a, self.a[1:]):
             for z, (hi, lo) in enumerate(zip(upper, lower)):
                 if not policy.leq(lo, hi):
@@ -465,7 +469,6 @@ def phi_monotones(state: CQState, ctx: GibbsContext,
                   abscissae: Sequence | None = None) -> MonotoneValues:
     """Curve-value monotones sum_x L[u^x](s) on a source-independent grid,
     plus the averaged relative free energy."""
-    from .asymptotic import _resource_value  # local import, avoids a cycle
 
     curves = cq_branch_curves(state, ctx)  # checks the state
     free = _resource_value(state, ctx, relative=True)

@@ -383,10 +383,13 @@ class TOMatrix:
         d = self.dim
         if any(len(row) != d for row in self.t):
             raise DimensionMismatch("thermal-operation matrix is not square")
+        exact = policy.exact
         for row in self.t:
             for x in row:
                 if not policy.nonneg(x):
                     raise ValidationError(f"negative matrix entry {x}")
+                if exact and isinstance(x, float):
+                    raise ValidationError(f"float matrix entry {x} in rational mode")
         for j in range(d):
             col_sum = sum(self.t[i][j] for i in range(d))
             if not policy.close(col_sum, policy.one()):
@@ -425,13 +428,15 @@ class CTOPlan:
 
     def validate(self, ctx: GibbsContext) -> "CTOPlan":
         policy = ctx.policy
-        m = self.n_out
+        m, exact = self.n_out, policy.exact
         for row in self.control:
             if len(row) != m:
                 raise DimensionMismatch("ragged control matrix")
             for x in row:
                 if not policy.nonneg(x):
                     raise ValidationError(f"negative control entry {x}")
+                if exact and isinstance(x, float):
+                    raise ValidationError(f"float control entry {x} in rational mode")
             if not policy.close(sum(row), policy.one()):
                 raise ValidationError("control matrix row does not sum to 1")
         for key, t in self.branch_maps.items():

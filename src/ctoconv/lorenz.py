@@ -202,7 +202,11 @@ def _by_slope(w: StateVector, g) -> tuple:
     if g and isinstance(g[0], float):
         slopes, ints = [x / gi for x, gi in zip(wv, g)], None
     else:
-        big_g = math.lcm(*[x.denominator for x in g])
+        try:
+            big_g = math.lcm(*[x.denominator for x in g])
+        except AttributeError:  # a float weight past g[0]
+            raise ValidationError(
+                "rational mode takes int or Fraction Gibbs weights") from None
         gs = [x.numerator * (big_g // x.denominator) for x in g]
         big_w = math.lcm(*[x.denominator for x in wv])
         ws = [x.numerator * (big_w // x.denominator) for x in wv]

@@ -2,7 +2,8 @@
 
 Generators take explicit seeds (or random.Random instances) and are
 deterministic given the seed; in rational mode every sampled quantity is a
-Fraction so reruns are bit-for-bit identical.
+Fraction so reruns are bit-for-bit identical.  A random thermal map is built
+one partial level thermalization at a time, each step rewriting two rows.
 """
 
 from __future__ import annotations
@@ -89,57 +90,29 @@ def random_cq(ctx: GibbsContext, n_branches: int, seed) -> CQState:
 
 def random_gibbs_stochastic(ctx: GibbsContext, steps: int, seed) -> TOMatrix:
     """Product of random partial level thermalizations, optionally mixed with
-    the full-thermalization map; exactly Gibbs-stochastic by construction."""
+    the full-thermalization map; exactly Gibbs-stochastic by construction.
+    Thermalizing levels {i, j} with strength lam rewrites rows i and j only:
+    row i <- k_i*row_i + a_i*row_j, a_i = lam*g_i/(g_i + g_j), k_i = 1 - lam + a_i."""
     rng = _rng(seed)
     policy = ctx.policy
     d = ctx.dim
-    t = _identity_rows(d, policy)
+    one, zero = policy.one(), policy.zero()
+    t = [[one if i == j else zero for j in range(d)] for i in range(d)]
     for _ in range(steps):
         if d < 2:
             break
         i, j = rng.sample(range(d), 2)
         lam = _unit(rng, policy)
-        t = _matmul(_plt_rows(ctx, i, j, lam), t)
+        g_i, g_j = ctx.gibbs[i], ctx.gibbs[j]
+        a_i = lam * (g_i / (g_i + g_j))
+        a_j = lam * (g_j / (g_i + g_j))
+        k_i, k_j = (one - lam) + a_i, (one - lam) + a_j
+        t[i], t[j] = ([k_i * x + a_i * y for x, y in zip(t[i], t[j])],
+                      [a_j * x + k_j * y for x, y in zip(t[i], t[j])])
     if d >= 1 and rng.random() < 0.3:
         w = _unit(rng, policy)
-        full = [[ctx.gibbs[i] for _ in range(d)] for i in range(d)]
-        one = policy.one()
-        t = [
-            [(one - w) * t[i][j] + w * full[i][j] for j in range(d)]
-            for i in range(d)
-        ]
+        t = [[(one - w) * x + w * g for x in row] for row, g in zip(t, ctx.gibbs)]
     return TOMatrix(tuple(tuple(row) for row in t))
-
-
-def _identity_rows(d: int, policy: NumericPolicy):
-    one, zero = policy.one(), policy.zero()
-    return [[one if i == j else zero for j in range(d)] for i in range(d)]
-
-
-def _plt_rows(ctx: GibbsContext, i: int, j: int, lam):
-    """Partial level thermalization on levels {i, j} with strength lam."""
-    policy = ctx.policy
-    d = ctx.dim
-    g_i, g_j = ctx.gibbs[i], ctx.gibbs[j]
-    block_i = g_i / (g_i + g_j)
-    block_j = g_j / (g_i + g_j)
-    one = policy.one()
-    t = _identity_rows(d, policy)
-    t[i][i] = (one - lam) + lam * block_i
-    t[j][i] = lam * block_j
-    t[i][j] = lam * block_i
-    t[j][j] = (one - lam) + lam * block_j
-    return t
-
-
-def _matmul(a, b):
-    n = len(a)
-    k = len(b)
-    m = len(b[0])
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
-        for i in range(n)
-    ]
 
 
 def random_cto(ctx: GibbsContext, n_in: int, n_out: int, seed) -> CTOPlan:

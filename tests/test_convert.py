@@ -982,13 +982,14 @@ def test_floats_do_not_enter_rational_mode():
     for weights in ((0.75, 0.25), ("3/4", 0.25)):
         with pytest.raises(ValidationError, match="rational mode"):
             GibbsContext.from_weights(weights, RATIONAL)
-    built = GibbsContext(gibbs=(0.5, 0.5), beta=1, partition=1, policy=RATIONAL)
-    for call in (lambda: core.validate_context(built),
-                 lambda: lorenz.build_lorenz(StateVector((F(1), F(0))), built),
-                 lambda: check_cto(_single((F(1), F(0))), _single((F(1, 2), F(1, 2))),
-                                   built)):
-        with pytest.raises(ValidationError, match="int or Fraction"):
-            call()
+    for gibbs in ((0.5, 0.5), (F(1, 2), 0.5)):  # a float first, or past g[0]
+        built = GibbsContext(gibbs=gibbs, beta=1, partition=1, policy=RATIONAL)
+        for call in (lambda: core.validate_context(built),
+                     lambda: lorenz.build_lorenz(StateVector((F(1), F(0))), built),
+                     lambda: check_cto(_single((F(1), F(0))),
+                                       _single((F(1, 2), F(1, 2))), built)):
+            with pytest.raises(ValidationError, match="int or Fraction"):
+                call()
     ctx = GibbsContext.from_weights((F(3, 4), F(1, 4)), RATIONAL)
     target = _single((F(3, 4), F(1, 4)))
     plan = synthesize_cto(_single((F(1), F(0))), target, ctx)
@@ -997,6 +998,39 @@ def test_floats_do_not_enter_rational_mode():
                  lambda: check_cto(floats, target, ctx)):
         with pytest.raises(ValidationError, match="float component"):
             call()
+
+
+class TestNoFloatInRationalObjects:
+    """A plan, a thermal map or a witness with float entries is refused in
+    rational mode, where it would put floats into an exact result."""
+
+    @staticmethod
+    def _tour():
+        ctx = GibbsContext.from_weights((F(2, 3), F(1, 3)), RATIONAL)
+        source = CQState((StateVector((F(2, 3), F(0))), StateVector((F(0), F(1, 3)))))
+        return ctx, source, _single((F(1), F(0)))
+
+    def test_float_control_seed(self):
+        ctx, source, target = self._tour()
+        seed = convert.Decision(True, plan_seed=((1.0,), (1.0,)))
+        with pytest.raises(ValidationError, match="float control entry 1.0 in rational mode"):
+            synthesize_cto(source, target, ctx, seed)
+
+    def test_float_thermal_map(self):
+        ctx = GibbsContext.from_weights((F(1, 2), F(1, 2)), RATIONAL)
+        t = core.TOMatrix(((1.0, 0.0), (0.0, 1.0)))
+        for call in (lambda: t.validate(ctx),
+                     lambda: core.CTOPlan(((F(1),),), {(0, 0): t}).validate(ctx)):
+            with pytest.raises(ValidationError, match="float matrix entry 1.0 in rational mode"):
+                call()
+
+    def test_float_witness(self):
+        ctx, source, target = self._tour()
+        witness = check_cto(target, source, ctx).witness
+        assert verify_witness(witness, target, source, ctx) < 0
+        floats = WitnessMatrix(tuple(tuple(map(float, row)) for row in witness.a))
+        with pytest.raises(ValidationError, match="float witness entry .* in rational mode"):
+            verify_witness(floats, target, source, ctx)
 
 
 class TestValidatesEachColumnOnce:

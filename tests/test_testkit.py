@@ -1,5 +1,7 @@
 """Generators and brute-force oracles used by the property suites."""
 
+import hashlib
+import operator
 import random
 from fractions import Fraction as F
 
@@ -10,13 +12,65 @@ from ctoconv import (
     StateVector,
     apply_cto,
     check_cto,
+    cli,
     testkit,
 )
-from ctoconv.testkit import _plt_rows
 from ctoconv.core import TOMatrix
 from ctoconv.errors import NotThermoMajorizing
 
 from conftest import FLOATS, RATIONAL
+
+
+def _identity_rows(d, policy):
+    one, zero = policy.one(), policy.zero()
+    return [[one if i == j else zero for j in range(d)] for i in range(d)]
+
+
+def _plt_rows(ctx, i, j, lam):
+    """Dense partial level thermalization on levels {i, j} with strength lam."""
+    g_i, g_j = ctx.gibbs[i], ctx.gibbs[j]
+    block_i = g_i / (g_i + g_j)
+    block_j = g_j / (g_i + g_j)
+    one = ctx.policy.one()
+    t = _identity_rows(ctx.dim, ctx.policy)
+    t[i][i] = (one - lam) + lam * block_i
+    t[j][i] = lam * block_j
+    t[i][j] = lam * block_i
+    t[j][j] = (one - lam) + lam * block_j
+    return t
+
+
+def _matmul(a, b):
+    """Dense a @ b, each entry summed over every term, left to right from 0."""
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+
+
+def _dense_gibbs_stochastic(ctx, steps, seed):
+    """Reference: `random_gibbs_stochastic` as a dense product of full
+    d x d thermalization matrices, with the same draws in the same order."""
+    rng = random.Random(seed)
+    policy, d = ctx.policy, ctx.dim
+    t = _identity_rows(d, policy)
+    for _ in range(steps):
+        if d < 2:
+            break
+        i, j = rng.sample(range(d), 2)
+        lam = testkit._unit(rng, policy)
+        t = _matmul(_plt_rows(ctx, i, j, lam), t)
+    if d >= 1 and rng.random() < 0.3:
+        w = testkit._unit(rng, policy)
+        full = [[ctx.gibbs[i] for _ in range(d)] for i in range(d)]
+        one = policy.one()
+        t = [[(one - w) * t[i][j] + w * full[i][j] for j in range(d)]
+             for i in range(d)]
+    return t
+
+
+def _exact_entries(rows):
+    """Entries as comparable keys: floats by their bits, others by type and value."""
+    return [[x.hex() if isinstance(x, float) else (type(x), x) for x in row]
+            for row in rows]
 
 
 class TestRandomGibbsStochastic:
@@ -28,6 +82,30 @@ class TestRandomGibbsStochastic:
     def test_full_plt_thermalizes_pair(self, uniform2):
         rows = _plt_rows(uniform2, 0, 1, F(1))
         assert rows == [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]]
+        # seed 38 draws lam = 1 and no full-thermalization mix
+        assert testkit.random_gibbs_stochastic(uniform2, 1, 38).t == \
+            tuple(map(tuple, rows))
+
+    @pytest.mark.parametrize("policy", [FLOATS, RATIONAL], ids=["float", "rational"])
+    def test_equals_dense_product(self, policy):
+        """Two-row updates give the dense product's entries exactly: floats
+        bit for bit, Fractions by type and value."""
+        rng = random.Random(2024)
+        for _ in range(300):
+            ctx = testkit.random_context(rng.randint(1, 24), rng.randrange(10**6), policy)
+            steps, seed = rng.randint(0, 10), rng.randrange(10**6)
+            got = testkit.random_gibbs_stochastic(ctx, steps, seed).t
+            assert _exact_entries(got) == \
+                _exact_entries(_dense_gibbs_stochastic(ctx, steps, seed))
+
+    def test_console_instance_is_pinned(self, capsys):
+        """The generator's output, through `ctoconv random`, is fixed: a change
+        to it would silently change every seeded instance set."""
+        cli.main(["random", "--mode", "rational", "--d", "6", "--l", "3",
+                  "--m", "3", "--seed", "5"])
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == \
+            "31bd6e84c2077305791a1a050e4b9216a33e2a4a7d4ed265b2f80af8a860ecd7"
 
     def test_always_valid(self, skew2):
         for seed in range(20):
