@@ -21,6 +21,7 @@ matrix A with a strictly negative conversion functional.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
@@ -393,22 +394,29 @@ def extract_witness(certificate, n_rows: int, m: int) -> WitnessMatrix:
     """Reverse-cumsum the inequality multipliers columnwise, then normalize.
 
     The multipliers arrive ordered target-branch major, grid-row minor,
-    matching the inequality layout of the decision LP.
+    matching the inequality layout of the decision LP.  Fractions are
+    folded as integer numerators over the lcm of their denominators, and
+    each entry becomes one Fraction: the one the Fraction fold gives.
     """
     _, y_in = certificate
     if len(y_in) != n_rows * m:
         raise DimensionMismatch("certificate length does not match grid/branches")
-    lam = [[y_in[y * n_rows + i] for y in range(m)] for i in range(n_rows)]
-    zero = 0 * y_in[0]  # matches the entry type (float or Fraction)
+    exact = all(isinstance(v, Fraction) for v in y_in)
+    if exact:
+        den = math.lcm(*[v.denominator for v in y_in])
+        y_in = [v.numerator * (den // v.denominator) for v in y_in]
+    zero = 0 * y_in[0]  # matches the entry type (float, Fraction or int)
     a = [[zero] * m for _ in range(n_rows)]
     for y in range(m):
         acc = zero
         for i in range(n_rows - 1, -1, -1):
-            acc = acc + max(lam[i][y], zero)
+            acc = acc + max(y_in[y * n_rows + i], zero)
             a[i][y] = acc
     total = sum(sum(row) for row in a)
     if total <= 0:
         raise DegenerateCertificate("all inequality multipliers vanish")
+    if exact:
+        return WitnessMatrix(tuple(tuple(Fraction(v, total) for v in row) for row in a))
     return WitnessMatrix(tuple(tuple(v / total for v in row) for row in a))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence, Union
 
 from .errors import (
@@ -353,30 +354,99 @@ def canonicalize_cq(state: CQState, policy: NumericPolicy) -> CQState:
 # -- operations on states ----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TOMatrix:
-    """Column-stochastic matrix fixing the Gibbs vector (states are columns)."""
+    """Column-stochastic matrix fixing the Gibbs vector (states are columns).
 
-    t: tuple  # rows
+    `TOMatrix(rows)` is a dense matrix, the one-factor case.  `product`
+    keeps synthesis's B S E (`synth`) as E's rows, {column: entry} dicts;
+    S's steps (j, k, keep, a, b), each taking x_j, x_k to keep x_j + a s and
+    keep x_k + b s with s = x_j + x_k; and home[i] = (k, B[i][k]), B's one
+    entry in row i.  `apply` runs the factors, and the rows `t` are their
+    product, built on first read.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", tuple(tuple(row) for row in self.t))
+    __slots__ = ("_t", "_e", "_steps", "_home")
+
+    def __init__(self, t):
+        self._t, self._e = tuple(tuple(row) for row in t), None
+
+    @classmethod
+    def product(cls, e, steps, home) -> "TOMatrix":
+        m = cls.__new__(cls)
+        m._t, m._e, m._steps, m._home = None, e, steps, home
+        return m
+
+    @property
+    def t(self) -> tuple:
+        """The rows; row i of a product is B[i][k] times row k of S E, built
+        from copies of E's rows, so reading `t` changes no factor."""
+        if self._t is None:
+            e = [dict(row) for row in self._e]  # the steps mix rows in place
+            for j, k, keep, a, b in self._steps:  # S E, over both rows' supports
+                ka, kb, ej, ek = keep + a, keep + b, e[j], e[k]
+                for c, x in ej.items():
+                    y = ek.get(c)
+                    if y is None:  # a cell held by one row takes two products
+                        ej[c], ek[c] = ka * x, b * x
+                    else:
+                        s = x + y
+                        ej[c], ek[c] = keep * x + a * s, keep * y + b * s
+                if len(ek) > len(ej):  # ek now holds every key of ej
+                    for c, y in ek.items():
+                        if c not in ej:
+                            ej[c], ek[c] = a * y, kb * y
+            d, zero = len(self._home), 0 * self._home[0][1]  # a zero of B's type
+            rows = []
+            for k, b in self._home:
+                row = [zero] * d
+                for c, x in e[k].items():
+                    row[c] = b * x
+                rows.append(tuple(row))
+            self._t = tuple(rows)
+        return self._t
 
     @property
     def dim(self) -> int:
-        return len(self.t)
+        return len(self._t if self._e is None else self._home)
+
+    def __eq__(self, other):
+        return self.t == other.t if isinstance(other, TOMatrix) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.t)
+
+    def __repr__(self):
+        return f"TOMatrix(t={self.t!r})"
 
     def apply(self, v: StateVector) -> StateVector:
         if v.dim != self.dim:
             raise DimensionMismatch("matrix/vector dimension mismatch")
         w, out = v.w, []  # zeros are skipped: each would cost a Fraction product
-        for row in self.t:
+        if self._e is not None:  # E, then the steps, then B
+            for row in self._e:
+                acc = None
+                for c, x in row.items():
+                    if x:
+                        acc = x * w[c] if acc is None else acc + x * w[c]
+                out.append(0 * w[0] if acc is None else acc)
+            for j, k, keep, a, b in self._steps:
+                s = out[j] + out[k]
+                out[j], out[k] = keep * out[j] + a * s, keep * out[k] + b * s
+            return StateVector(tuple([b * out[k] for k, b in self._home]))
+        for row in self._t:
             acc = None  # the first product starts the sum: no Fraction(0) to add
             for x, y in zip(row, w):
                 if x:
                     acc = x * y if acc is None else acc + x * y
             out.append(0 * row[0] if acc is None else acc)  # a zero row: its entries' zero
         return StateVector(tuple(out))
+
+    def _float_entry(self):
+        """The first float among the numbers `apply` reads, or None."""
+        nums = chain(*self._t) if self._e is None else chain(
+            *[r.values() for r in self._e], *[s[2:] for s in self._steps],
+            [b for _, b in self._home])
+        return next((x for x in nums if isinstance(x, float)), None)
 
     def validate(self, ctx: GibbsContext) -> "TOMatrix":
         policy = ctx.policy

@@ -37,6 +37,8 @@ class LorenzCurve:
     # (G, W, S, T) with points[k] == (S[k]/G, T[k]/W) on ints, () for a
     # curve with a float coordinate, None until `values` first derives it
     _ints: tuple | None = field(default=None, repr=False, compare=False)
+    # `_by_slope` of the column `build_lorenz` built the curve from, or None
+    _order: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "abscissae", tuple([s for s, _ in self.points]))
@@ -130,7 +132,7 @@ def build_lorenz(w: StateVector, ctx: GibbsContext) -> LorenzCurve:
     The one place a column is checked (its dimension, `StateVector.validate`);
     callers read w's mass from the curve, summed in Lorenz order.  In
     rational mode the cumulative sums are the integers S = sum G_i and
-    T = sum W_i of `lorenz_order`'s integer form, levels of equal slope key
+    T = sum W_i of `_by_slope`'s integers, levels of equal slope key
     join one segment, and each vertex becomes (Fraction(S, G), Fraction(T, W)).
     """
     if w.dim != ctx.dim:
@@ -140,11 +142,11 @@ def build_lorenz(w: StateVector, ctx: GibbsContext) -> LorenzCurve:
     policy = ctx.policy
     w.validate(policy)
     g, wv = ctx.gibbs, w.w
-    slopes, order, ints = _by_slope(w, g)
+    by_slope = slopes, order, ints = _by_slope(w, g)
     if policy.exact:
         if ints is None:  # float weights in a context validate_context refuses
             raise ValidationError("rational mode takes int or Fraction Gibbs weights")
-        return _build_exact(slopes, order, *ints)
+        return _build_exact(by_slope)
 
     eps = policy.eps_merge
     pts = [(0.0, 0.0)]
@@ -162,11 +164,12 @@ def build_lorenz(w: StateVector, ctx: GibbsContext) -> LorenzCurve:
             pts.append((s, t))
             prev = slope
     pts[-1] = (1.0, t)  # pin the endpoint
-    return LorenzCurve(tuple(pts), ())
+    return LorenzCurve(tuple(pts), (), by_slope)
 
 
-def _build_exact(keys, order, big_g, gs, big_w, ws) -> LorenzCurve:
+def _build_exact(by_slope) -> LorenzCurve:
     """`build_lorenz`'s rational loop, on the integers of `_by_slope`."""
+    keys, order, (big_g, gs, big_w, ws) = by_slope
     ss, ts = [0], [0]
     s = t = 0
     prev = None
@@ -181,23 +184,18 @@ def _build_exact(keys, order, big_g, gs, big_w, ws) -> LorenzCurve:
             prev = keys[i]
     ss[-1] = big_g  # pin the endpoint
     pts = tuple([(Fraction(a, big_g), Fraction(b, big_w)) for a, b in zip(ss, ts)])
-    return LorenzCurve(pts, (big_g, big_w, tuple(ss), tuple(ts)))
+    return LorenzCurve(pts, (big_g, big_w, tuple(ss), tuple(ts)), by_slope)
 
 
-def lorenz_order(w: StateVector, g) -> tuple:
-    """Slopes w_i/g_i, and the levels by slope, non-increasing (L[w]'s order).
+def _by_slope(w: StateVector, g) -> tuple:
+    """Slopes w_i/g_i, the levels by slope, non-increasing (L[w]'s order),
+    and for rational entries the integers (G, [G_i], W, [W_i]) behind them;
+    None for float entries.
 
     For rational entries the slopes are the integer keys W_i*(P // G_i),
     each w_i/g_i times the same positive integer: g_i = G_i/G with G the lcm
     of g's denominators, P the lcm of the G_i, and w_i = W_i/W with W the
     lcm of w's denominators.  The order is the one Fraction slopes give."""
-    slopes, order, _ = _by_slope(w, g)
-    return slopes, order
-
-
-def _by_slope(w: StateVector, g) -> tuple:
-    """`lorenz_order`'s slopes and order, and for rational entries the
-    integers (G, [G_i], W, [W_i]) behind them; None for float entries."""
     wv = w.w
     if g and isinstance(g[0], float):
         slopes, ints = [x / gi for x, gi in zip(wv, g)], None

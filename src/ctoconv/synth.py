@@ -6,29 +6,38 @@ the segments of L[v] and T^x = B S E_x.  E_x[k][i] = |cell_k & I_i(u^x)| / g_i,
 with I_i(u) level i's interval in u's Lorenz order, maps g to the cell
 widths and u^x to its increments; row k stores only the levels whose
 interval overlaps cell k, at most n + d - 1 entries for n cells.  A plan
-puts each source in Lorenz order once, and each embedding is one walk along
-the grid and the intervals together, as both increase in that order; the
-walk adds each piece's mass into p = sum_x c_x E_x u^x as it places it.  S,
-a Hardy-Littlewood-Polya sequence of at most n - 1 two-cell partial
-thermalizations, takes p to v's increments q; a step mixes two rows of E_x
-over the union of their supports.  It needs the partial sums of p to
-dominate those of q with equal totals, which is checked here (exactly in
-rational mode, within eps_lp in float mode).
+puts each source and each target branch in Lorenz order once, and each
+embedding is one walk along the grid and the intervals together, as both
+increase in that order; the walk adds each piece's mass into
+p = sum_x c_x E_x u^x as it places it.  S, a Hardy-Littlewood-Polya
+sequence of at most n - 1 two-cell partial thermalizations, takes p to v's
+increments q.  It needs the partial sums of p to dominate those of q with
+equal totals, which is checked here (exactly in rational mode, within
+eps_lp in float mode).
 B[i][k] = |cell_k & I_i(v)| / |cell_k| maps the cells back to g and to v.
 The grid points are ends of v's own level intervals (merging nearby bends
 only joins cells), so level i lies in one cell k and row i of T is B[i][k]
 times row k of S E_x.  Each factor is nonnegative and Gibbs-stochastic in
 both modes, so no plan entry needs clamping.
+
+A map is kept as its factors (`TOMatrix.product`): E_x's rows per used
+(x, y), and S and B, which the sources of branch y share.  Applying it runs
+E_x, then the steps on a vector of n cells, then B.  Its dense rows `t`,
+which `canonicalize_cto`, `validate` and the CLI plan file read, are built
+on demand and cost what synthesis did when it built them.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from itertools import accumulate
 
 from .core import (CQState, CTOPlan, GibbsContext, NumericPolicy, StateVector,
                    TOMatrix, canonicalize_cq)
 from .errors import (DimensionMismatch, MassMismatch, NotConvertible,
                      NotStochasticSum, NotThermoMajorizing, ValidationError)
 from .convert import Decision, check_cto
-from .lorenz import build_lorenz, lorenz_order, merged_bend_grid
+from .lorenz import _by_slope, build_lorenz, merged_bend_grid
 
 
 def synthesize_to(u: StateVector, v: StateVector, ctx: GibbsContext) -> TOMatrix:
@@ -92,59 +101,38 @@ def _branch_maps(sources, coeffs, target: StateVector, ctx: GibbsContext) -> lis
     NotConvertible when they cannot.
     """
     policy = ctx.policy
-    d, zero, one = ctx.dim, policy.zero(), policy.one()
-    grid = merged_bend_grid([build_lorenz(target, ctx)], policy)
+    zero, one = policy.zero(), policy.one()
+    curve = build_lorenz(target, ctx)
+    grid = merged_bend_grid([curve], policy)
     n = len(grid) - 1
     widths = [grid[k + 1] - grid[k] for k in range(n)]
     p, q = [zero] * n, [zero] * n
     spreads = [_embedding(levels, grid, c, p, policy)
                for c, levels in zip(coeffs, sources)]
-    cover = _embedding(_levels(target, ctx), grid, one, q, policy)
-    steps = [(j, k, keep, a, b, keep + a, keep + b)
-             for j, k, keep, a, b in _transfers(p, q, widths, policy)]
-    home = [None] * d  # level i -> (its cell k, B[i][k]), in level order
+    cover = _embedding(_levels(target, ctx, curve._order), grid, one, q, policy)
+    steps = _transfers(p, q, widths, policy)
+    home = [None] * ctx.dim  # level i -> (its cell k, B[i][k]), in level order
     for k, row in enumerate(cover):
         for i, x in row.items():
             home[i] = (k, x * ctx.gibbs[i] / widths[k])
-    maps = []
-    for e in spreads:
-        for j, k, keep, a, b, ka, kb in steps:
-            ej, ek = e[j], e[k]
-            for c, x in ej.items():
-                y = ek.get(c)
-                if y is None:  # a cell held by one row takes two products
-                    ej[c], ek[c] = ka * x, b * x
-                else:
-                    s = x + y
-                    ej[c], ek[c] = keep * x + a * s, keep * y + b * s
-            if len(ek) > len(ej):  # ek now holds every key of ej
-                for c, y in ek.items():
-                    if c not in ej:
-                        ej[c], ek[c] = a * y, kb * y
-        rows = []
-        for k, b in home:
-            row = [zero] * d
-            for c, x in e[k].items():
-                row[c] = b * x
-            rows.append(row)
-        maps.append(TOMatrix(rows))
-    return maps
+    return [TOMatrix.product(e, steps, home) for e in spreads]
 
 
-def _levels(u: StateVector, ctx: GibbsContext) -> list:
+def _levels(u: StateVector, ctx: GibbsContext, by_slope=None) -> list:
     """u's levels in Lorenz order as (i, lo, hi, g_i, u_i), [lo, hi] being
     level i's interval I_i(u): the partial sums of g in that order, with the
-    last interval ending at 1 (a float sum may stop short of it or pass it)."""
+    last interval ending at 1 (a float sum may stop short of it or pass it).
+    by_slope is `_by_slope(u, g)` if the caller has it; in rational mode the
+    ends are Fraction(S, G) on its integers, S a partial sum of the G_i."""
     g, w = ctx.gibbs, u.w
-    _, order = lorenz_order(u, g)
-    out, lo = [], ctx.policy.zero()
-    for i in order:
-        hi = lo + g[i]
-        out.append((i, lo, hi, g[i], w[i]))
-        lo = hi
-    i, lo, _, gi, wi = out[-1]
-    out[-1] = (i, lo, ctx.policy.one(), gi, wi)
-    return out
+    _, order, ints = by_slope or _by_slope(u, g)
+    if ints is None:
+        ends = list(accumulate([g[i] for i in order], initial=ctx.policy.zero()))
+    else:
+        big_g, gs = ints[0], ints[1]
+        ends = [Fraction(s, big_g) for s in accumulate([gs[i] for i in order], initial=0)]
+    ends[-1] = ctx.policy.one()
+    return [(i, lo, hi, g[i], w[i]) for i, lo, hi in zip(order, ends, ends[1:])]
 
 
 def _embedding(levels, grid, c, p: list, policy: NumericPolicy) -> list:
@@ -222,7 +210,8 @@ def _transfers(p, q, widths, policy: NumericPolicy) -> list:
 
 def apply_cto(plan: CTOPlan, state: CQState, ctx: GibbsContext) -> CQState:
     """Output branches: v^y = sum_x R[x][y] T^(x,y) u^x, then canonicalize.
-    The state is checked first."""
+    The state is checked first; in rational mode, so is the type of every
+    control entry and of each used map's numbers."""
     if plan.n_in != state.n_branches:
         raise DimensionMismatch(
             f"plan expects {plan.n_in} source branches, state has "
@@ -230,12 +219,14 @@ def apply_cto(plan: CTOPlan, state: CQState, ctx: GibbsContext) -> CQState:
         )
     policy = ctx.policy
     state.validate(policy)
-    d = state.dim
+    d, exact = state.dim, policy.exact
     cols = []
     for y in range(plan.n_out):
         acc = [policy.zero()] * d
         for x in range(plan.n_in):
             r = plan.control[x][y]
+            if exact and isinstance(r, float):
+                raise ValidationError(f"float control entry {r} in rational mode")
             if r == 0:
                 continue
             t = plan.branch_maps.get((x, y))
@@ -243,6 +234,8 @@ def apply_cto(plan: CTOPlan, state: CQState, ctx: GibbsContext) -> CQState:
                 raise ValidationError(
                     f"plan has no branch map for (x, y) = {(x, y)}, which its "
                     f"control uses")
+            if exact and (bad := t._float_entry()) is not None:
+                raise ValidationError(f"float matrix entry {bad} in rational mode")
             mapped = t.apply(state.columns[x])
             acc = [a + r * b for a, b in zip(acc, mapped.w)]
         cols.append(StateVector(tuple(acc)))

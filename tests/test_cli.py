@@ -1,5 +1,6 @@
 """Command-line front end: parsing, exit codes, payloads, round trips."""
 
+import hashlib
 import json
 import math
 
@@ -179,6 +180,21 @@ class TestOtherCommands:
         assert code == 0
         assert [[eval_frac(x) for x in col] for col in payload["columns"]] \
             == [[1.0, 0.0]]
+
+    @pytest.mark.parametrize("mode, digest", [
+        ("rational", "461a52ff47b85816a08f4087b6c9c8bfc4a13c05d63e064b408a17c38ad5b4c0"),
+        ("float", "51c13b64f9f859b3d36b34b50de844d3517e5038461e3c19d5e4e5f3374b394d"),
+    ])
+    def test_synth_plan_is_pinned(self, tmp_path, capsys, mode, digest):
+        """The plan `ctoconv synth` prints is fixed: its dense maps are the
+        product of the factors synthesis keeps, entry for entry."""
+        cli.main(["random", "--mode", mode, "--d", "6", "--l", "3", "--m", "3",
+                  "--seed", "5"])
+        path = tmp_path / "inst.json"
+        path.write_text(capsys.readouterr().out)
+        assert cli.main(["synth", str(path)]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest
 
     def test_apply_mismatch_exit_one(self, tmp_path, capsys):
         inst = _write(tmp_path, THERMAL_TO_PURE)

@@ -344,6 +344,54 @@ class TestWitness:
         assert a.column(1) == (F(0), F(0), F(0))
         a.validate(RATIONAL)
 
+    @staticmethod
+    def _fold_reference(y_in, n_rows, m):
+        """The fold before it went to integer numerators: a running sum of
+        the multipliers' positive parts in their own type, then a division."""
+        lam = [[y_in[y * n_rows + i] for y in range(m)] for i in range(n_rows)]
+        zero = 0 * y_in[0]
+        a = [[zero] * m for _ in range(n_rows)]
+        for y in range(m):
+            acc = zero
+            for i in range(n_rows - 1, -1, -1):
+                acc = acc + max(lam[i][y], zero)
+                a[i][y] = acc
+        total = sum(sum(row) for row in a)
+        return tuple(tuple(v / total for v in row) for row in a)
+
+    @pytest.mark.parametrize("policy", [FLOATS, RATIONAL], ids=["float", "rational"])
+    def test_fold_equals_the_reference(self, monkeypatch, policy):
+        """On the refusals of reversed reachable pairs, and on multipliers of
+        mixed sign, the witness is the reference fold's: Fractions by type,
+        numerator and denominator, floats by bits."""
+        folds = []
+        extract = convert.extract_witness
+
+        def spy(certificate, n_rows, m):
+            witness = extract(certificate, n_rows, m)
+            folds.append((witness.a, self._fold_reference(certificate[1], n_rows, m)))
+            return witness
+
+        monkeypatch.setattr(convert, "extract_witness", spy)
+        rng = random.Random(8)
+        while len(folds) < 200:
+            ctx = testkit.random_context(rng.randint(2, 6), rng, policy)
+            source = testkit.random_cq(ctx, rng.randint(1, 3), rng)
+            plan = testkit.random_cto(ctx, source.n_branches, rng.randint(1, 3), rng)
+            check_cto(apply_cto(plan, source, ctx), source, ctx)
+        for _ in range(100):  # multipliers of mixed sign, which the fold clips
+            n_rows, m = rng.randint(1, 6), rng.randint(1, 4)
+            y_in = [F(rng.randint(-3, 9), rng.randint(1, 12)) for _ in range(n_rows * m)]
+            y_in[0] = abs(y_in[0]) + 1
+            spy(((), [policy.number(v) for v in y_in]), n_rows, m)
+
+        def key(x):
+            return x.hex() if isinstance(x, float) else (type(x), x.numerator, x.denominator)
+
+        for got, want in folds:
+            assert [list(map(key, row)) for row in got] == \
+                [list(map(key, row)) for row in want]
+
     def test_degenerate_certificate(self):
         with pytest.raises(DegenerateCertificate):
             extract_witness(((), (F(0), F(0))), 2, 1)

@@ -31,7 +31,8 @@ from ctoconv.errors import (
     ValidationError,
 )
 
-from ctoconv.lorenz import build_lorenz, lorenz_order, merged_bend_grid
+from ctoconv import lorenz
+from ctoconv.lorenz import _by_slope, build_lorenz, merged_bend_grid
 
 from conftest import FLOATS, RATIONAL
 
@@ -315,6 +316,25 @@ class TestApplyCto:
         with pytest.raises(ValidationError, match=r"\(0, 0\)"):
             apply_cto(plan, state, skew2)
 
+    def test_rational_mode_refuses_float_entries(self):
+        """A float control entry, or a float in a map the control uses, is a
+        ValidationError in rational mode, as in `CTOPlan.validate`; so is a
+        float-mode synthesized map, checked on its factors."""
+        ctx = GibbsContext.from_weights((F(1, 2), F(1, 2)), RATIONAL)
+        state = CQState((StateVector((F(1, 4), F(3, 4))),))
+        float_identity = TOMatrix(((1.0, 0.0), (0.0, 1.0)))
+        with pytest.raises(ValidationError, match="float matrix entry"):
+            apply_cto(CTOPlan(((F(1),),), {(0, 0): float_identity}), state, ctx)
+        ident = TOMatrix.identity(2, RATIONAL)
+        with pytest.raises(ValidationError, match="float control entry"):
+            apply_cto(CTOPlan(((1.0,),), {(0, 0): ident}), state, ctx)
+        fctx = GibbsContext.from_weights((0.5, 0.5), FLOATS)
+        t = synthesize_to(StateVector((0.25, 0.75)), StateVector((0.5, 0.5)), fctx)
+        with pytest.raises(ValidationError, match="float matrix entry"):
+            apply_cto(CTOPlan(((F(1),),), {(0, 0): t}), state, ctx)
+        # a float-free plan still applies
+        assert apply_cto(CTOPlan(((F(1),),), {(0, 0): ident}), state, ctx) == state
+
     def test_output_is_canonical(self, skew2):
         rng = random.Random(7)
         state = testkit.random_cq(skew2, 2, rng)
@@ -387,7 +407,7 @@ class TestCanonicalizeCto:
 def _dense_embedding(u, grid, ctx):
     """Reference E: every cell against every level, zeros stored."""
     g, zero = ctx.gibbs, ctx.policy.zero()
-    _, order = lorenz_order(u, g)
+    _, order, _ = _by_slope(u, g)
     ends = [zero]
     for i in order[:-1]:
         ends.append(ends[-1] + g[i])
@@ -434,6 +454,71 @@ def _dense_branch_maps(sources, coeffs, target, ctx):
             for row in gather
         )))
     return maps
+
+
+def _added_levels(u, ctx):
+    """`synth._levels` before it took the ends from `_by_slope`'s integers:
+    each interval end is the previous one plus g_i."""
+    g, w = ctx.gibbs, u.w
+    _, order, _ = _by_slope(u, g)
+    out, lo = [], ctx.policy.zero()
+    for i in order:
+        hi = lo + g[i]
+        out.append((i, lo, hi, g[i], w[i]))
+        lo = hi
+    i, lo, _, gi, wi = out[-1]
+    out[-1] = (i, lo, ctx.policy.one(), gi, wi)
+    return out
+
+
+def _in_place_branch_maps(sources, coeffs, target, ctx):
+    """Reference rows of T_x as `synth._branch_maps` built them before it
+    kept the factors: the steps mix E's sparse rows in place, then row i
+    is B[i][k] times row k."""
+    policy = ctx.policy
+    d, zero, one = ctx.dim, policy.zero(), policy.one()
+    grid = merged_bend_grid([build_lorenz(target, ctx)], policy)
+    n = len(grid) - 1
+    widths = [grid[k + 1] - grid[k] for k in range(n)]
+    p, q = [zero] * n, [zero] * n
+    spreads = [synth._embedding(levels, grid, c, p, policy)
+               for c, levels in zip(coeffs, sources)]
+    cover = synth._embedding(_added_levels(target, ctx), grid, one, q, policy)
+    steps = [(j, k, keep, a, b, keep + a, keep + b)
+             for j, k, keep, a, b in synth._transfers(p, q, widths, policy)]
+    home = [None] * d
+    for k, row in enumerate(cover):
+        for i, x in row.items():
+            home[i] = (k, x * ctx.gibbs[i] / widths[k])
+    maps = []
+    for e in spreads:
+        for j, k, keep, a, b, ka, kb in steps:
+            ej, ek = e[j], e[k]
+            for c, x in ej.items():
+                y = ek.get(c)
+                if y is None:
+                    ej[c], ek[c] = ka * x, b * x
+                else:
+                    s = x + y
+                    ej[c], ek[c] = keep * x + a * s, keep * y + b * s
+            if len(ek) > len(ej):
+                for c, y in ek.items():
+                    if c not in ej:
+                        ej[c], ek[c] = a * y, kb * y
+        rows = []
+        for k, b in home:
+            row = [zero] * d
+            for c, x in e[k].items():
+                row[c] = b * x
+            rows.append(tuple(row))
+        maps.append(tuple(rows))
+    return maps
+
+
+def _exact_entries(rows):
+    """Entries by bits for floats, by type and value for Fractions."""
+    return [[x.hex() if isinstance(x, float) else (type(x), x) for x in row]
+            for row in rows]
 
 
 def _rescanning_transfers(p, q, widths, policy):
@@ -487,15 +572,21 @@ class TestSparseEmbedding:
     """The sparse construction against the dense B S E_x it replaced."""
 
     @staticmethod
-    def _against_dense(monkeypatch):
+    def _against_dense(monkeypatch, in_place=None):
         """Run _branch_maps beside the dense reference; returns the list of
-        (map, reference map) pairs, filled as synthesis runs."""
+        (map, reference map) pairs, filled as synthesis runs.  With a list
+        `in_place`, also fills it with (map, source, its apply before `t` was
+        read, reference rows of `_in_place_branch_maps`)."""
         pairs = []
         orig = synth._branch_maps
 
         def both(sources, coeffs, target, ctx):
             maps = orig(sources, coeffs, target, ctx)
             states = [_levels_state(levels) for levels in sources]
+            if in_place is not None:
+                rows = _in_place_branch_maps(sources, coeffs, target, ctx)
+                in_place.extend((t, u, t.apply(u), ref)
+                               for t, u, ref in zip(maps, states, rows))
             pairs.extend(zip(maps, _dense_branch_maps(states, coeffs, target, ctx)))
             return maps
 
@@ -512,17 +603,37 @@ class TestSparseEmbedding:
         decision = Decision(convertible=True, plan_seed=gen.control)
         synthesize_cto(source, target, ctx, decision)
 
+    @staticmethod
+    def _check_factors(in_place, exact):
+        """Each map's rows `t` equal `_in_place_branch_maps`' (floats by bits,
+        Fractions by type and value); its factored apply equals a dense
+        matvec of `t` (== in rational mode, within 1e-12 in float mode) and
+        gives the same vector before and after `t` is first read."""
+        assert len(in_place) >= 200
+        for t, u, before, ref in in_place:
+            assert _exact_entries(t.t) == _exact_entries(ref)
+            after = t.apply(u)
+            assert after == before
+            dense = [sum(x * y for x, y in zip(row, u.w)) for row in t.t]
+            if exact:
+                assert list(after.w) == dense
+            else:
+                assert max(abs(x - y) for x, y in zip(after.w, dense)) <= 1e-12
+
     def test_rational_maps_equal_dense(self, monkeypatch):
-        pairs = self._against_dense(monkeypatch)
+        in_place = []
+        pairs = self._against_dense(monkeypatch, in_place)
         for seed in range(200):
             self._synthesize(seed, RATIONAL)
         assert len(pairs) >= 200
         for t, ref in pairs:
             assert t == ref
             assert all(type(x) is F for row in t.t for x in row)
+        self._check_factors(in_place, exact=True)
 
     def test_float_maps_match_dense(self, monkeypatch):
-        pairs = self._against_dense(monkeypatch)
+        in_place = []
+        pairs = self._against_dense(monkeypatch, in_place)
         for seed in range(200):
             self._synthesize(seed, FLOATS)
         assert len(pairs) >= 200
@@ -530,6 +641,7 @@ class TestSparseEmbedding:
             for row, ref_row in zip(t.t, ref.t):
                 assert all(x >= 0 for x in row)  # no tolerance, no clamp
                 assert max(abs(x - y) for x, y in zip(row, ref_row)) <= 1e-12
+        self._check_factors(in_place, exact=False)
 
     def test_level_below_eps_merge_shares_a_cell(self, monkeypatch):
         """A Gibbs weight below eps_merge: the bend closing that level's
@@ -609,15 +721,17 @@ class TestSparseEmbedding:
     @pytest.mark.parametrize("policy", [FLOATS, RATIONAL], ids=["float", "rational"])
     def test_each_source_is_ordered_once_per_plan(self, monkeypatch, policy):
         """synthesize_cto puts each source column in Lorenz order once, not
-        once per target branch it feeds; each target branch is ordered once."""
+        once per target branch it feeds; each target branch is ordered once,
+        for its curve and its levels both."""
         calls = []
-        orig = synth.lorenz_order
+        orig = lorenz._by_slope
 
         def spy(u, g):
             calls.append(u)
             return orig(u, g)
 
-        monkeypatch.setattr(synth, "lorenz_order", spy)
+        monkeypatch.setattr(synth, "_by_slope", spy)
+        monkeypatch.setattr(lorenz, "_by_slope", spy)
         rng = random.Random(5)
         multi = 0
         for _ in range(30):
@@ -628,8 +742,19 @@ class TestSparseEmbedding:
             calls.clear()
             synthesize_cto(source, target, ctx,
                            Decision(convertible=True, plan_seed=gen.control))
-            for u in source.columns:
+            for u in source.columns + target.columns:
                 assert sum(c is u for c in calls) == 1
             assert len(calls) == source.n_branches + target.n_branches
             multi += any(sum(x > 0 for x in r) > 1 for r in gen.control)
         assert multi  # some source fed more than one target branch
+
+    @pytest.mark.parametrize("policy", [FLOATS, RATIONAL], ids=["float", "rational"])
+    def test_levels_equal_the_added_interval_ends(self, policy):
+        """`_levels` gives the tuples that adding g_i to each end gave:
+        floats by bits, Fractions by type and value."""
+        rng = random.Random(6)
+        for _ in range(200):
+            ctx = testkit.random_context(rng.randint(1, 12), rng, policy)
+            u = testkit.random_state(ctx, rng)
+            assert _exact_entries(synth._levels(u, ctx)) == \
+                _exact_entries(_added_levels(u, ctx))
