@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Sequence, Union
 
 from .errors import (
@@ -440,13 +439,6 @@ class TOMatrix:
                     acc = x * y if acc is None else acc + x * y
             out.append(0 * row[0] if acc is None else acc)  # a zero row: its entries' zero
         return StateVector(tuple(out))
-
-    def _float_entry(self):
-        """The first float among the numbers `apply` reads, or None."""
-        nums = chain(*self._t) if self._e is None else chain(
-            *[r.values() for r in self._e], *[s[2:] for s in self._steps],
-            [b for _, b in self._home])
-        return next((x for x in nums if isinstance(x, float)), None)
 
     def validate(self, ctx: GibbsContext) -> "TOMatrix":
         policy = ctx.policy

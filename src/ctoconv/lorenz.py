@@ -37,8 +37,6 @@ class LorenzCurve:
     # (G, W, S, T) with points[k] == (S[k]/G, T[k]/W) on ints, () for a
     # curve with a float coordinate, None until `values` first derives it
     _ints: tuple | None = field(default=None, repr=False, compare=False)
-    # `_by_slope` of the column `build_lorenz` built the curve from, or None
-    _order: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "abscissae", tuple([s for s, _ in self.points]))
@@ -126,7 +124,7 @@ def _integer_vertices(points) -> tuple:
             tuple([t.numerator * (big_w // t.denominator) for _, t in points]))
 
 
-def build_lorenz(w: StateVector, ctx: GibbsContext) -> LorenzCurve:
+def build_lorenz(w: StateVector, ctx: GibbsContext, by_slope=None) -> LorenzCurve:
     """Sort levels by w_i/g_i non-increasing and connect the cumulative points.
 
     The one place a column is checked (its dimension, `StateVector.validate`);
@@ -134,19 +132,19 @@ def build_lorenz(w: StateVector, ctx: GibbsContext) -> LorenzCurve:
     rational mode the cumulative sums are the integers S = sum G_i and
     T = sum W_i of `_by_slope`'s integers, levels of equal slope key
     join one segment, and each vertex becomes (Fraction(S, G), Fraction(T, W)).
+    A caller that has checked w may pass its `_by_slope(w, g)`, sorted once.
     """
     if w.dim != ctx.dim:
         raise DimensionMismatch(
             f"state has dimension {w.dim}, context has {ctx.dim}"
         )
     policy = ctx.policy
-    w.validate(policy)
     g, wv = ctx.gibbs, w.w
-    by_slope = slopes, order, ints = _by_slope(w, g)
+    slopes, order, ints = by_slope or _by_slope(w.validate(policy), g)
     if policy.exact:
         if ints is None:  # float weights in a context validate_context refuses
             raise ValidationError("rational mode takes int or Fraction Gibbs weights")
-        return _build_exact(by_slope)
+        return _build_exact(slopes, order, *ints)
 
     eps = policy.eps_merge
     pts = [(0.0, 0.0)]
@@ -164,12 +162,11 @@ def build_lorenz(w: StateVector, ctx: GibbsContext) -> LorenzCurve:
             pts.append((s, t))
             prev = slope
     pts[-1] = (1.0, t)  # pin the endpoint
-    return LorenzCurve(tuple(pts), (), by_slope)
+    return LorenzCurve(tuple(pts), ())
 
 
-def _build_exact(by_slope) -> LorenzCurve:
+def _build_exact(keys, order, big_g, gs, big_w, ws) -> LorenzCurve:
     """`build_lorenz`'s rational loop, on the integers of `_by_slope`."""
-    keys, order, (big_g, gs, big_w, ws) = by_slope
     ss, ts = [0], [0]
     s = t = 0
     prev = None
@@ -184,7 +181,7 @@ def _build_exact(by_slope) -> LorenzCurve:
             prev = keys[i]
     ss[-1] = big_g  # pin the endpoint
     pts = tuple([(Fraction(a, big_g), Fraction(b, big_w)) for a, b in zip(ss, ts)])
-    return LorenzCurve(pts, (big_g, big_w, tuple(ss), tuple(ts)), by_slope)
+    return LorenzCurve(pts, (big_g, big_w, tuple(ss), tuple(ts)))
 
 
 def _by_slope(w: StateVector, g) -> tuple:

@@ -74,7 +74,7 @@ def synthesize_cto(source: CQState, target: CQState, ctx: GibbsContext,
         raise NotConvertible("pair is not convertible under CTO")
     control = decision.plan_seed
     ell, m, p = source.n_branches, target.n_branches, source.branch_masses
-    if given:  # build_lorenz validates the target's columns
+    if given:  # _branch_maps validates the target's columns
         source.validate(policy)
         if control is None or len(control) != ell or any(len(r) != m for r in control):
             raise ValidationError(f"plan seed is not an {ell} x {m} matrix")
@@ -102,14 +102,14 @@ def _branch_maps(sources, coeffs, target: StateVector, ctx: GibbsContext) -> lis
     """
     policy = ctx.policy
     zero, one = policy.zero(), policy.one()
-    curve = build_lorenz(target, ctx)
-    grid = merged_bend_grid([curve], policy)
+    by_slope = _by_slope(target.validate(policy), ctx.gibbs)  # one sort, two uses
+    grid = merged_bend_grid([build_lorenz(target, ctx, by_slope)], policy)
     n = len(grid) - 1
     widths = [grid[k + 1] - grid[k] for k in range(n)]
     p, q = [zero] * n, [zero] * n
     spreads = [_embedding(levels, grid, c, p, policy)
                for c, levels in zip(coeffs, sources)]
-    cover = _embedding(_levels(target, ctx, curve._order), grid, one, q, policy)
+    cover = _embedding(_levels(target, ctx, by_slope), grid, one, q, policy)
     steps = _transfers(p, q, widths, policy)
     home = [None] * ctx.dim  # level i -> (its cell k, B[i][k]), in level order
     for k, row in enumerate(cover):
@@ -210,8 +210,8 @@ def _transfers(p, q, widths, policy: NumericPolicy) -> list:
 
 def apply_cto(plan: CTOPlan, state: CQState, ctx: GibbsContext) -> CQState:
     """Output branches: v^y = sum_x R[x][y] T^(x,y) u^x, then canonicalize.
-    The state is checked first; in rational mode, so is the type of every
-    control entry and of each used map's numbers."""
+    The state is checked first.  In rational mode a float output entry is
+    refused: only a float control entry or map number can put one there."""
     if plan.n_in != state.n_branches:
         raise DimensionMismatch(
             f"plan expects {plan.n_in} source branches, state has "
@@ -225,8 +225,6 @@ def apply_cto(plan: CTOPlan, state: CQState, ctx: GibbsContext) -> CQState:
         acc = [policy.zero()] * d
         for x in range(plan.n_in):
             r = plan.control[x][y]
-            if exact and isinstance(r, float):
-                raise ValidationError(f"float control entry {r} in rational mode")
             if r == 0:
                 continue
             t = plan.branch_maps.get((x, y))
@@ -234,10 +232,11 @@ def apply_cto(plan: CTOPlan, state: CQState, ctx: GibbsContext) -> CQState:
                 raise ValidationError(
                     f"plan has no branch map for (x, y) = {(x, y)}, which its "
                     f"control uses")
-            if exact and (bad := t._float_entry()) is not None:
-                raise ValidationError(f"float matrix entry {bad} in rational mode")
             mapped = t.apply(state.columns[x])
             acc = [a + r * b for a, b in zip(acc, mapped.w)]
+        if exact and any(isinstance(v, float) for v in acc):
+            raise ValidationError(f"float entry in output branch {y} in rational "
+                                  f"mode, from a float control entry or map number")
         cols.append(StateVector(tuple(acc)))
     return canonicalize_cq(CQState(tuple(cols)), policy)
 

@@ -980,13 +980,19 @@ def _toward_pure(state, ctx, k, n):
 
 
 def _numbers(result):
-    """Every number a result holds, through tuples, dicts and dataclasses."""
+    """Every number a result holds, through tuples, dicts, dataclasses and
+    thermal maps: a map's rows `t`, and a product's factors, which `apply`
+    reads instead."""
     if isinstance(result, (tuple, list)):
         for part in result:
             yield from _numbers(part)
     elif isinstance(result, dict):
         for part in result.values():
             yield from _numbers(part)
+    elif isinstance(result, core.TOMatrix):
+        yield from _numbers(result.t)
+        if result._e is not None:
+            yield from _numbers([result._e, result._steps, result._home])
     elif dataclasses.is_dataclass(result):
         for field in dataclasses.fields(result):
             yield from _numbers(getattr(result, field.name))
@@ -1022,6 +1028,22 @@ def test_rational_results_hold_no_float(seed):
     results += [p_min(u, v, ctx), monotones.abscissae, monotones.values]
     leaked = [x for x in _numbers(results) if isinstance(x, float)]
     assert not leaked
+
+
+def test_numbers_reach_every_map_number():
+    """`_numbers` finds a float held by a dense map or by any factor of a
+    product, so `test_rational_results_hold_no_float` checks every map."""
+    half, one = F(1, 2), F(1)
+    e, steps, home = [{0: one}, {1: one}], [(0, 1, half, F(1, 4), F(1, 4))], [(0, one), (1, one)]
+    float_maps = [core.TOMatrix(((one, 0.0), (F(0), one))),
+                  core.TOMatrix.product([{0: 1.0}, {1: one}], steps, home),
+                  core.TOMatrix.product(e, [(0, 1, 0.5, F(1, 4), F(1, 4))], home),
+                  core.TOMatrix.product(e, steps, [(0, one), (1, 1.0)])]
+    for t in float_maps:
+        plan = core.CTOPlan(((one,),), {(0, 0): t})
+        assert any(isinstance(x, float) for x in _numbers([plan]))
+    exact = core.CTOPlan(((one,),), {(0, 0): core.TOMatrix.product(e, steps, home)})
+    assert not any(isinstance(x, float) for x in _numbers([exact]))
 
 
 def test_floats_do_not_enter_rational_mode():

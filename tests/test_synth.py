@@ -319,18 +319,18 @@ class TestApplyCto:
     def test_rational_mode_refuses_float_entries(self):
         """A float control entry, or a float in a map the control uses, is a
         ValidationError in rational mode, as in `CTOPlan.validate`; so is a
-        float-mode synthesized map, checked on its factors."""
+        float-mode synthesized map, applied by its factors."""
         ctx = GibbsContext.from_weights((F(1, 2), F(1, 2)), RATIONAL)
         state = CQState((StateVector((F(1, 4), F(3, 4))),))
         float_identity = TOMatrix(((1.0, 0.0), (0.0, 1.0)))
-        with pytest.raises(ValidationError, match="float matrix entry"):
+        with pytest.raises(ValidationError, match="float entry in output branch 0"):
             apply_cto(CTOPlan(((F(1),),), {(0, 0): float_identity}), state, ctx)
         ident = TOMatrix.identity(2, RATIONAL)
-        with pytest.raises(ValidationError, match="float control entry"):
+        with pytest.raises(ValidationError, match="float entry in output branch 0"):
             apply_cto(CTOPlan(((1.0,),), {(0, 0): ident}), state, ctx)
         fctx = GibbsContext.from_weights((0.5, 0.5), FLOATS)
         t = synthesize_to(StateVector((0.25, 0.75)), StateVector((0.5, 0.5)), fctx)
-        with pytest.raises(ValidationError, match="float matrix entry"):
+        with pytest.raises(ValidationError, match="float entry in output branch 0"):
             apply_cto(CTOPlan(((F(1),),), {(0, 0): t}), state, ctx)
         # a float-free plan still applies
         assert apply_cto(CTOPlan(((F(1),),), {(0, 0): ident}), state, ctx) == state
