@@ -21,14 +21,14 @@ matrix A with a strictly negative conversion functional.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .asymptotic import _resource_value
-from .core import CQState, GibbsContext, NumericPolicy, StateVector, vdot
+from .core import (CQState, GibbsContext, NumericPolicy, StateVector,
+                   _check_entries, _over_lcm, vdot)
 from .errors import (
     DegenerateCertificate,
     DegenerateSource,
@@ -69,13 +69,8 @@ class WitnessMatrix:
         return tuple(row[z] for row in self.a)
 
     def validate(self, policy: NumericPolicy) -> "WitnessMatrix":
-        exact = policy.exact
         for row in self.a:
-            for v in row:
-                if not policy.nonneg(v):
-                    raise ValidationError(f"negative witness entry {v}")
-                if exact and isinstance(v, float):
-                    raise ValidationError(f"float witness entry {v} in rational mode")
+            _check_entries(row, policy, "witness entry")
         total = sum(sum(row) for row in self.a)
         if not policy.close(total, policy.one()):
             raise ValidationError(f"witness mass {total} != 1")
@@ -403,8 +398,7 @@ def extract_witness(certificate, n_rows: int, m: int) -> WitnessMatrix:
         raise DimensionMismatch("certificate length does not match grid/branches")
     exact = all(isinstance(v, Fraction) for v in y_in)
     if exact:
-        den = math.lcm(*[v.denominator for v in y_in])
-        y_in = [v.numerator * (den // v.denominator) for v in y_in]
+        _, y_in = _over_lcm(y_in)
     zero = 0 * y_in[0]  # matches the entry type (float, Fraction or int)
     a = [[zero] * m for _ in range(n_rows)]
     for y in range(m):

@@ -129,11 +129,34 @@ def matvec(m: Sequence[Sequence[Number]], v: Sequence[Number]) -> list:
     return [vdot(row, v) for row in m]
 
 
-def _exact_sum(xs) -> Fraction:
-    """The sum of ints and Fractions as one Fraction: the numerators over the
-    lcm of the denominators, with no Fraction built per addition."""
+def _over_lcm(xs) -> tuple:
+    """Ints and Fractions over one denominator: (D, [n_i]) with x_i = n_i/D
+    and D the lcm of their denominators."""
     den = math.lcm(*[x.denominator for x in xs])
-    return Fraction(sum([x.numerator * (den // x.denominator) for x in xs]), den)
+    return den, [x.numerator * (den // x.denominator) for x in xs]
+
+
+def _exact_sum(xs) -> Fraction:
+    """The sum of ints and Fractions as one Fraction, with no Fraction built
+    per addition."""
+    den, ns = _over_lcm(xs)
+    return Fraction(sum(ns), den)
+
+
+def _check_entries(xs, policy: NumericPolicy, what: str) -> None:
+    """The entry rule: each x nonnegative as `policy.nonneg` judges, inlined
+    per mode, and no float in rational mode."""
+    if policy.exact:
+        for x in xs:  # an int or Fraction is judged by its numerator
+            if isinstance(x, float) or x.numerator < 0:
+                if not 0 <= x:
+                    raise ValidationError(f"negative {what} {x}")
+                raise ValidationError(f"float {what} {x} in rational mode")
+    else:
+        eps = policy.eps_cmp
+        for x in xs:
+            if not 0.0 <= x + eps:
+                raise ValidationError(f"negative {what} {x}")
 
 
 # -- Gibbs context -----------------------------------------------------------
@@ -141,13 +164,17 @@ def _exact_sum(xs) -> Fraction:
 
 @dataclass(frozen=True)
 class GibbsContext:
-    """Energy spectrum, inverse temperature and the derived Gibbs weights."""
+    """Energy spectrum, inverse temperature and the derived Gibbs weights;
+    checked by `validate_context` when made."""
 
     gibbs: tuple
     beta: Number
     partition: Number
     policy: NumericPolicy
     energies: tuple | None = None
+
+    def __post_init__(self):
+        validate_context(self)
 
     @property
     def dim(self) -> int:
@@ -169,14 +196,13 @@ class GibbsContext:
             raise ValidationError("beta must be positive")
         weights = [math.exp(-beta * e) for e in energies]
         z = sum(weights)
-        ctx = GibbsContext(
+        return GibbsContext(
             gibbs=tuple(w / z for w in weights),
             beta=float(beta),
             partition=z,
             policy=policy,
             energies=tuple(float(e) for e in energies),
         )
-        return validate_context(ctx)
 
     @staticmethod
     def from_weights(
@@ -185,15 +211,9 @@ class GibbsContext:
         """Gibbs weights supplied directly, each read by `policy.number`;
         beta defaults to 1, E_i = -ln g_i."""
         policy = policy or NumericPolicy()
-        w = tuple(policy.number(x) for x in weights)
-        ctx = GibbsContext(
-            gibbs=w,
-            beta=policy.one(),
-            partition=policy.one(),
-            policy=policy,
-            energies=None,
-        )
-        return validate_context(ctx)
+        one = policy.one()
+        return GibbsContext(gibbs=tuple(policy.number(x) for x in weights),
+                            beta=one, partition=one, policy=policy)
 
     def energy_levels(self) -> tuple:
         """Energies, deriving E_i = -ln(g_i)/beta when not given explicitly."""
@@ -245,19 +265,11 @@ class StateVector:
 
     def _checked_mass(self, policy: NumericPolicy) -> Number:
         """The mass, once `validate`'s checks pass (they raise otherwise)."""
+        _check_entries(self.w, policy, "component")
         if policy.exact:
-            for x in self.w:  # an int or Fraction is judged by its numerator
-                if isinstance(x, float) or x.numerator < 0:
-                    if not 0 <= x:
-                        raise ValidationError(f"negative component {x} in state vector")
-                    raise ValidationError(f"float component {x} in rational mode")
             mass, bound = _exact_sum(self.w), 1
         else:
-            eps = policy.eps_cmp
-            for x in self.w:
-                if not 0.0 <= x + eps:
-                    raise ValidationError(f"negative component {x} in state vector")
-            mass, bound = self.mass, 1.0 + eps
+            mass, bound = self.mass, 1.0 + policy.eps_cmp
         if not mass <= bound:
             raise ValidationError(f"state mass {mass} exceeds 1")
         return mass
@@ -316,13 +328,15 @@ class CQState:
         return self
 
 
-def _check_joint(masses, policy: NumericPolicy) -> None:
-    """The joint rule on column masses: at least one column, a total of one."""
+def _check_joint(masses, policy: NumericPolicy) -> Number:
+    """The joint rule on column masses: at least one column, a total of one.
+    Returns the total."""
     if not masses:
-        raise ZeroTotalMass("joint state has no columns")
+        raise ZeroTotalMass("joint state has no columns of positive mass")
     total = sum(masses)
     if not policy.close(total, policy.one()):
         raise NotNormalized(f"joint state mass {total} != 1")
+    return total
 
 
 def canonicalize_cq(state: CQState, policy: NumericPolicy) -> CQState:
@@ -340,11 +354,7 @@ def canonicalize_cq(state: CQState, policy: NumericPolicy) -> CQState:
         sv = StateVector(tuple(w))
         if sv.mass > 0:
             cols.append(sv)
-    if not cols:
-        raise ZeroTotalMass("joint state has zero total mass")
-    total = sum(c.mass for c in cols)
-    if not policy.close(total, policy.one()):
-        raise NotNormalized(f"joint state mass {total} != 1")
+    total = _check_joint([c.mass for c in cols], policy)
     if total != policy.one():
         cols = [c.scaled(policy.one() / total) for c in cols]
     return CQState(tuple(cols))
@@ -445,13 +455,8 @@ class TOMatrix:
         d = self.dim
         if any(len(row) != d for row in self.t):
             raise DimensionMismatch("thermal-operation matrix is not square")
-        exact = policy.exact
         for row in self.t:
-            for x in row:
-                if not policy.nonneg(x):
-                    raise ValidationError(f"negative matrix entry {x}")
-                if exact and isinstance(x, float):
-                    raise ValidationError(f"float matrix entry {x} in rational mode")
+            _check_entries(row, policy, "matrix entry")
         for j in range(d):
             col_sum = sum(self.t[i][j] for i in range(d))
             if not policy.close(col_sum, policy.one()):
@@ -490,15 +495,11 @@ class CTOPlan:
 
     def validate(self, ctx: GibbsContext) -> "CTOPlan":
         policy = ctx.policy
-        m, exact = self.n_out, policy.exact
+        m = self.n_out
         for row in self.control:
             if len(row) != m:
                 raise DimensionMismatch("ragged control matrix")
-            for x in row:
-                if not policy.nonneg(x):
-                    raise ValidationError(f"negative control entry {x}")
-                if exact and isinstance(x, float):
-                    raise ValidationError(f"float control entry {x} in rational mode")
+            _check_entries(row, policy, "control entry")
             if not policy.close(sum(row), policy.one()):
                 raise ValidationError("control matrix row does not sum to 1")
         for key, t in self.branch_maps.items():

@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import (CQState, GibbsContext, NumericPolicy, StateVector,
-                   _check_joint, validate_context)
-from .errors import (DimensionMismatch, EmptyInput, MassMismatch, OutOfRange,
-                     ValidationError)
+                   _check_joint, _over_lcm)
+from .errors import DimensionMismatch, EmptyInput, MassMismatch, OutOfRange
 
 
 @dataclass(frozen=True)
@@ -35,11 +34,13 @@ class LorenzCurve:
     points: tuple  # ((s, t), ...)
     abscissae: tuple = field(init=False, repr=False, compare=False)  # the s of points
     # (G, W, S, T) with points[k] == (S[k]/G, T[k]/W) on ints, () for a
-    # curve with a float coordinate, None until `values` first derives it
+    # curve with a float coordinate; derived from the points when not given
     _ints: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "abscissae", tuple([s for s, _ in self.points]))
+        if self._ints is None:
+            object.__setattr__(self, "_ints", _integer_vertices(self.points))
 
     @property
     def mass(self):
@@ -68,9 +69,6 @@ class LorenzCurve:
         t0 + (t1 - t0) * (s - s0) / (s1 - s0); on Fractions it gives the
         same Fraction."""
         ints = self._ints
-        if ints is None:
-            ints = _integer_vertices(self.points)
-            object.__setattr__(self, "_ints", ints)
         big_g, big_w, ss, ts = ints or (None, None, None, None)
         pts, ab = self.points, self.abscissae
         n = len(pts)
@@ -117,11 +115,9 @@ def _integer_vertices(points) -> tuple:
     int nor a Fraction."""
     if not all(isinstance(x, (int, Fraction)) for p in points for x in p):
         return ()
-    big_g = math.lcm(*[s.denominator for s, _ in points])
-    big_w = math.lcm(*[t.denominator for _, t in points])
-    return (big_g, big_w,
-            tuple([s.numerator * (big_g // s.denominator) for s, _ in points]),
-            tuple([t.numerator * (big_w // t.denominator) for _, t in points]))
+    big_g, ss = _over_lcm([s for s, _ in points])
+    big_w, ts = _over_lcm([t for _, t in points])
+    return big_g, big_w, tuple(ss), tuple(ts)
 
 
 def build_lorenz(w: StateVector, ctx: GibbsContext, by_slope=None) -> LorenzCurve:
@@ -142,8 +138,6 @@ def build_lorenz(w: StateVector, ctx: GibbsContext, by_slope=None) -> LorenzCurv
     g, wv = ctx.gibbs, w.w
     slopes, order, ints = by_slope or _by_slope(w.validate(policy), g)
     if policy.exact:
-        if ints is None:  # float weights in a context validate_context refuses
-            raise ValidationError("rational mode takes int or Fraction Gibbs weights")
         return _build_exact(slopes, order, *ints)
 
     eps = policy.eps_merge
@@ -197,14 +191,8 @@ def _by_slope(w: StateVector, g) -> tuple:
     if g and isinstance(g[0], float):
         slopes, ints = [x / gi for x, gi in zip(wv, g)], None
     else:
-        try:
-            big_g = math.lcm(*[x.denominator for x in g])
-        except AttributeError:  # a float weight past g[0]
-            raise ValidationError(
-                "rational mode takes int or Fraction Gibbs weights") from None
-        gs = [x.numerator * (big_g // x.denominator) for x in g]
-        big_w = math.lcm(*[x.denominator for x in wv])
-        ws = [x.numerator * (big_w // x.denominator) for x in wv]
+        big_g, gs = _over_lcm(g)
+        big_w, ws = _over_lcm(wv)
         p = math.lcm(*gs)
         slopes = [wi * (p // gi) for wi, gi in zip(ws, gs)]
         ints = big_g, gs, big_w, ws
@@ -278,8 +266,7 @@ def embed_states(states, ctx: GibbsContext):
     # GibbsContext.from_weights would do, only its defaults and checks
     gaps = tuple([grid[i] - grid[i - 1] for i in range(1, len(grid))])
     one = policy.one()
-    ctx2 = validate_context(GibbsContext(gibbs=gaps, beta=one, partition=one,
-                                         policy=policy))
+    ctx2 = GibbsContext(gibbs=gaps, beta=one, partition=one, policy=policy)
     out = []
     for c in curves:
         vals = c.values(grid)

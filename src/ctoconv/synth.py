@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .core import (CQState, CTOPlan, GibbsContext, NumericPolicy, StateVector,
-                   TOMatrix, canonicalize_cq)
+                   TOMatrix, _check_entries, canonicalize_cq)
 from .errors import (DimensionMismatch, MassMismatch, NotConvertible,
                      NotStochasticSum, NotThermoMajorizing, ValidationError)
 from .convert import Decision, check_cto
@@ -80,17 +80,19 @@ def synthesize_cto(source: CQState, target: CQState, ctx: GibbsContext,
             raise ValidationError(f"plan seed is not an {ell} x {m} matrix")
         CTOPlan(control, {}).validate(ctx)  # nonnegative rows that sum to 1
     levels = [_levels(u, ctx) for u in source.columns]  # once per plan
-    ident = TOMatrix.identity(ctx.dim, policy)
-    branch_maps = {(x, y): ident for x in range(ell) for y in range(m)}
+    maps = {}
     for y in range(m):
         support = [x for x in range(ell) if p[x] * control[x][y] > 0]
         if not support:
             raise NotConvertible(f"target branch {y} receives no mass")
-        maps = _branch_maps([levels[x] for x in support],
-                            [control[x][y] for x in support],
-                            target.columns[y], ctx)
-        branch_maps.update(((x, y), t) for x, t in zip(support, maps))
-    return CTOPlan(control=control, branch_maps=branch_maps)
+        ts = _branch_maps([levels[x] for x in support],
+                          [control[x][y] for x in support],
+                          target.columns[y], ctx)
+        maps.update(((x, y), t) for x, t in zip(support, ts))
+    # an unused (x, y) gets the identity, built only if some pair is unused
+    ident = TOMatrix.identity(ctx.dim, policy) if len(maps) < ell * m else None
+    return CTOPlan(control=control, branch_maps={
+        (x, y): maps.get((x, y), ident) for x in range(ell) for y in range(m)})
 
 
 def _branch_maps(sources, coeffs, target: StateVector, ctx: GibbsContext) -> list:
@@ -245,7 +247,8 @@ def canonicalize_cto(terms, ctx: GibbsContext) -> CTOPlan:
     """Average an arbitrary indexed decomposition into the (x, y)-indexed form.
 
     terms: iterable of (sub-stochastic control part, TOMatrix) pairs whose
-    control parts sum to a row-stochastic matrix.
+    control parts sum to a row-stochastic matrix.  Parts and maps are held
+    to the entry rule: nonnegative, and no float in rational mode.
     """
     policy = ctx.policy
     terms = [(tuple(tuple(r) for r in part), t) for part, t in terms]
@@ -261,9 +264,8 @@ def canonicalize_cto(terms, ctx: GibbsContext) -> CTOPlan:
         if t.dim != d:
             raise DimensionMismatch("branch map dimension mismatch")
         for x in range(ell):
+            _check_entries(part[x], policy, "sub-stochastic entry")
             for y in range(m):
-                if not policy.nonneg(part[x][y]):
-                    raise ValidationError("negative sub-stochastic entry")
                 total[x][y] += part[x][y]
     for x in range(ell):
         if not policy.close(sum(total[x]), policy.one()):
@@ -283,9 +285,10 @@ def canonicalize_cto(terms, ctx: GibbsContext) -> CTOPlan:
                 c = part[x][y]
                 if c == 0:
                     continue
-                for i in range(d):
+                for i, row in enumerate(t.t):
+                    _check_entries(row, policy, "matrix entry")
                     for j in range(d):
-                        acc[i][j] += c * t.t[i][j]
+                        acc[i][j] += c * row[j]
             branch_maps[(x, y)] = TOMatrix(
                 tuple(tuple(v / r_xy for v in row) for row in acc)
             )

@@ -1052,15 +1052,14 @@ def test_floats_do_not_enter_rational_mode():
     for weights in ((0.75, 0.25), ("3/4", 0.25)):
         with pytest.raises(ValidationError, match="rational mode"):
             GibbsContext.from_weights(weights, RATIONAL)
+    # a context is checked when made, so no invalid one reaches a caller
+    ctx = GibbsContext.from_weights((F(3, 4), F(1, 4)), RATIONAL)
     for gibbs in ((0.5, 0.5), (F(1, 2), 0.5)):  # a float first, or past g[0]
-        built = GibbsContext(gibbs=gibbs, beta=1, partition=1, policy=RATIONAL)
-        for call in (lambda: core.validate_context(built),
-                     lambda: lorenz.build_lorenz(StateVector((F(1), F(0))), built),
-                     lambda: check_cto(_single((F(1), F(0))),
-                                       _single((F(1, 2), F(1, 2))), built)):
+        for call in (lambda: GibbsContext(gibbs=gibbs, beta=1, partition=1,
+                                          policy=RATIONAL),
+                     lambda: dataclasses.replace(ctx, gibbs=gibbs)):
             with pytest.raises(ValidationError, match="int or Fraction"):
                 call()
-    ctx = GibbsContext.from_weights((F(3, 4), F(1, 4)), RATIONAL)
     target = _single((F(3, 4), F(1, 4)))
     plan = synthesize_cto(_single((F(1), F(0))), target, ctx)
     floats = _single((1.0, 0.0))

@@ -99,6 +99,34 @@ class TestSynthesizeTo:
 
 
 class TestSynthesizeCto:
+    @pytest.mark.parametrize("policy", [FLOATS, RATIONAL], ids=["float", "rational"])
+    def test_identity_built_only_for_unused_pairs(self, monkeypatch, policy):
+        """A control that uses every (x, y) builds no identity map; one with
+        an unused pair builds one, shared by every unused pair."""
+        built, identity = [], TOMatrix.identity
+
+        def spy(d, p):
+            built.append(d)
+            return identity(d, p)
+
+        monkeypatch.setattr(TOMatrix, "identity", staticmethod(spy))
+        ctx = testkit.random_context(3, 5, policy)
+        source = testkit.random_cq(ctx, 2, 5)
+        one, zero = policy.one(), policy.zero()
+        half = one / 2
+        for control, n_built in [(((half, half), (half, half)), 0),
+                                 (((one, zero), (half, half)), 1)]:
+            plan = CTOPlan(control, {(x, y): TOMatrix.identity(3, policy)
+                                     for x in range(2) for y in range(2)})
+            target = apply_cto(plan, source, ctx)
+            built.clear()
+            out = synthesize_cto(source, target, ctx, Decision(True, plan_seed=control))
+            assert len(built) == n_built
+            assert list(out.branch_maps) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+            got = apply_cto(out, source, ctx)
+            assert [x for c in got.columns for x in c.w] == pytest.approx(
+                [x for c in target.columns for x in c.w], abs=1e-12)
+
     def test_self_plan(self, skew2):
         rng = random.Random(1)
         state = testkit.random_cq(skew2, 2, rng)
@@ -402,6 +430,23 @@ class TestCanonicalizeCto:
             canonicalize_cto([(((F(1, 2), F(1, 4)),), t)], skew2)
         with pytest.raises(NotStochasticSum):
             canonicalize_cto([], skew2)
+
+    @pytest.mark.parametrize("case", ["float part", "float map", "negative map"])
+    def test_entry_rule_on_parts_and_maps(self, skew2, case):
+        """Parts and maps are held to the entry rule: a float, which would
+        come back as a float entry of the exact plan, and a negative entry
+        are refused."""
+        ident = TOMatrix.identity(2, RATIONAL)
+        terms, message = {
+            "float part": ([(((0.5,),), ident), (((F(1, 2),),), ident)],
+                           "float sub-stochastic entry 0.5 in rational mode"),
+            "float map": ([(((F(1),),), TOMatrix(((1.0, 0.0), (0.0, 1.0))))],
+                          "float matrix entry 1.0 in rational mode"),
+            "negative map": ([(((F(1),),), TOMatrix(((F(3, 2), F(0)), (F(-1, 2), F(1)))))],
+                             "negative matrix entry -1/2"),
+        }[case]
+        with pytest.raises(ValidationError, match=message):
+            canonicalize_cto(terms, skew2)
 
 
 def _dense_embedding(u, grid, ctx):
