@@ -13,10 +13,11 @@ Farkas certificate are closed-form.  Otherwise these own rows, placed on the
 union bend grid of all target branches, enter the decision LP by row
 generation: a few rows per branch first, then each round the most violated
 row of each branch, until R satisfies them all (most are slack at the
-answer); infeasibility of any round yields a Farkas certificate.  A
-certificate's inequality multipliers, zero-padded onto every (branch, grid
-row) pair, reverse-cumsum into a nonnegative, column-non-increasing witness
-matrix A with a strictly negative conversion functional.
+answer); infeasibility of any round yields a Farkas certificate.  The
+rational scan compares integer cross-products; the LP gets Fraction rows.
+A certificate's inequality multipliers, zero-padded onto every (branch,
+grid row) pair, reverse-cumsum into a nonnegative, column-non-increasing
+witness matrix A with a strictly negative conversion functional.
 """
 
 from __future__ import annotations
@@ -71,10 +72,12 @@ class WitnessMatrix:
     def validate(self, policy: NumericPolicy) -> "WitnessMatrix":
         for row in self.a:
             _check_entries(row, policy, "witness entry")
-        total = sum(sum(row) for row in self.a)
-        if not policy.close(total, policy.one()):
-            raise ValidationError(f"witness mass {total} != 1")
-        for upper, lower in zip(self.a, self.a[1:]):
+        # in rational mode on integer numerators a / one, one the lcm
+        one, a = _over_lcm_rows(self.a) if policy.exact else (policy.one(), self.a)
+        total = sum(sum(row) for row in a)
+        if not policy.close(total, one):
+            raise ValidationError(f"witness mass {sum(map(sum, self.a))} != 1")
+        for upper, lower in zip(a, a[1:]):
             for z, (hi, lo) in enumerate(zip(upper, lower)):
                 if not policy.leq(lo, hi):
                     raise ValidationError(f"witness column {z} is not non-increasing")
@@ -107,12 +110,6 @@ def _rows_of(curves, xs) -> list:
     """rows[i][x] = curves[x](xs[i]) for non-decreasing xs, one walk per curve."""
     cols = [c.values(xs) for c in curves]
     return [list(row) for row in zip(*cols)] if cols else [[] for _ in xs]
-
-
-def _increments(cum):
-    """Per-segment increments of cumulative rows; curves start at L(0) = 0."""
-    return (tuple(cum[0]),) + tuple(
-        tuple(b - a for a, b in zip(prev, row)) for prev, row in zip(cum, cum[1:]))
 
 
 def _decide(cum_p, cum_q, policy: NumericPolicy, rows):
@@ -217,13 +214,17 @@ def check_cto(source: CQState, target: CQState, ctx: GibbsContext) -> Decision:
         y_in[y * n + n - 1], y_in[y * n + i] = policy.zero(), policy.one()
         return Decision(False, witness=extract_witness((y_eq, y_in), n, m))
     grid, cum_p, cum_q = _grid_values(src_curves, tgt_curves, policy)
-    tol = policy.zero() if policy.exact else policy.eps_lp
-    mix = [sum(row) for row in cum_p]  # the mixed source curve, sum_x L[u^x]
+    exact = policy.exact
+    tol = 0 if exact else policy.eps_lp
+    # the scan reads cum_p = ip / dp, cum_q = iq / dq: ints in rational mode
+    (dp, ip), (dq, iq) = ((_over_lcm_rows(cum_p), _over_lcm_rows(cum_q)) if exact
+                          else ((1, cum_p), (1, cum_q)))
+    mix = [sum(row) for row in ip]  # the mixed source curve, sum_x L[u^x]
     rows, left = [], []  # per branch: rows in the LP, own rows left out
     for y, curve in enumerate(tgt_curves):
         own = _own_rows(curve, grid)
-        mass = cum_q[-1][y]
-        top = max(own, key=lambda i: cum_q[i][y] - mass * mix[i])
+        mass = iq[-1][y]
+        top = max(own, key=lambda i: iq[i][y] * dp - mass * mix[i])
         rows.append(sorted({top, own[-1]}))
         left.append([i for i in own if i not in rows[-1]])
     spent = 0
@@ -239,7 +240,11 @@ def check_cto(source: CQState, target: CQState, ctx: GibbsContext) -> Decision:
         added = False
         for y, pending in enumerate(left):
             col = [(x, r[y]) for x, r in enumerate(decision.plan_seed) if r[y]]
-            i = _most_violated(col, cum_p, cum_q, y, pending, tol)
+            scale = 1
+            if exact and pending:  # R's column as ns / rd: the slack times rd dp dq
+                rd, ns = _over_lcm([r for _, r in col])
+                col, scale = [(x, n * dq) for (x, _), n in zip(col, ns)], rd * dp
+            i = _most_violated(col, ip, iq, y, pending, tol, scale)
             if i is not None:
                 pending.remove(i)
                 insort(rows[y], i)
@@ -260,15 +265,15 @@ def _forced_violation(src_curves, tgt_curves, policy: NumericPolicy):
     return None
 
 
-def _most_violated(col, cum_p, cum_q, y, pending, tol):
+def _most_violated(col, cum_p, cum_q, y, pending, tol, scale=1):
     """The row i of `pending` with the most negative slack
-    sum_x R[x][y] cum_p[i][x] - cum_q[i][y] below -tol, over the nonzero
-    entries (x, R[x][y]) of column y; None if no row is violated.  A NaN
-    slack counts as violated."""
+    sum_x R[x][y] cum_p[i][x] - scale * cum_q[i][y] below -tol, over the
+    nonzero entries (x, R[x][y]) of column y; None if no row is violated.
+    A NaN slack counts as violated."""
     worst, pick = -tol, None
     for i in pending:
         cp = cum_p[i]
-        slack = sum(r * cp[x] for x, r in col) - cum_q[i][y]
+        slack = sum(r * cp[x] for x, r in col) - scale * cum_q[i][y]
         if slack != slack:
             return i
         if slack < worst:
@@ -422,20 +427,45 @@ def verify_witness(witness: WitnessMatrix, source: CQState, target: CQState,
     columns, which equals the conditional form by positive homogeneity.
     Both joint states must pass `cq_branch_curves`'s checks, and the
     witness must be a valid `WitnessMatrix`.
+
+    Each <a_z, p> is summed by parts, sum_i (a_z[i] - a_z[i+1]) L(s_{i+1})
+    with a_z[D] = 0: the curves are read only where a column steps down.
+    In rational mode on integer numerators, with one Fraction at the end.
     """
     policy = ctx.policy
-    grid, cum_p, cum_q = _grid_values(cq_branch_curves(source, ctx),
-                                      cq_branch_curves(target, ctx), policy)
+    src_curves = cq_branch_curves(source, ctx)
+    tgt_curves = cq_branch_curves(target, ctx)
+    grid = merged_bend_grid(tgt_curves, policy)
     if len(grid) - 1 != witness.n_rows:
         raise DimensionMismatch(
             f"witness has {witness.n_rows} rows, target grid has "
             f"{len(grid) - 1} segments"
         )
     witness.validate(policy)
-    cols = list(zip(*witness.a))  # omega's columns, built once for all
-    gain = sum(max(vdot(a, p) for a in cols) for p in zip(*_increments(cum_p)))
-    loss = sum(max(vdot(a, q) for a in cols) for q in zip(*_increments(cum_q)))
+    da, a = _over_lcm_rows(witness.a) if policy.exact else (1, witness.a)
+    steps = [(i, d) for i, d in enumerate(
+        [[u - v for u, v in zip(row, below)] for row, below in zip(a, a[1:])] + [a[-1]])
+        if any(d)]
+    xs = [grid[i + 1] for i, _ in steps]
+    sides = []  # (denominator, sum over the curves of max over z of <a_z, c>)
+    for curves in (src_curves, tgt_curves):
+        vals = _rows_of(curves, xs)
+        den, vals = _over_lcm_rows(vals) if policy.exact else (1, vals)
+        sides.append((den, sum(
+            max(sum(d[z] * v[x] for (_, d), v in zip(steps, vals))
+                for z in range(witness.n_cols))
+            for x in range(len(curves)))))
+    (dp, gain), (dq, loss) = sides
+    if policy.exact:
+        return Fraction(gain * dq - loss * dp, da * dp * dq)
     return gain - loss
+
+
+def _over_lcm_rows(rows) -> tuple:
+    """Rows of ints and Fractions over one denominator: (D, integer rows)."""
+    den, ns = _over_lcm([x for row in rows for x in row])
+    w = len(rows[0]) if rows else 0
+    return den, [ns[i * w:(i + 1) * w] for i in range(len(rows))]
 
 
 _SIGMA_D_MAX = 16  # 2^d subset sums

@@ -132,8 +132,9 @@ def matvec(m: Sequence[Sequence[Number]], v: Sequence[Number]) -> list:
 def _over_lcm(xs) -> tuple:
     """Ints and Fractions over one denominator: (D, [n_i]) with x_i = n_i/D
     and D the lcm of their denominators."""
-    den = math.lcm(*[x.denominator for x in xs])
-    return den, [x.numerator * (den // x.denominator) for x in xs]
+    dens = [x.denominator for x in xs]
+    den = math.lcm(*dens)
+    return den, [x.numerator * (den // d) for x, d in zip(xs, dens)]
 
 
 def _exact_sum(xs) -> Fraction:
@@ -226,8 +227,9 @@ class GibbsContext:
 def validate_context(ctx: GibbsContext) -> GibbsContext:
     if ctx.dim < 1:
         raise ValidationError("Gibbs context needs dimension >= 1")
-    if ctx.policy.exact and not all(isinstance(g, (int, Fraction)) for g in ctx.gibbs):
-        raise ValidationError("rational mode takes int or Fraction Gibbs weights")
+    kinds, what = ((int, Fraction), "int or Fraction") if ctx.policy.exact else (float, "float")
+    if not all(isinstance(g, kinds) for g in ctx.gibbs):
+        raise ValidationError(f"{ctx.policy.mode} mode takes {what} Gibbs weights")
     for g in ctx.gibbs:
         if g <= 0:
             raise NonPositiveGibbsWeight(f"Gibbs weight {g} is not positive")

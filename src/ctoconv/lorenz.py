@@ -180,8 +180,9 @@ def _build_exact(keys, order, big_g, gs, big_w, ws) -> LorenzCurve:
 
 def _by_slope(w: StateVector, g) -> tuple:
     """Slopes w_i/g_i, the levels by slope, non-increasing (L[w]'s order),
-    and for rational entries the integers (G, [G_i], W, [W_i]) behind them;
-    None for float entries.
+    and in rational mode the integers (G, [G_i], W, [W_i]) behind them;
+    None in float mode, the mode that a context's weights' type names
+    (`validate_context`: float weights in float mode only).
 
     For rational entries the slopes are the integer keys W_i*(P // G_i),
     each w_i/g_i times the same positive integer: g_i = G_i/G with G the lcm

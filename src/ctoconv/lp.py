@@ -20,19 +20,20 @@ other answer, and every rational one, comes from one exact step
 (`_refine_exact`, after Applegate, Cook, Dash and Espinoza, "Exact solutions
 to linear programming problems", 2007): the final basis is solved once in
 Fractions, and the kernel runs on a Fraction tableau only when that basis
-gives no answer.  Every answer is re-verified against the raw system before
-being returned, in rational mode with tolerance 0; a NaN or infinite float
-entry never verifies.
+gives no answer; that solve is fraction-free (`_gauss`, after Bareiss, 1968).
+Every answer is re-verified against the raw system before being returned,
+in rational mode with tolerance 0 on integer numerators; a NaN or infinite
+float entry never verifies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import isfinite
+from math import isfinite, lcm
 
 from ._kernels import ITERATION_LIMIT, OPTIMAL, run_simplex
-from .core import NumericPolicy
+from .core import NumericPolicy, _over_lcm
 from .errors import DimensionMismatch, NumericBreakdown, SolveBudgetExceeded
 
 FEASIBLE = "feasible"
@@ -86,6 +87,8 @@ class FeasibilityResult:
 def verify_point(sys: LinearSystem, point, eps) -> bool:
     if len(point) != sys.n_vars:
         return False
+    if not eps and all(isinstance(x, (int, Fraction)) for x in point):
+        return _exact_point(sys, point)
     if not all(_finite(x) and x >= -eps for x in point):
         return False
     support = [(j, x) for j, x in enumerate(point) if x]
@@ -102,6 +105,8 @@ def verify_certificate(sys: LinearSystem, certificate, eps) -> bool:
     y_eq, y_in = certificate
     if len(y_eq) != len(sys.eq) or len(y_in) != len(sys.ineq):
         return False
+    if not eps and all(isinstance(y, (int, Fraction)) for y in (*y_eq, *y_in)):
+        return _exact_certificate(sys, y_eq, y_in)
     if not (all(map(_finite, y_eq)) and all(_finite(y) and y >= -eps for y in y_in)):
         return False
     combos = zip(_combination(sys.eq, y_eq, sys.n_vars),
@@ -111,6 +116,42 @@ def verify_certificate(sys: LinearSystem, certificate, eps) -> bool:
     gain = sum(y * b for y, (_, b) in zip(y_eq, sys.eq) if y)
     gain += sum(y * b for y, (_, b) in zip(y_in, sys.ineq) if y)
     return gain > eps
+
+
+def _exact_point(sys: LinearSystem, point) -> bool:
+    """`verify_point` at tolerance 0 on integers: with x = P / D and a row's
+    support entries and rhs over their lcm R, row.x - b = (A.P - B D) / (R D)."""
+    den, ps = _over_lcm(point)
+    if any(p < 0 for p in ps):
+        return False
+    support = [(j, p) for j, p in enumerate(ps) if p]
+    for rows, is_eq in ((sys.eq, True), (sys.ineq, False)):
+        for row, b in rows:
+            terms = [(a, p) for j, p in support if (a := row[j])]
+            _, (rhs, *ns) = _over_lcm([b, *[a for a, _ in terms]])
+            lhs = sum(n * p for n, (_, p) in zip(ns, terms))
+            if (lhs != rhs * den) if is_eq else (lhs < rhs * den):
+                return False
+    return True
+
+
+def _exact_certificate(sys: LinearSystem, y_eq, y_in) -> bool:
+    """`verify_certificate` at tolerance 0 on integers: with row r as A_r / R_r,
+    B_r / R_r and y_r / R_r = Z_r / D, the combination is sum_r Z_r A_r / D
+    and the gain sum_r Z_r B_r / D."""
+    if any(y < 0 for y in y_in):
+        return False
+    scaled = [(y, _over_lcm([b, *row]))
+              for y, (row, b) in zip((*y_eq, *y_in), sys.eq + sys.ineq) if y]
+    den = lcm(*[y.denominator * r for y, (r, _) in scaled])
+    acc, gain = [0] * sys.n_vars, 0
+    for y, (r, (b, *row)) in scaled:
+        z = y.numerator * (den // (y.denominator * r))
+        gain += z * b
+        for j, a in enumerate(row):
+            if a:
+                acc[j] += z * a
+    return gain > 0 and all(c <= 0 for c in acc)
 
 
 def _finite(x) -> bool:
@@ -267,10 +308,13 @@ def _basis_answer(sys: LinearSystem, basis, feasible: bool, tol):
     if feasible:
         x = _gauss([[rows[r][0][j] for j in cols] for r in free],
                    [rows[r][1] for r in free])
-    else:
-        x = _gauss([[rows[r][0][j] for r in free] for j in cols],
-                   [-sum(y * rows[r][0][j] for r, y in held.items() if y)
-                    for j in cols])
+    else:  # the rhs on integer numerators, one Fraction per column
+        signed = [(r, 1 if y > 0 else -1) for r, y in held.items() if y]
+        rhs = []
+        for j in cols:
+            den, ns = _over_lcm([rows[r][0][j] for r, _ in signed])
+            rhs.append(Fraction(-sum(s * v for (_, s), v in zip(signed, ns)), den))
+        x = _gauss([[rows[r][0][j] for r in free] for j in cols], rhs)
     if x is None:
         return None
     if feasible:
@@ -288,21 +332,27 @@ def _basis_answer(sys: LinearSystem, basis, feasible: bool, tol):
 
 def _gauss(a, b):
     """The Fraction solution x of the square system a.x = b, or None if a is
-    singular (Gauss-Jordan elimination, skipping zero entries)."""
+    singular: fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp.
+    22, 1968) on the rows scaled to integers.  Each step takes every other
+    row to (piv * row - f * pivot row) / prev, an exact division, prev the
+    last pivot; the pivot is the column's first nonzero entry, as on
+    Fractions, and every diagonal entry ends at det, so x_i = N_i / det."""
     k = len(b)
-    rows = [list(row) + [v] for row, v in zip(a, b)]
+    rows = [_over_lcm([*row, v])[1] for row, v in zip(a, b)]
+    prev = 1
     for c in range(k):
-        p = next((i for i in range(c, k) if rows[i][c] != 0), None)
+        p = next((i for i in range(c, k) if rows[i][c]), None)
         if p is None:
             return None
-        piv = Fraction(rows[p][c])
-        pr = [w / piv for w in rows[p]]
-        rows[p], rows[c] = rows[c], pr
+        rows[p], rows[c] = rows[c], rows[p]
+        pr = rows[c]
+        piv = pr[c]
         for i, row in enumerate(rows):
-            f = row[c]
-            if i != c and f != 0:
-                rows[i] = [u - f * w if w else u for u, w in zip(row, pr)]
-    return [row[k] for row in rows]
+            if i != c:
+                f = row[c]
+                rows[i] = [(piv * u - f * w) // prev for u, w in zip(row, pr)]
+        prev = piv
+    return [Fraction(row[k], row[i]) for i, row in enumerate(rows)]
 
 
 def _refine_exact(sys: LinearSystem, policy: NumericPolicy, basis, feasible,

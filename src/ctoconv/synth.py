@@ -14,6 +14,8 @@ sequence of at most n - 1 two-cell partial thermalizations, takes p to v's
 increments q.  It needs the partial sums of p to dominate those of q with
 equal totals, which is checked here (exactly in rational mode, within
 eps_lp in float mode).
+In rational mode the embedding and the steps run on integers, and each
+number that a factor stores is one Fraction of integers.
 B[i][k] = |cell_k & I_i(v)| / |cell_k| maps the cells back to g and to v.
 The grid points are ends of v's own level intervals (merging nearby bends
 only joins cells), so level i lies in one cell k and row i of T is B[i][k]
@@ -31,9 +33,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 
 from .core import (CQState, CTOPlan, GibbsContext, NumericPolicy, StateVector,
-                   TOMatrix, _check_entries, canonicalize_cq)
+                   TOMatrix, _check_entries, _over_lcm, canonicalize_cq)
 from .errors import (DimensionMismatch, MassMismatch, NotConvertible,
                      NotStochasticSum, NotThermoMajorizing, ValidationError)
 from .convert import Decision, check_cto
@@ -149,24 +152,58 @@ def _embedding(levels, grid, c, p: list, policy: NumericPolicy) -> list:
     others (zero if rounding makes them overshoot): in float mode
     |I_i| / g_i is off by ulp(lo) / g_i, which a tiny g_i makes large.  A
     level whose interval rounds away lies whole in the cell of its start.
+
+    In rational mode the walk runs on integers (`_exact_embedding`).
     """
-    zero, one = policy.zero(), policy.one()
+    if policy.exact:
+        return _exact_embedding(levels, grid, c, p)
     n = len(grid) - 1
     e = [{} for _ in range(n)]
     k = 0
     for i, lo, hi, gi, wi in levels:
         while k + 1 < n and grid[k + 1] <= lo:
             k += 1
-        cw, rest = c * wi, one
+        cw, rest = c * wi, 1.0
         while k + 1 < n and grid[k + 1] < hi:  # cell k ends inside I_i
             x = (grid[k + 1] - max(lo, grid[k])) / gi
             e[k][i] = x
             p[k] += x * cw
             rest -= x
             k += 1
-        x = rest if rest > zero else zero
+        x = rest if rest > 0.0 else 0.0
         e[k][i] = x
         p[k] += x * cw
+    return e
+
+
+def _exact_embedding(levels, grid, c, p: list) -> list:
+    """`_embedding` on integers: the grid and level ends are multiples of
+    1/G, G the lcm of the g_i's denominators, so a piece is an overlap o of
+    G_i = G g_i, its entry Fraction(o, G_i); c (E u)_k is summed likewise."""
+    n, big_g = len(grid) - 1, lcm(*[gi.denominator for _, _, _, gi, _ in levels])
+    grid = [s.numerator * (big_g // s.denominator) for s in grid]
+    walk = [(i, *[x.numerator * (big_g // x.denominator) for x in (lo, hi, gi)],
+             c.numerator * wi.numerator, c.denominator * wi.denominator)
+            for i, lo, hi, gi, wi in levels]
+    # c u_i / G_i, the mass one unit of overlap carries, as cw / den
+    den = lcm(*[vd * gi for _, _, _, gi, _, vd in walk])
+    acc, e, k = [0] * n, [{} for _ in range(n)], 0
+    for i, lo, hi, gi, vn, vd in walk:
+        cw = vn * (den // (vd * gi))
+        while k + 1 < n and grid[k + 1] <= lo:
+            k += 1
+        rest = gi
+        while k + 1 < n and grid[k + 1] < hi:
+            o = grid[k + 1] - max(lo, grid[k])
+            e[k][i] = Fraction(o, gi)
+            acc[k] += o * cw
+            rest -= o
+            k += 1
+        e[k][i] = Fraction(rest, gi)  # rest >= 0: the overlaps are exact
+        acc[k] += rest * cw
+    for k, a in enumerate(acc):
+        if a:
+            p[k] = p[k] + Fraction(a, den) if p[k] else Fraction(a, den)
     return e
 
 
@@ -178,8 +215,16 @@ def _transfers(p, q, widths, policy: NumericPolicy) -> list:
     one where it falls short to the first such later one, closing one gap;
     lam <= 1 as q/w is sorted.  One walk from the right finds them: the
     cells still short to the right of j wait on a stack, the nearest on top.
+
+    Scaling p and q together, or w, changes no test and no lam, so rational
+    mode walks integer numerators and builds each step from integers:
+    lam = num / den, and lam w_j / (w_j + w_k) = delta w_j / den.
     """
-    zero, one = policy.zero(), policy.one()
+    exact, n = policy.exact, len(p)
+    if exact:
+        _, pq = _over_lcm([*p, *q])
+        p, q, (_, widths) = pq[:n], pq[n:], _over_lcm(widths)
+    zero, one = (0, 1) if exact else (0.0, 1.0)
     gap = [a - b for a, b in zip(p, q)]
     acc = zero
     for r in gap:
@@ -204,9 +249,17 @@ def _transfers(p, q, widths, policy: NumericPolicy) -> list:
                 gap[j] -= delta
             if not gap[k] < 0:
                 short.pop()
-            if den > 0:  # den > 0 and lam <= 1 hold exactly; these guard rounding
-                lam = min(one, delta * (wj + wk) / den)
-                steps.append((j, k, one - lam, lam * wj / (wj + wk), lam * wk / (wj + wk)))
+            if not den > 0:  # den > 0 and lam <= 1 hold exactly; these guard rounding
+                continue
+            num, ws = delta * (wj + wk), wj + wk
+            if not exact:
+                lam = min(one, num / den)
+                steps.append((j, k, one - lam, lam * wj / ws, lam * wk / ws))
+            elif num < den:
+                steps.append((j, k, Fraction(den - num, den), Fraction(delta * wj, den),
+                              Fraction(delta * wk, den)))
+            else:
+                steps.append((j, k, policy.zero(), Fraction(wj, ws), Fraction(wk, ws)))
     return steps
 
 

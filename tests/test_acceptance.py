@@ -33,6 +33,8 @@ from ctoconv import (
 )
 from ctoconv.lorenz import merged_bend_grid
 
+import oracles
+
 FLOATS = NumericPolicy()
 RATIONAL = NumericPolicy(mode="rational")
 
@@ -115,7 +117,7 @@ def test_criterion_3_witness_duality():
     while found < 200:
         ctx = testkit.random_context(rng.choice([2, 3, 4]), rng, FLOATS)
         source = testkit.random_cq(ctx, rng.choice([1, 2, 3]), rng)
-        target = testkit.perturb_to_infeasible(source, ctx, rng)
+        target = oracles.perturb_to_infeasible(source, ctx, rng)
         if target is None:
             continue
         found += 1
@@ -128,9 +130,9 @@ def test_criterion_3_witness_duality():
     worst_pos = 0.0
     for k in range(200):
         ctx, source, target = _random_convertible(rng, FLOATS)
-        p, q = testkit.pq_increments(source, target, ctx)
+        p, q = oracles.pq_increments(source, target, ctx)
         for _ in range(1000):
-            a = testkit.random_witness(len(p), target.n_branches, rng, FLOATS)
+            a = oracles.random_witness(len(p), target.n_branches, rng, FLOATS)
             value = (
                 sum(omega(a, col) for col in zip(*p))
                 - sum(omega(a, col) for col in zip(*q))
@@ -245,7 +247,7 @@ def test_criterion_7_corollary_agreement():
         u = testkit.random_state(ctx, rng)
         v = testkit.random_gibbs_stochastic(ctx, rng.randint(1, 3), rng).apply(u)
         closed = p_min(u, v, ctx)
-        grid = testkit.pmin_grid_oracle(u, v, ctx, step, bisect=True)
+        grid = oracles.pmin_grid_oracle(u, v, ctx, step, bisect=True)
         worst = max(worst, abs(float(closed - grid)))
         assert abs(closed - grid) <= step
     _report(

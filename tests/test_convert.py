@@ -30,7 +30,6 @@ from ctoconv import (
 from ctoconv import asymptotic, convert, core, lorenz, lp
 from ctoconv.lorenz import (cq_branch_curves, embed_states, merged_bend_grid,
                             thermo_majorizes)
-from ctoconv.testkit import conditional_lt_majorize, pq_increments
 from ctoconv.synth import apply_cto, synthesize_cto, synthesize_to
 from ctoconv.asymptotic import asymptotic_rate, resource_value
 from ctoconv.errors import (
@@ -46,6 +45,8 @@ from ctoconv.errors import (
 )
 
 from conftest import FLOATS, RATIONAL, scipy_feasible
+import oracles
+from oracles import conditional_lt_majorize, pq_increments
 
 
 def _single(w):
@@ -307,7 +308,7 @@ class TestPMin:
         target = _single(v.w)
         for p, expected in ((F(0), False), (F(49, 100), False),
                             (F(1, 2), True), (F(3, 4), True), (F(1), True)):
-            src = testkit.two_column_source(u, p, uniform2)
+            src = oracles.two_column_source(u, p, uniform2)
             assert check_cto(src, target, uniform2).convertible == expected
 
 
@@ -330,7 +331,7 @@ class TestOmega:
     @settings(max_examples=40, deadline=None)
     def test_positive_homogeneity(self, seed, c):
         rng = random.Random(seed)
-        a = testkit.random_witness(3, 2, rng, RATIONAL)
+        a = oracles.random_witness(3, 2, rng, RATIONAL)
         w = [F(rng.randint(0, 8), 8) for _ in range(3)]
         assert omega(a, [c * x for x in w]) == c * omega(a, w)
 
@@ -402,7 +403,7 @@ class TestWitness:
 
     def test_subthreshold_instance_yields_negative_functional(self, uniform2):
         u = StateVector((F(1), F(0)))
-        source = testkit.two_column_source(u, F(2, 5), uniform2)
+        source = oracles.two_column_source(u, F(2, 5), uniform2)
         target = _single((F(3, 4), F(1, 4)))
         decision = check_cto(source, target, uniform2)
         assert not decision.convertible
@@ -414,7 +415,7 @@ class TestWitness:
         rng = random.Random(4)
         state = testkit.random_cq(skew2, 2, rng)
         for _ in range(20):
-            a = testkit.random_witness(_n_segments(state, skew2), state.n_branches,
+            a = oracles.random_witness(_n_segments(state, skew2), state.n_branches,
                                        rng, RATIONAL)
             assert verify_witness(a, state, state, skew2) == 0
 
@@ -424,7 +425,7 @@ class TestWitness:
         plan = testkit.random_cto(skew2, 2, 2, rng)
         target = apply_cto(plan, source, skew2)
         for _ in range(100):
-            a = testkit.random_witness(_n_segments(target, skew2), target.n_branches,
+            a = oracles.random_witness(_n_segments(target, skew2), target.n_branches,
                                        rng, RATIONAL)
             assert verify_witness(a, source, target, skew2) >= 0
 
@@ -439,7 +440,7 @@ class TestWitness:
         ctx = testkit.random_context(5, rng, RATIONAL)
         state = testkit.random_cq(ctx, 3, rng)
         target = testkit.random_cq(ctx, 2, rng)
-        a = testkit.random_witness(_n_segments(target, ctx), 2, rng, RATIONAL)
+        a = oracles.random_witness(_n_segments(target, ctx), 2, rng, RATIONAL)
         calls = []
         build = lorenz.build_lorenz
 
@@ -575,7 +576,7 @@ class TestConditionalLtMajorize:
 
     def test_matches_check_cto_on_pq(self, uniform2):
         u = StateVector((F(1), F(0)))
-        source = testkit.two_column_source(u, F(2, 5), uniform2)
+        source = oracles.two_column_source(u, F(2, 5), uniform2)
         target = _single((F(3, 4), F(1, 4)))
         p, q = pq_increments(source, target, uniform2)
         assert not conditional_lt_majorize(p, q, RATIONAL).convertible
@@ -785,7 +786,7 @@ def _decision_instances(policy, seed, count):
             plan = testkit.random_cto(ctx, source.n_branches, rng.randint(1, 3), rng)
             target = apply_cto(plan, source, ctx)
         elif kind == 1:
-            target = testkit.perturb_to_infeasible(source, ctx, rng)
+            target = oracles.perturb_to_infeasible(source, ctx, rng)
             if target is None:
                 continue
         else:
@@ -1016,7 +1017,7 @@ def test_rational_results_hold_no_float(seed):
     assert yes.convertible
     plan = synthesize_cto(source, target, ctx, yes)
     results = [yes, plan, apply_cto(plan, source, ctx)]
-    unreachable = testkit.perturb_to_infeasible(source, ctx, rng)
+    unreachable = oracles.perturb_to_infeasible(source, ctx, rng)
     if unreachable is not None:
         no = check_cto(source, unreachable, ctx)
         gap = verify_witness(no.witness, source, unreachable, ctx)
@@ -1143,7 +1144,7 @@ class TestValidatesEachColumnOnce:
         u = testkit.random_state(ctx, rng)
         g = StateVector(ctx.gibbs)  # every state thermo-majorizes it
         states = [u, g, testkit.random_state(ctx, rng)]
-        witness = testkit.random_witness(_n_segments(target, ctx), m, rng, policy)
+        witness = oracles.random_witness(_n_segments(target, ctx), m, rng, policy)
         plan = testkit.random_cto(ctx, ell, m, rng)
         reached = apply_cto(plan, source, ctx)
         decision = check_cto(source, reached, ctx)

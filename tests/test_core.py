@@ -14,6 +14,7 @@ from ctoconv import (
     NumericPolicy,
     StateVector,
     TOMatrix,
+    build_lorenz,
     canonicalize_cq,
     testkit,
 )
@@ -56,6 +57,17 @@ class TestGibbsContext:
         assert all(type(g) is float for g in ctx.gibbs)
         with pytest.raises(ValidationError):
             GibbsContext.from_weights((F(3, 4), 0.25), RATIONAL)
+
+    def test_float_mode_takes_float_weights(self):
+        """A Fraction or int Gibbs weight is refused in float mode when the
+        context is made, before a Lorenz curve could read rational
+        arithmetic off its type."""
+        for gibbs in ((F(1, 2), 0.5), (F(1, 2), F(1, 2)), (0.5, F(1, 2)), (1,)):
+            with pytest.raises(ValidationError, match="float mode takes float"):
+                GibbsContext(gibbs=gibbs, beta=1, partition=1, policy=FLOATS)
+        ctx = GibbsContext(gibbs=(0.5, 0.5), beta=1, partition=1, policy=FLOATS)
+        for w in ((0.5, 0.5), (F(1, 2), F(1, 2))):
+            assert build_lorenz(StateVector(w), ctx).points == ((0.0, 0.0), (1.0, 1.0))
 
     def test_energies_need_float_mode(self):
         with pytest.raises(ValidationError):

@@ -9,6 +9,7 @@ from ctoconv._kernels._simplex_py import OPTIMAL, _pivot, run_simplex
 from ctoconv.synth import apply_cto
 
 from conftest import FLOATS, RATIONAL
+import oracles
 from test_lp import _random_system
 
 
@@ -127,7 +128,7 @@ def test_large_class_pivot_guard(monkeypatch):
     ctx = testkit.random_context(24, rng, FLOATS)
     source = testkit.random_cq(ctx, 12, rng)
     target = apply_cto(testkit.random_cto(ctx, 12, 12, rng), source, ctx)
-    unreachable = testkit.perturb_to_infeasible(source, ctx, 2)
+    unreachable = oracles.perturb_to_infeasible(source, ctx, 2)
     pivots = _count_pivots(monkeypatch)
     assert check_cto(source, target, ctx).convertible
     assert 0 < len(pivots) <= 420
@@ -172,7 +173,7 @@ def test_left_artificials_stay_retired(monkeypatch):
             target = apply_cto(testkit.random_cto(ctx, source.n_branches, 3, rng),
                                source, ctx)
             assert check_cto(source, target, ctx).convertible
-            unreachable = testkit.perturb_to_infeasible(source, ctx, rng)
+            unreachable = oracles.perturb_to_infeasible(source, ctx, rng)
             assert not check_cto(source, unreachable, ctx).convertible
         for seed in range(60):
             solve_feasibility(_random_system(seed, policy.exact), policy)

@@ -22,6 +22,7 @@ from ctoconv.lp import (
 )
 
 from conftest import FLOATS, RATIONAL, scipy_feasible
+import oracles
 
 
 def test_ragged_row_rejected():
@@ -457,7 +458,7 @@ def test_basis_answer_matches_fraction_kernel_on_boundary_pairs(monkeypatch):
         ctx = testkit.random_context(rng.choice([3, 4, 5, 6]), rng, RATIONAL)
         source = testkit.random_cq(ctx, rng.choice([2, 3, 4]), rng)
         assert check_cto(source, source, ctx).convertible
-        assert testkit.perturb_to_infeasible(source, ctx, rng, max_steps=40) is not None
+        assert oracles.perturb_to_infeasible(source, ctx, rng, max_steps=40) is not None
     assert len(systems) >= 80
     for sys in systems:
         _assert_same_as_fraction_kernel(sys)
@@ -486,7 +487,7 @@ def test_rational_decisions_run_no_fraction_tableau(monkeypatch):
             target = apply_cto(testkit.random_cto(ctx, ell, m, rng), source, ctx)
             assert check_cto(source, target, ctx).convertible
         else:
-            assert testkit.perturb_to_infeasible(source, ctx, rng) is not None
+            assert oracles.perturb_to_infeasible(source, ctx, rng) is not None
     assert floats and not runs
 
 

@@ -35,6 +35,7 @@ from ctoconv import lorenz
 from ctoconv.lorenz import _by_slope, build_lorenz, merged_bend_grid
 
 from conftest import FLOATS, RATIONAL
+import oracles
 
 
 def _max_err(a: CQState, b: CQState) -> float:
@@ -158,7 +159,7 @@ class TestSynthesizeCto:
 
     def test_not_convertible_raises(self, uniform2):
         u = StateVector((F(1), F(0)))
-        source = testkit.two_column_source(u, F(2, 5), uniform2)
+        source = oracles.two_column_source(u, F(2, 5), uniform2)
         target = CQState((StateVector((F(3, 4), F(1, 4))),))
         with pytest.raises(NotConvertible):
             synthesize_cto(source, target, uniform2)

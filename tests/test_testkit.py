@@ -19,6 +19,7 @@ from ctoconv.core import TOMatrix
 from ctoconv.errors import NotThermoMajorizing
 
 from conftest import FLOATS, RATIONAL
+import oracles
 
 
 def _identity_rows(d, policy):
@@ -152,20 +153,20 @@ class TestGenerators:
 
     def test_random_witness_valid(self):
         for seed in range(10):
-            testkit.random_witness(4, 3, seed, RATIONAL).validate(RATIONAL)
-            testkit.random_witness(4, 3, seed, FLOATS).validate(FLOATS)
+            oracles.random_witness(4, 3, seed, RATIONAL).validate(RATIONAL)
+            oracles.random_witness(4, 3, seed, FLOATS).validate(FLOATS)
 
     def test_two_column_source(self, uniform2):
         u = StateVector((F(1), F(0)))
-        src = testkit.two_column_source(u, F(1, 4), uniform2)
+        src = oracles.two_column_source(u, F(1, 4), uniform2)
         assert src.columns[0].w == (F(1, 4), F(0))
         assert src.columns[1].w == (F(3, 8), F(3, 8))
 
     def test_two_column_source_extreme_weights(self, uniform2):
         u = StateVector((F(1), F(0)))
         # p = 1 drops the Gibbs column, p = 0 drops the u column
-        assert testkit.two_column_source(u, F(1), uniform2).n_branches == 1
-        assert testkit.two_column_source(u, F(0), uniform2).n_branches == 1
+        assert oracles.two_column_source(u, F(1), uniform2).n_branches == 1
+        assert oracles.two_column_source(u, F(0), uniform2).n_branches == 1
 
 
 class TestPminGridOracle:
@@ -173,30 +174,30 @@ class TestPminGridOracle:
         u = StateVector((F(1), F(0)))
         v = StateVector((F(3, 4), F(1, 4)))
         step = F(1, 100)
-        val = testkit.pmin_grid_oracle(u, v, uniform2, step)
+        val = oracles.pmin_grid_oracle(u, v, uniform2, step)
         assert abs(val - F(1, 2)) <= step
 
     def test_bisect_matches_scan(self, uniform2):
         u = StateVector((F(1), F(0)))
         v = StateVector((F(3, 4), F(1, 4)))
         step = F(1, 50)
-        scan = testkit.pmin_grid_oracle(u, v, uniform2, step)
-        fast = testkit.pmin_grid_oracle(u, v, uniform2, step, bisect=True)
+        scan = oracles.pmin_grid_oracle(u, v, uniform2, step)
+        fast = oracles.pmin_grid_oracle(u, v, uniform2, step, bisect=True)
         assert scan == fast
 
     def test_gibbs_target(self, uniform2):
         u = StateVector((F(1), F(0)))
         g = StateVector(uniform2.gibbs)
-        assert testkit.pmin_grid_oracle(u, g, uniform2, F(1, 10)) == 0
+        assert oracles.pmin_grid_oracle(u, g, uniform2, F(1, 10)) == 0
 
     def test_self_target(self, skew2):
         u = StateVector((F(1), F(0)))
-        assert testkit.pmin_grid_oracle(u, u, skew2, F(1, 10)) == 1
+        assert oracles.pmin_grid_oracle(u, u, skew2, F(1, 10)) == 1
 
     def test_requires_majorization(self, skew2):
         g = StateVector(skew2.gibbs)
         with pytest.raises(NotThermoMajorizing):
-            testkit.pmin_grid_oracle(g, StateVector((F(1), F(0))), skew2,
+            oracles.pmin_grid_oracle(g, StateVector((F(1), F(0))), skew2,
                                      F(1, 10))
 
 
@@ -204,7 +205,7 @@ class TestReachableSample:
     def test_all_reachable(self, skew2):
         rng = random.Random(1)
         state = testkit.random_cq(skew2, 2, rng)
-        for out in testkit.reachable_sample(state, skew2, 5, rng):
+        for out in oracles.reachable_sample(state, skew2, 5, rng):
             assert check_cto(state, out, skew2).convertible
 
     def test_free_states_stay_free(self, skew2):
@@ -213,7 +214,7 @@ class TestReachableSample:
             StateVector(tuple(F(1, 2) * x for x in g)),
             StateVector(tuple(F(1, 2) * x for x in g)),
         ))
-        for out in testkit.reachable_sample(state, skew2, 5, 3):
+        for out in oracles.reachable_sample(state, skew2, 5, 3):
             for col in out.columns:
                 cond = col.normalized()
                 assert cond.w == g
@@ -225,7 +226,7 @@ class TestPerturbToInfeasible:
         found = 0
         for _ in range(10):
             source = testkit.random_cq(skew2, 2, rng)
-            target = testkit.perturb_to_infeasible(source, skew2, rng)
+            target = oracles.perturb_to_infeasible(source, skew2, rng)
             if target is None:
                 continue
             found += 1
@@ -235,4 +236,4 @@ class TestPerturbToInfeasible:
     def test_maximal_source_returns_none(self, uniform2):
         # the sharpest source converts to every perturbation of itself
         source = CQState((StateVector((F(1), F(0))),))
-        assert testkit.perturb_to_infeasible(source, uniform2, 0) is None
+        assert oracles.perturb_to_infeasible(source, uniform2, 0) is None
