@@ -132,7 +132,10 @@ def matvec(m: Sequence[Sequence[Number]], v: Sequence[Number]) -> list:
 def _over_lcm(xs) -> tuple:
     """Ints and Fractions over one denominator: (D, [n_i]) with x_i = n_i/D
     and D the lcm of their denominators."""
-    dens = [x.denominator for x in xs]
+    try:
+        dens = [x.denominator for x in xs]
+    except AttributeError:  # a float where exact arithmetic needs ints and Fractions
+        raise ValidationError("float entry in rational mode") from None
     den = math.lcm(*dens)
     return den, [x.numerator * (den // d) for x, d in zip(xs, dens)]
 
@@ -479,7 +482,8 @@ class TOMatrix:
 
 @dataclass(frozen=True)
 class CTOPlan:
-    """Row-stochastic control map plus one Gibbs-stochastic matrix per (x, y)."""
+    """Row-stochastic control map R and a Gibbs-stochastic matrix for each
+    (x, y) with R[x][y] != 0, which `apply_cto` requires; validate checks those."""
 
     control: tuple  # ell x m rows
     branch_maps: dict = field(compare=False)  # (x, y) -> TOMatrix

@@ -1,4 +1,4 @@
-"""Constructive side: explicit Gibbs-stochastic matrices and full CTO plans.
+"""Constructive side: explicit Gibbs-stochastic matrices and CTO plans.
 
 Branch maps are built from the Lorenz embedding, with no search.  For a
 target branch v mixed from sources u^x with coefficients c_x, the cells are
@@ -22,11 +22,11 @@ only joins cells), so level i lies in one cell k and row i of T is B[i][k]
 times row k of S E_x.  Each factor is nonnegative and Gibbs-stochastic in
 both modes, so no plan entry needs clamping.
 
-A map is kept as its factors (`TOMatrix.product`): E_x's rows per used
-(x, y), and S and B, which the sources of branch y share.  Applying it runs
-E_x, then the steps on a vector of n cells, then B.  Its dense rows `t`,
-which `canonicalize_cto`, `validate` and the CLI plan file read, are built
-on demand and cost what synthesis did when it built them.
+A plan holds a map for each (x, y) with R[x][y] != 0, the pairs `apply_cto`
+reads, and no other.  A map is kept as its factors (`TOMatrix.product`):
+E_x's rows, and S and B, which branch y's sources share.  Applying it runs
+E_x, then the steps, then B.  Its dense rows `t`, which `canonicalize_cto`,
+`validate` and the CLI plan file read, are built on demand.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def synthesize_to(u: StateVector, v: StateVector, ctx: GibbsContext) -> TOMatrix
 
 def synthesize_cto(source: CQState, target: CQState, ctx: GibbsContext,
                    decision: Decision | None = None) -> CTOPlan:
-    """A full plan realizing a convertible pair: control map plus branch maps.
+    """A plan realizing a convertible pair: control map plus used branch maps.
 
     A given decision's plan seed must be an ell x m row-stochastic matrix,
     and the source is checked with it (check_cto checks it otherwise).
@@ -85,17 +85,14 @@ def synthesize_cto(source: CQState, target: CQState, ctx: GibbsContext,
     levels = [_levels(u, ctx) for u in source.columns]  # once per plan
     maps = {}
     for y in range(m):
-        support = [x for x in range(ell) if p[x] * control[x][y] > 0]
-        if not support:
+        if not any(p[x] * control[x][y] > 0 for x in range(ell)):
             raise NotConvertible(f"target branch {y} receives no mass")
+        support = [x for x in range(ell) if control[x][y] != 0]  # p[x] = 0 too
         ts = _branch_maps([levels[x] for x in support],
                           [control[x][y] for x in support],
                           target.columns[y], ctx)
         maps.update(((x, y), t) for x, t in zip(support, ts))
-    # an unused (x, y) gets the identity, built only if some pair is unused
-    ident = TOMatrix.identity(ctx.dim, policy) if len(maps) < ell * m else None
-    return CTOPlan(control=control, branch_maps={
-        (x, y): maps.get((x, y), ident) for x in range(ell) for y in range(m)})
+    return CTOPlan(control, maps)
 
 
 def _branch_maps(sources, coeffs, target: StateVector, ctx: GibbsContext) -> list:
@@ -325,13 +322,12 @@ def canonicalize_cto(terms, ctx: GibbsContext) -> CTOPlan:
             raise NotStochasticSum(
                 f"row {x} of the summed control parts is not stochastic"
             )
-    ident = TOMatrix.identity(d, policy)
+    _check_entries((v for _, t in terms for row in t.t for v in row),
+                   policy, "matrix entry")
     branch_maps = {}
     for x in range(ell):
-        for y in range(m):
-            r_xy = total[x][y]
+        for y, r_xy in enumerate(total[x]):
             if r_xy == 0:
-                branch_maps[(x, y)] = ident
                 continue
             acc = [[policy.zero()] * d for _ in range(d)]
             for part, t in terms:
@@ -339,7 +335,6 @@ def canonicalize_cto(terms, ctx: GibbsContext) -> CTOPlan:
                 if c == 0:
                     continue
                 for i, row in enumerate(t.t):
-                    _check_entries(row, policy, "matrix entry")
                     for j in range(d):
                         acc[i][j] += c * row[j]
             branch_maps[(x, y)] = TOMatrix(

@@ -182,12 +182,15 @@ class TestOtherCommands:
             == [[1.0, 0.0]]
 
     @pytest.mark.parametrize("mode, digest", [
-        ("rational", "461a52ff47b85816a08f4087b6c9c8bfc4a13c05d63e064b408a17c38ad5b4c0"),
-        ("float", "51c13b64f9f859b3d36b34b50de844d3517e5038461e3c19d5e4e5f3374b394d"),
+        ("rational", "a03f80cd89de87bcf5600a58e4810cb4a84c594b17571b6f583e5863f25d6606"),
+        ("float", "ab3b357ba1e727aab712d0d90c93a655c5713b0b94be87c7d0c07158163f702a"),
     ])
     def test_synth_plan_is_pinned(self, tmp_path, capsys, mode, digest):
         """The plan `ctoconv synth` prints is fixed: its dense maps are the
-        product of the factors synthesis keeps, entry for entry."""
+        product of the factors synthesis keeps, entry for entry.  Each digest
+        is that of the output when plans still held an identity map for each
+        (x, y) with R[x][y] = 0 (4 of 9 here), with those `T` entries removed:
+        the 5 maps kept are unchanged."""
         cli.main(["random", "--mode", mode, "--d", "6", "--l", "3", "--m", "3",
                   "--seed", "5"])
         path = tmp_path / "inst.json"
@@ -207,6 +210,20 @@ class TestOtherCommands:
         code, _ = _run(capsys, ["apply", str(plan_path), inst,
                                 "--expect-target"])
         assert code == 1
+
+    def test_apply_needs_maps_only_for_used_pairs(self, tmp_path, capsys):
+        """A plan file may list unused pairs, (x, y) with R[x][y] = 0, or
+        leave them out; one missing a used pair is refused, exit 2."""
+        doc = dict(MINIMAL, source={"columns": [["1/2", "0"], ["1/4", "1/4"]]})
+        inst = _write(tmp_path, dict(doc, target=doc["source"]))
+        ident = [["1", "0"], ["0", "1"]]
+        plan_path = tmp_path / "plan.json"
+        for maps, want in [(("0,0", "0,1", "1,0", "1,1"), 0), (("0,0", "1,1"), 0),
+                           (("0,0", "0,1"), 2)]:
+            plan_path.write_text(json.dumps(
+                {"R": [["1", "0"], ["0", "1"]], "T": {k: ident for k in maps}}))
+            assert cli.main(["apply", str(plan_path), inst, "--expect-target"]) == want
+        assert "(x, y) = (1, 1)" in capsys.readouterr().err
 
     def test_apply_mismatch_exact_in_rational_mode(self, tmp_path, capsys):
         # off by 1e-9, inside eps_lp: only an exact comparison sees it

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from ctoconv import LinearSystem, lp, solve_feasibility
 from ctoconv._kernels import _simplex_py
-from ctoconv.errors import DimensionMismatch, NumericBreakdown, SolveBudgetExceeded
+from ctoconv.errors import (DimensionMismatch, NumericBreakdown, SolveBudgetExceeded,
+                            ValidationError)
 from ctoconv.lp import (
     FEASIBLE,
     INFEASIBLE,
@@ -38,6 +39,16 @@ def test_empty_system_is_feasible(policy):
         FEASIBLE, point=())
     res = solve_feasibility(LinearSystem(0, ineq=(((), 1),)), policy)
     assert res.status == INFEASIBLE
+
+
+@pytest.mark.parametrize("ineq", [((1.0, -1.0), 0.25), ((1.0, 1.0), 0.5)],
+                         ids=["feasible", "infeasible"])
+def test_float_entry_refused_in_rational_mode(ineq):
+    """A float in a rational system is refused typed where exact arithmetic
+    first reads its denominator, whether or not the system is feasible."""
+    sys_ = LinearSystem(2, eq=(((1.0, 1.0), 1.0),), ineq=(ineq,))
+    with pytest.raises(ValidationError, match="float entry in rational mode"):
+        solve_feasibility(sys_, RATIONAL)
 
 
 def test_contradictory_bounds_infeasible():

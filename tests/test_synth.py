@@ -101,30 +101,45 @@ class TestSynthesizeTo:
 
 class TestSynthesizeCto:
     @pytest.mark.parametrize("policy", [FLOATS, RATIONAL], ids=["float", "rational"])
-    def test_identity_built_only_for_unused_pairs(self, monkeypatch, policy):
-        """A control that uses every (x, y) builds no identity map; one with
-        an unused pair builds one, shared by every unused pair."""
-        built, identity = [], TOMatrix.identity
-
-        def spy(d, p):
-            built.append(d)
-            return identity(d, p)
-
-        monkeypatch.setattr(TOMatrix, "identity", staticmethod(spy))
+    def test_plan_holds_exactly_the_used_pairs(self, policy):
+        """A plan has a branch map for each (x, y) with R[x][y] != 0 and no
+        other, and it still applies to the target."""
         ctx = testkit.random_context(3, 5, policy)
         source = testkit.random_cq(ctx, 2, 5)
         one, zero = policy.one(), policy.zero()
         half = one / 2
-        for control, n_built in [(((half, half), (half, half)), 0),
-                                 (((one, zero), (half, half)), 1)]:
+        every = {(x, y) for x in range(2) for y in range(2)}
+        for control, keys in [(((half, half), (half, half)), every),
+                              (((one, zero), (half, half)), every - {(0, 1)})]:
             plan = CTOPlan(control, {(x, y): TOMatrix.identity(3, policy)
                                      for x in range(2) for y in range(2)})
             target = apply_cto(plan, source, ctx)
-            built.clear()
             out = synthesize_cto(source, target, ctx, Decision(True, plan_seed=control))
-            assert len(built) == n_built
-            assert list(out.branch_maps) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+            assert set(out.branch_maps) == keys
+            out.validate(ctx)
             got = apply_cto(out, source, ctx)
+            assert [x for c in got.columns for x in c.w] == pytest.approx(
+                [x for c in target.columns for x in c.w], abs=1e-12)
+
+    @pytest.mark.parametrize("policy", [FLOATS, RATIONAL], ids=["float", "rational"])
+    def test_zero_mass_source_column_gets_its_used_map(self, policy):
+        """A source column of zero mass still has a control row summing to 1;
+        the plan holds a map wherever that row is nonzero, so it applies."""
+        num = F if policy.exact else (lambda a, b=1: a / b)
+        ctx = GibbsContext.from_weights((num(1, 3), num(2, 3)), policy)
+        source = CQState((StateVector((num(1), num(0))), StateVector((num(0), num(0)))))
+        target = CQState((StateVector((num(1, 2), num(0))),
+                          StateVector((num(1, 6), num(1, 3)))))
+        plan = synthesize_cto(source, target, ctx)
+        plan.validate(ctx)
+        assert set(plan.branch_maps) == {(x, y) for x in range(2) for y in range(2)
+                                         if plan.control[x][y] != 0}
+        assert (1, 0) in plan.branch_maps and plan.control[1][0] > 0
+        got = apply_cto(plan, source, ctx)
+        if policy.exact:
+            assert plan.control == ((F(1, 2), F(1, 2)), (F(1), F(0)))
+            assert got == target
+        else:
             assert [x for c in got.columns for x in c.w] == pytest.approx(
                 [x for c in target.columns for x in c.w], abs=1e-12)
 
@@ -424,6 +439,12 @@ class TestCanonicalizeCto:
                             direct[y][i] += part[x][y] * mapped.w[i]
             expected = CQState(tuple(StateVector(tuple(col)) for col in direct))
             assert apply_cto(plan, state, skew2) == expected
+
+    def test_zero_total_gets_no_map(self, skew2):
+        t = testkit.random_gibbs_stochastic(skew2, 2, random.Random(4))
+        plan = canonicalize_cto([(((F(1), F(0)),), t)], skew2)
+        assert list(plan.branch_maps) == [(0, 0)]
+        plan.validate(skew2)
 
     def test_nonstochastic_sum_rejected(self, skew2):
         t = TOMatrix.identity(2, RATIONAL)

@@ -129,6 +129,16 @@ class TestRandomCto:
         for seed in range(10):
             testkit.random_cto(skew2, 2, 3, seed).validate(skew2)
 
+    @pytest.mark.parametrize("policy", [FLOATS, RATIONAL], ids=["float", "rational"])
+    def test_control_entries_are_positive(self, policy):
+        """Every control entry is positive, so a plan synthesized on a
+        random_cto control holds a map for every (x, y): the benchmark's
+        synth check counts ell * m maps."""
+        for seed in range(20):
+            ctx = testkit.random_context(4, seed, policy)
+            plan = testkit.random_cto(ctx, 3, 4, seed)
+            assert all(r > 0 for row in plan.control for r in row)
+
     def test_seed_determinism(self, skew2):
         a = testkit.random_cto(skew2, 2, 2, 42)
         b = testkit.random_cto(skew2, 2, 2, 42)
