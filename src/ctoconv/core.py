@@ -346,8 +346,8 @@ def _check_joint(masses, policy: NumericPolicy) -> Number:
 
 def canonicalize_cq(state: CQState, policy: NumericPolicy) -> CQState:
     """Drop zero-mass columns, clip float noise, rescale total mass to one."""
-    zero = policy.zero()
-    cols = []
+    zero, total_of = policy.zero(), _exact_sum if policy.exact else sum
+    cols, masses = [], []
     for c in state.columns:
         w = list(c.w)
         for i, x in enumerate(w):
@@ -356,10 +356,11 @@ def canonicalize_cq(state: CQState, policy: NumericPolicy) -> CQState:
                     w[i] = zero
                 else:
                     raise ValidationError(f"negative component {x} in joint state")
-        sv = StateVector(tuple(w))
-        if sv.mass > 0:
-            cols.append(sv)
-    total = _check_joint([c.mass for c in cols], policy)
+        mass = total_of(w)  # each kept column summed once
+        if mass > 0:
+            cols.append(StateVector(tuple(w)))
+            masses.append(mass)
+    total = _check_joint(masses, policy)
     if total != policy.one():
         cols = [c.scaled(policy.one() / total) for c in cols]
     return CQState(tuple(cols))
@@ -376,13 +377,14 @@ class TOMatrix:
     S's steps (j, k, keep, a, b), each taking x_j, x_k to keep x_j + a s and
     keep x_k + b s with s = x_j + x_k; and home[i] = (k, B[i][k]), B's one
     entry in row i.  `apply` runs the factors, and the rows `t` are their
-    product, built on first read.
+    product, built on first read.  `_exact_mix` applies a weighted sum of
+    products that share their steps and B in one integer pass.
     """
 
     __slots__ = ("_t", "_e", "_steps", "_home")
 
     def __init__(self, t):
-        self._t, self._e = tuple(tuple(row) for row in t), None
+        self._t, self._e, self._steps, self._home = tuple(map(tuple, t)), None, None, None
 
     @classmethod
     def product(cls, e, steps, home) -> "TOMatrix":
@@ -478,6 +480,45 @@ class TOMatrix:
         return TOMatrix(tuple(
             tuple(one if i == j else zero for j in range(d)) for i in range(d)
         ))
+
+
+def _exact_mix(terms):
+    """sum_x r_x T_x u_x over terms (r_x, T_x, u_x) as Fractions, when the T_x
+    are products sharing one list of steps and one B, as synthesis's maps
+    into one target branch do: B S (sum_x r_x E_x u_x) on integers over one
+    denominator, each step and B over the lcm of its numbers.  Terms must
+    be given; None for a dense map, unshared factors or a float, and the
+    caller then applies each map by itself."""
+    _, t0, u0 = terms[0]
+    steps, home = t0._steps, t0._home
+    if home is None or len(home) != u0.dim or any(
+            t._steps is not steps or t._home is not home for _, t, _ in terms):
+        return None
+    try:
+        parts = []  # (denominator, r's numerator, E u's integers) per term
+        for r, t, u in terms:
+            du, un = _over_lcm(u.w)
+            de, en = _over_lcm([x for row in t._e for x in row.values()])
+            en = iter(en)
+            v = [sum([next(en) * un[c] for c in row]) for row in t._e]
+            dr, (rn,) = _over_lcm((r,))
+            parts.append((dr * de * du, rn, v))
+        den = math.lcm(*[p[0] for p in parts])
+        z = [0] * len(t0._e)
+        for td, rn, v in parts:
+            f = den // td * rn
+            z = [a + f * b for a, b in zip(z, v)]
+        for j, k, keep, a, b in steps:  # keep form, nonnegative throughout
+            ell, (kn, an, bn) = _over_lcm((keep, a, b))
+            zj, zk = z[j], z[k]
+            if ell != 1:
+                z, den = [x * ell for x in z], den * ell
+            s = zj + zk
+            z[j], z[k] = kn * zj + an * s, kn * zk + bn * s
+        db, bs = _over_lcm([b for _, b in home])
+    except ValidationError:  # a float, which the map-by-map sum refuses
+        return None
+    return [Fraction(b * z[k], den * db) for (k, _), b in zip(home, bs)]
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,10 @@ both modes, so no plan entry needs clamping.
 
 A plan holds a map for each (x, y) with R[x][y] != 0, the pairs `apply_cto`
 reads, and no other.  A map is kept as its factors (`TOMatrix.product`):
-E_x's rows, and S and B, which branch y's sources share.  Applying it runs
-E_x, then the steps, then B.  Its dense rows `t`, which `canonicalize_cto`,
+E_x's rows, and S and B, which branch y's sources share.  Applying one map
+runs E_x, then the steps, then B; `apply_cto` in rational mode forms
+sum_x R[x][y] E_x u^x on integers and runs branch y's steps and B once
+(`core._exact_mix`).  Its dense rows `t`, which `canonicalize_cto`,
 `validate` and the CLI plan file read, are built on demand.
 """
 
@@ -36,7 +38,7 @@ from itertools import accumulate
 from math import lcm
 
 from .core import (CQState, CTOPlan, GibbsContext, NumericPolicy, StateVector,
-                   TOMatrix, _check_entries, _over_lcm, canonicalize_cq)
+                   TOMatrix, _check_entries, _exact_mix, _over_lcm, canonicalize_cq)
 from .errors import (DimensionMismatch, MassMismatch, NotConvertible,
                      NotStochasticSum, NotThermoMajorizing, ValidationError)
 from .convert import Decision, check_cto
@@ -262,7 +264,9 @@ def _transfers(p, q, widths, policy: NumericPolicy) -> list:
 
 def apply_cto(plan: CTOPlan, state: CQState, ctx: GibbsContext) -> CQState:
     """Output branches: v^y = sum_x R[x][y] T^(x,y) u^x, then canonicalize.
-    The state is checked first.  In rational mode a float output entry is
+    The state is checked first.  In rational mode a branch of synthesized
+    maps is one integer pass (`core._exact_mix`); any other branch, one with
+    a float included, sums its mapped columns, and a float output entry is
     refused: only a float control entry or map number can put one there."""
     if plan.n_in != state.n_branches:
         raise DimensionMismatch(
@@ -274,7 +278,7 @@ def apply_cto(plan: CTOPlan, state: CQState, ctx: GibbsContext) -> CQState:
     d, exact = state.dim, policy.exact
     cols = []
     for y in range(plan.n_out):
-        acc = [policy.zero()] * d
+        terms = []
         for x in range(plan.n_in):
             r = plan.control[x][y]
             if r == 0:
@@ -284,8 +288,12 @@ def apply_cto(plan: CTOPlan, state: CQState, ctx: GibbsContext) -> CQState:
                 raise ValidationError(
                     f"plan has no branch map for (x, y) = {(x, y)}, which its "
                     f"control uses")
-            mapped = t.apply(state.columns[x])
-            acc = [a + r * b for a, b in zip(acc, mapped.w)]
+            terms.append((r, t, state.columns[x]))
+        acc = _exact_mix(terms) if exact and terms else None
+        if acc is None:
+            acc = [policy.zero()] * d
+            for r, t, u in terms:
+                acc = [a + r * b for a, b in zip(acc, t.apply(u).w)]
         if exact and any(isinstance(v, float) for v in acc):
             raise ValidationError(f"float entry in output branch {y} in rational "
                                   f"mode, from a float control entry or map number")

@@ -1,7 +1,8 @@
 """Rational hot paths on integer numerators against the Fraction formulas
 they replace, kept here as oracles: the fraction-free basis solve, the exact
 verifiers, the row-generation scan, the witness functional summed by parts,
-and synthesis's embedding and transfer steps.  Answers must agree by type,
+synthesis's embedding and transfer steps, and rational `apply_cto`'s one
+integer pass per target branch.  Answers must agree by type,
 numerator and denominator (floats by their bits where the path is shared).
 
 Stdlib only: `PYTHONPATH=src python tests/test_integer_paths.py` runs every
@@ -13,8 +14,9 @@ import sys
 from bisect import insort
 from fractions import Fraction as F
 
-from ctoconv import (LinearSystem, NumericPolicy, apply_cto, check_cto, convert, lp,
-                     synth, testkit, verify_witness)
+from ctoconv import (CQState, CTOPlan, Decision, GibbsContext, LinearSystem, NumericPolicy,
+                     StateVector, TOMatrix, apply_cto, canonicalize_cto, check_cto, convert,
+                     lp, synth, synthesize_cto, testkit, verify_witness)
 from ctoconv.core import vdot
 from ctoconv.lorenz import _by_slope, build_lorenz, cq_branch_curves, merged_bend_grid
 
@@ -177,6 +179,45 @@ def _fraction_transfers(p, q, widths, policy):
                 lam = min(one, delta * (wj + wk) / den)
                 steps.append((j, k, one - lam, lam * wj / (wj + wk), lam * wk / (wj + wk)))
     return steps
+
+
+def _fraction_apply_cto(plan, state):
+    """`apply_cto`'s columns with each used map applied by itself and the
+    mapped columns summed as Fractions, then rescaled as `canonicalize_cq`
+    does: zero-mass columns dropped, the rest scaled by 1/total."""
+    cols = []
+    for y in range(plan.n_out):
+        acc = [F(0)] * state.dim
+        for x in range(plan.n_in):
+            r = plan.control[x][y]
+            if r != 0:
+                mapped = plan.branch_maps[(x, y)].apply(state.columns[x])
+                acc = [a + r * b for a, b in zip(acc, mapped.w)]
+        if sum(acc) > 0:
+            cols.append(acc)
+    total = sum(sum(c) for c in cols)
+    if total != 1:
+        cols = [[F(1) / total * x for x in c] for c in cols]
+    return [tuple(c) for c in cols]
+
+
+def _integer_branches(plan, state, ctx) -> int:
+    """Checks `apply_cto` against the Fraction sum; returns the number of
+    output branches that took the integer pass (`core._exact_mix`)."""
+    mix, taken = synth._exact_mix, []
+
+    def spy(terms):
+        out = mix(terms)
+        taken.append(out is not None)
+        return out
+
+    synth._exact_mix = spy
+    try:
+        got = apply_cto(plan, state, ctx)
+    finally:
+        synth._exact_mix = mix
+    assert _same([c.w for c in got.columns], _fraction_apply_cto(plan, state))
+    return sum(taken)
 
 
 # -- instances ----------------------------------------------------------------
@@ -367,6 +408,68 @@ def test_plans_apply_exactly():
             assert [c.w for c in reached.columns] == [c.w for c in target.columns]
             built += 1
     assert built >= 12
+
+
+def test_integer_apply_matches_fraction_sum():
+    """check_cto -> synthesize_cto plans whose control leaves pairs unused,
+    and plans with one source or one target branch: every branch takes the
+    integer pass and equals the Fraction sum."""
+    rng = random.Random(29)
+    with_zeros = one_sided = 0
+    while with_zeros < 200 or one_sided < 40:
+        d, ell, m = rng.randint(2, 6), rng.randint(1, 4), rng.randint(1, 4)
+        ctx = testkit.random_context(d, rng, RATIONAL)
+        source = testkit.random_cq(ctx, ell, rng)
+        target = apply_cto(testkit.random_cto(ctx, ell, m, rng), source, ctx)
+        decision = check_cto(source, target, ctx)
+        plan = synthesize_cto(source, target, ctx, decision)
+        assert _integer_branches(plan, source, ctx) == m
+        with_zeros += any(r == 0 for row in plan.control for r in row)
+        one_sided += ell == 1 or m == 1
+
+
+def test_integer_apply_on_edge_plans():
+    """The zero-mass source column case, and two plans at d=24, l=m=12 made
+    with the generating control."""
+    ctx = GibbsContext.from_weights((F(1, 3), F(2, 3)), RATIONAL)
+    source = CQState((StateVector((F(1), F(0))), StateVector((F(0), F(0)))))
+    target = CQState((StateVector((F(1, 2), F(0))), StateVector((F(1, 6), F(1, 3)))))
+    plan = synthesize_cto(source, target, ctx)
+    assert plan.control[1][0] > 0 and _integer_branches(plan, source, ctx) == 2
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        ctx = testkit.random_context(24, rng, RATIONAL)
+        source = testkit.random_cq(ctx, 12, rng)
+        gen = testkit.random_cto(ctx, 12, 12, rng)
+        target = apply_cto(gen, source, ctx)
+        plan = synthesize_cto(source, target, ctx,
+                              Decision(convertible=True, plan_seed=gen.control))
+        assert _integer_branches(plan, source, ctx) == 12
+
+
+def test_dense_and_mixed_branches_keep_the_fraction_sum():
+    """Dense maps (`random_cto`, `canonicalize_cto`), and a branch that mixes
+    a product map with a dense one, are applied map by map."""
+    rng = random.Random(7)
+    for _ in range(20):
+        ctx = testkit.random_context(rng.randint(2, 5), rng, RATIONAL)
+        ell, m = rng.randint(1, 3), rng.randint(1, 3)
+        source = testkit.random_cq(ctx, ell, rng)
+        plan = testkit.random_cto(ctx, ell, m, rng)
+        assert _integer_branches(plan, source, ctx) == 0
+        other = testkit.random_cto(ctx, ell, m, rng)
+        half = [[r / 2 for r in row] for row in plan.control]
+        terms = [(half, plan.branch_maps[(0, 0)]), (half, other.branch_maps[(0, 0)])]
+        assert _integer_branches(canonicalize_cto(terms, ctx), source, ctx) == 0
+        target = apply_cto(plan, source, ctx)
+        synthesized = synthesize_cto(source, target, ctx,
+                                     Decision(convertible=True, plan_seed=plan.control))
+        maps = dict(synthesized.branch_maps)
+        if ell > 1:  # one of branch 0's maps dense: that branch takes the Fraction sum
+            maps[(0, 0)] = TOMatrix(maps[(0, 0)].t)
+        mixed = CTOPlan(plan.control, maps)
+        assert _integer_branches(mixed, source, ctx) == m - (ell > 1)
+        assert apply_cto(mixed, source, ctx) == target
 
 
 if __name__ == "__main__":

@@ -379,6 +379,43 @@ class TestApplyCto:
         # a float-free plan still applies
         assert apply_cto(CTOPlan(((F(1),),), {(0, 0): ident}), state, ctx) == state
 
+    @pytest.mark.parametrize("where", ["control", "E", "step", "B"])
+    def test_rational_mode_refuses_a_float_factor(self, where):
+        """A float control entry, or a float in E, in a step's a or in B of a
+        synthesized rational plan whose branch still shares its steps and B,
+        is refused with the dense path's message."""
+        rng = random.Random(4)
+        ctx = testkit.random_context(4, rng, RATIONAL)
+        source = testkit.random_cq(ctx, 2, rng)
+        gen = testkit.random_cto(ctx, 2, 2, rng)
+        target = apply_cto(gen, source, ctx)
+        plan = synthesize_cto(source, target, ctx, Decision(convertible=True,
+                                                         plan_seed=gen.control))
+        assert apply_cto(plan, source, ctx) == target
+        maps, ts = dict(plan.branch_maps), [plan.branch_maps[(x, 1)] for x in range(2)]
+        steps, home = ts[0]._steps, ts[0]._home
+        assert steps and all(t._steps is steps and t._home is home for t in ts)
+        if where == "step":
+            at = next(n for n, s in enumerate(steps) if s[3])
+            j, k, keep, a, b = steps[at]
+            steps = steps[:at] + [(j, k, keep, float(a), b)] + steps[at + 1:]
+        elif where == "B":
+            k, b = home[0]
+            home = [(k, float(b))] + home[1:]
+        for x, t in enumerate(ts):
+            e = t._e
+            if where == "E" and x == 0:
+                row = next(r for r in e if any(r.values()))
+                c = next(c for c, v in row.items() if v)
+                e = [{**r, c: float(r[c])} if r is row else r for r in e]
+            maps[(x, 1)] = TOMatrix.product(e, steps, home)
+        control = [list(row) for row in plan.control]
+        if where == "control":
+            control[0][1] = float(control[0][1])
+        with pytest.raises(ValidationError, match="float entry in output branch 1 in "
+                                                  "rational mode"):
+            apply_cto(CTOPlan(control, maps), source, ctx)
+
     def test_output_is_canonical(self, skew2):
         rng = random.Random(7)
         state = testkit.random_cq(skew2, 2, rng)
