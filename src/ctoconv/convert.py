@@ -9,12 +9,17 @@ at every bend s of the target branch curve L[v^y] and at s = 1: the left
 side is concave in s and the right side is linear between its own bends,
 so their difference is smallest at one of those points.  With ell = 1, R is
 forced to (q_1, ..., q_m), with m = 1 to all ones, and the check and its
-Farkas certificate are closed-form.  Otherwise these own rows, placed on the
-union bend grid of all target branches, enter the decision LP by row
-generation: a few rows per branch first, then each round the most violated
-row of each branch, until R satisfies them all (most are slack at the
-answer); infeasibility of any round yields a Farkas certificate.  The
-rational scan compares integer cross-products; the LP gets Fraction rows.
+Farkas certificate are closed-form.  Otherwise, as summing the rows over y
+shows that no CTO increases the monotones sum_x L[u^x](s), a target whose
+sum_y L[v^y](s) exceeds them at a point of the union bend grid of all
+target branches is refused with no LP (in float mode beyond a margin of
+(m (i + 1) + 1) eps_lp at grid row i, which no eps_lp-verified point
+reaches).  Else the own rows, placed on that grid, enter the decision LP by
+row generation: a few rows per branch first, then each round the most
+violated row of each branch, until R satisfies them all (most are slack at
+the answer); infeasibility of any round yields a Farkas certificate.  The
+rational screen and scan compare integer cross-products; the LP gets
+Fraction rows.
 A certificate's inequality multipliers, zero-padded onto every (branch,
 grid row) pair, reverse-cumsum into a nonnegative, column-non-increasing
 witness matrix A with a strictly negative conversion functional.
@@ -186,8 +191,12 @@ def _clean_control(point, ell: int, m: int, policy: NumericPolicy):
 def check_cto(source: CQState, target: CQState, ctx: GibbsContext) -> Decision:
     """Decide convertibility of source into target under CTO.
 
-    A control forced by ell = 1 or m = 1 is checked in closed form.  Row
-    generation serves ell, m >= 2: the first LP holds, per branch y, the
+    A control forced by ell = 1 or m = 1 is checked in closed form.  For
+    ell, m >= 2, `_phi_screen` refuses with no LP where sum_y L[v^y]
+    exceeds the monotone sum_x L[u^x] at grid row i, in float mode by more
+    than (m (i + 1) + 1) eps_lp: a point verified within eps_lp keeps the
+    excess within (m + 1) eps_lp, so no LP answer is overturned.  Row
+    generation serves the rest: the first LP holds, per branch y, the
     s = 1 row and the own row where the target's conditional curve most
     exceeds the mixed source curve.  A refusal is final; a control R is
     checked against the own rows left out (exactly in rational mode, within
@@ -220,6 +229,8 @@ def check_cto(source: CQState, target: CQState, ctx: GibbsContext) -> Decision:
     (dp, ip), (dq, iq) = ((_over_lcm_rows(cum_p), _over_lcm_rows(cum_q)) if exact
                           else ((1, cum_p), (1, cum_q)))
     mix = [sum(row) for row in ip]  # the mixed source curve, sum_x L[u^x]
+    if (refusal := _phi_screen(cum_p, mix, iq, dp, dq, policy)) is not None:
+        return refusal
     rows, left = [], []  # per branch: rows in the LP, own rows left out
     for y, curve in enumerate(tgt_curves):
         own = _own_rows(curve, grid)
@@ -251,6 +262,32 @@ def check_cto(source: CQState, target: CQState, ctx: GibbsContext) -> Decision:
                 added = True
         if not added:
             return decision
+
+
+def _phi_screen(cum_p, mix, iq, dp, dq, policy: NumericPolicy):
+    """A refusal with no LP where a phi monotone grows, else None.
+
+    Summing row i over the branches gives gap_i = sum_y cum_q[i][y] -
+    sum_x cum_p[i][x] <= 0 for every row-stochastic R.  At the row with the
+    largest gap_i / (i + 1), first on ties (integer cross-products:
+    gap_i dp dq = sum(iq[i]) dp - mix[i] dq), the certificate y_in = 1 at
+    row i of each branch, y_eq = -cum_p[i] folds into witness columns
+    1 / (m (i + 1)) on rows 0..i, with functional -gap_i / (m (i + 1)).
+    Float mode needs gap_i > (m (i + 1) + 1) eps_lp (see `check_cto`).
+    """
+    tol = 0 if policy.exact else policy.eps_lp
+    n, m = len(iq), len(iq[0])
+    best, at = 0, 1  # the largest gap_i / (i + 1) so far, as best / at
+    for k, (q, p) in enumerate(zip(iq, mix), 1):
+        gap = sum(q) * dp - p * dq
+        if gap > (m * k + 1) * tol and gap * at > best * k:
+            best, at = gap, k
+    if not best:
+        return None
+    y_in = [policy.one() if k == at else policy.zero()
+            for _ in range(m) for k in range(1, n + 1)]  # branch-major, row-minor
+    y_eq = [-v for v in cum_p[at - 1]]
+    return Decision(False, witness=extract_witness((y_eq, y_in), n, m))
 
 
 def _forced_violation(src_curves, tgt_curves, policy: NumericPolicy):
@@ -500,7 +537,10 @@ def uniform_grid(n: int, policy: NumericPolicy) -> tuple:
 def phi_monotones(state: CQState, ctx: GibbsContext,
                   abscissae: Sequence | None = None) -> MonotoneValues:
     """Curve-value monotones sum_x L[u^x](s) on a source-independent grid,
-    plus the averaged relative free energy."""
+    plus the averaged relative free energy.  No CTO increases them, so
+    `check_cto` refuses with no LP where they grow on the target's bend grid:
+    in float mode by over (m (i + 1) + 1) eps_lp at grid row i with m target
+    branches, a margin beyond any eps_lp-verified LP answer."""
 
     curves = cq_branch_curves(state, ctx)  # checks the state
     free = _resource_value(state, ctx, relative=True)

@@ -5,8 +5,10 @@ which they build on.
 """
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
+from ctoconv import convert
 from ctoconv.convert import (Decision, WitnessMatrix, _decide, _grid_values,
                              check_cto, extract_witness)
 from ctoconv.core import CQState, GibbsContext, NumericPolicy, StateVector, canonicalize_cq
@@ -143,3 +145,22 @@ def perturb_to_infeasible(source: CQState, ctx: GibbsContext, seed,
         if not check_cto(source, target, ctx).convertible:
             return target
     return None
+
+
+@contextmanager
+def phi_screen_bypassed(screened=None):
+    """Within the block, `check_cto` sends every ell, m >= 2 pair to the
+    decision LP: the phi screen answers None.  The refusal (or None) that
+    the screen would have given is appended to `screened`, if given."""
+    screen = convert._phi_screen
+
+    def bypass(*args):
+        if screened is not None:
+            screened.append(screen(*args))
+        return None
+
+    convert._phi_screen = bypass
+    try:
+        yield
+    finally:
+        convert._phi_screen = screen

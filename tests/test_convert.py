@@ -362,9 +362,10 @@ class TestWitness:
 
     @pytest.mark.parametrize("policy", [FLOATS, RATIONAL], ids=["float", "rational"])
     def test_fold_equals_the_reference(self, monkeypatch, policy):
-        """On the refusals of reversed reachable pairs, and on multipliers of
-        mixed sign, the witness is the reference fold's: Fractions by type,
-        numerator and denominator, floats by bits."""
+        """On the refusals of reversed reachable pairs, with the phi screen
+        bypassed so that each certificate comes from an LP, and on
+        multipliers of mixed sign, the witness is the reference fold's:
+        Fractions by type, numerator and denominator, floats by bits."""
         folds = []
         extract = convert.extract_witness
 
@@ -375,11 +376,12 @@ class TestWitness:
 
         monkeypatch.setattr(convert, "extract_witness", spy)
         rng = random.Random(8)
-        while len(folds) < 200:
-            ctx = testkit.random_context(rng.randint(2, 6), rng, policy)
-            source = testkit.random_cq(ctx, rng.randint(1, 3), rng)
-            plan = testkit.random_cto(ctx, source.n_branches, rng.randint(1, 3), rng)
-            check_cto(apply_cto(plan, source, ctx), source, ctx)
+        with oracles.phi_screen_bypassed():
+            while len(folds) < 200:
+                ctx = testkit.random_context(rng.randint(2, 6), rng, policy)
+                source = testkit.random_cq(ctx, rng.randint(1, 3), rng)
+                plan = testkit.random_cto(ctx, source.n_branches, rng.randint(1, 3), rng)
+                check_cto(apply_cto(plan, source, ctx), source, ctx)
         for _ in range(100):  # multipliers of mixed sign, which the fold clips
             n_rows, m = rng.randint(1, 6), rng.randint(1, 4)
             y_in = [F(rng.randint(-3, 9), rng.randint(1, 12)) for _ in range(n_rows * m)]
@@ -795,6 +797,14 @@ def _decision_instances(policy, seed, count):
     return out
 
 
+def _both_paths(source, target, ctx):
+    """check_cto's decision, and its decision with the phi screen bypassed,
+    which sends every ell, m >= 2 pair to row generation."""
+    decision = check_cto(source, target, ctx)
+    with oracles.phi_screen_bypassed():
+        return decision, check_cto(source, target, ctx)
+
+
 def _two_round_pair():
     """A rational pair whose decision takes two rounds of row generation."""
     ctx = GibbsContext.from_weights((F(1, 2), F(1, 4), F(1, 8), F(1, 8)),
@@ -811,33 +821,34 @@ def _two_round_pair():
 
 class TestReducedDecisionLP:
     """check_cto keeps each target branch's own bends only; the answers must
-    match the LP with every union-grid row."""
+    match the LP with every union-grid row, with and without the phi
+    screen."""
 
     def test_rational_matches_full_grid_lp(self):
         verdicts = set()
         for ctx, source, target in _decision_instances(RATIONAL, 41, 120):
-            decision = check_cto(source, target, ctx)
             p, q = pq_increments(source, target, ctx)
             full = conditional_lt_majorize(p, q, RATIONAL)
-            assert decision.convertible == full.convertible
-            verdicts.add(decision.convertible)
-            if not decision.convertible:
-                a = decision.witness.validate(RATIONAL)
-                assert a.n_rows == len(p)
-                assert a.n_cols == target.n_branches
-                assert verify_witness(a, source, target, ctx) < 0
+            for decision in _both_paths(source, target, ctx):
+                assert decision.convertible == full.convertible
+                verdicts.add(decision.convertible)
+                if not decision.convertible:
+                    a = decision.witness.validate(RATIONAL)
+                    assert a.n_rows == len(p)
+                    assert a.n_cols == target.n_branches
+                    assert verify_witness(a, source, target, ctx) < 0
         assert verdicts == {True, False}
 
     def test_float_matches_scipy_on_full_system(self):
         verdicts = set()
         for ctx, source, target in _decision_instances(FLOATS, 43, 60):
-            decision = check_cto(source, target, ctx)
             full = scipy_feasible(_full_decision_system(source, target, ctx))
-            assert decision.convertible == full
+            for decision in _both_paths(source, target, ctx):
+                assert decision.convertible == full
+                if not decision.convertible:
+                    assert decision.witness.n_rows == _n_segments(target, ctx)
+                    assert verify_witness(decision.witness, source, target, ctx) < 0
             verdicts.add(full)
-            if not decision.convertible:
-                assert decision.witness.n_rows == _n_segments(target, ctx)
-                assert verify_witness(decision.witness, source, target, ctx) < 0
         assert verdicts == {True, False}
 
     def test_one_row_per_own_bend_and_one(self, monkeypatch):
@@ -901,8 +912,8 @@ class TestReducedDecisionLP:
         """Walk reachable targets toward the steepest pure state, in float and
         in rational mode: 1/16 steps up to the first refusal, then 1/256
         steps across the last of them.  At every step check_cto agrees with
-        the full-grid LP, and every refusal's witness has a negative
-        functional."""
+        the full-grid LP, with and without the phi screen, and every
+        refusal's witness has a negative functional."""
         verdicts = []
         for policy, sizes in ((FLOATS, (4, 6, 8, 12)), (RATIONAL, (3, 4, 5))):
             rng = random.Random(17)
@@ -920,14 +931,14 @@ class TestReducedDecisionLP:
                 walk += [_toward_pure(start, ctx, 16 * (k - 1) + j, 256)
                          for j in range(1, 16)] if k else []
                 for target in walk:
-                    decision = check_cto(source, target, ctx)
                     p, q = pq_increments(source, target, ctx)
                     full = conditional_lt_majorize(p, q, policy)
-                    assert decision.convertible == full.convertible
-                    verdicts.append(decision.convertible)
-                    if not decision.convertible:
-                        assert verify_witness(decision.witness, source,
-                                              target, ctx) < 0
+                    for decision in _both_paths(source, target, ctx):
+                        assert decision.convertible == full.convertible
+                        if not decision.convertible:
+                            assert verify_witness(decision.witness, source,
+                                                  target, ctx) < 0
+                    verdicts.append(full.convertible)
         assert verdicts.count(True) > 100 and verdicts.count(False) > 100
 
     def test_violation_scan_reads_nan_as_violated(self):
@@ -946,7 +957,8 @@ class TestReducedDecisionLP:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_large_float_pairs_answer(self, seed):
         """Float d=48, l=m=16: a reachable pair and its reverse answer both
-        ways within the work budget."""
+        ways within the work budget, the reverse also with the phi screen
+        bypassed."""
         rng = random.Random(seed)
         ctx = testkit.random_context(48, rng, FLOATS)
         source = testkit.random_cq(ctx, 16, rng)
@@ -963,9 +975,165 @@ class TestReducedDecisionLP:
                                           for a, g in zip(w, ctx.gibbs))))
         target = CQState(tuple(cols))
         assert check_cto(source, target, ctx).convertible
-        refusal = check_cto(target, source, ctx)
-        assert not refusal.convertible
-        assert verify_witness(refusal.witness, target, source, ctx) < 0
+        for refusal in _both_paths(target, source, ctx):
+            assert not refusal.convertible
+            assert verify_witness(refusal.witness, target, source, ctx) < 0
+
+
+def _screen_rows(source, target, ctx):
+    """Per union-grid row i: gap_i = sum_y L[v^y](s_{i+1}) - sum_x L[u^x](s_{i+1}),
+    and the threshold the phi screen needs gap_i to pass."""
+    policy = ctx.policy
+    _, cum_p, cum_q = convert._grid_values(cq_branch_curves(source, ctx),
+                                           cq_branch_curves(target, ctx), policy)
+    m = target.n_branches
+    tol = 0 if policy.exact else policy.eps_lp
+    return [(sum(q) - sum(p), (m * (i + 1) + 1) * tol)
+            for i, (p, q) in enumerate(zip(cum_p, cum_q))]
+
+
+def _screen_pairs(policy, seed, count):
+    """Pairs with ell, m >= 2: reachable, the first unreachable target of a
+    walk toward the pure state, reversed reachable and unrelated random."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        ctx = testkit.random_context(rng.randint(3, 8), rng, policy)
+        source = testkit.random_cq(ctx, rng.randint(2, 4), rng)
+        m = rng.randint(2, 4)
+        reached = apply_cto(testkit.random_cto(ctx, source.n_branches, m, rng), source, ctx)
+        far = oracles.perturb_to_infeasible(source, ctx, rng)
+        out += [(ctx, source, reached), (ctx, reached, source),
+                (ctx, source, testkit.random_cq(ctx, m, rng))]
+        if far is not None:
+            out.append((ctx, source, far))
+    return out
+
+
+class TestPhiScreen:
+    """For ell, m >= 2, check_cto refuses with no LP where some phi monotone
+    sum_x L[u^x](s) grows at a union-grid row; every other pair goes to the
+    LP unchanged."""
+
+    @staticmethod
+    def _decide_counting(source, target, ctx):
+        """check_cto's decision, the certificates it folded, and its LP count."""
+        certificates, solves = [], []
+        extract, solve = convert.extract_witness, convert.solve_feasibility
+
+        def spy(certificate, n_rows, m):
+            certificates.append(certificate)
+            return extract(certificate, n_rows, m)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(convert, "extract_witness", spy)
+            mp.setattr(convert, "solve_feasibility",
+                       lambda sys, policy: solves.append(sys) or solve(sys, policy))
+            decision = check_cto(source, target, ctx)
+        return decision, certificates, len(solves)
+
+    @pytest.mark.parametrize("policy", [FLOATS, RATIONAL], ids=["float", "rational"])
+    def test_refusals_by_the_screen_and_by_the_lp(self, policy):
+        """A pair refused by the screen runs no LP, and its certificate holds
+        on the full-grid system (at tolerance 0 in rational mode).  An
+        unreachable pair that passes the screen is refused by the LP.  Both
+        witnesses verify: below 0 in rational mode, below -eps_lp in float
+        mode."""
+        screened = by_lp = 0
+        bound = 0 if policy.exact else -policy.eps_lp
+        for ctx, source, target in _screen_pairs(policy, 61, 400):
+            decision, certificates, solves = self._decide_counting(source, target, ctx)
+            fires = any(gap > tol for gap, tol in _screen_rows(source, target, ctx))
+            assert (solves == 0) == fires
+            if decision.convertible:
+                continue
+            assert verify_witness(decision.witness, source, target, ctx) < bound
+            if fires:
+                screened += 1
+                eps = 0 if policy.exact else policy.eps_cmp
+                system = _full_decision_system(source, target, ctx)
+                assert lp.verify_certificate(system, certificates[0], eps)
+            else:
+                by_lp += 1
+        assert screened >= 200 and by_lp >= 5
+
+    def test_rational_functional_is_the_largest_gap_per_row(self):
+        """A screened rational refusal's functional is exactly
+        -gap_i / (m (i + 1)) at the row with the largest gap_i / (i + 1),
+        the first of them on ties."""
+        n = 0
+        for ctx, source, target in _screen_pairs(RATIONAL, 67, 60):
+            rows = _screen_rows(source, target, ctx)
+            ratio = [gap / (i + 1) for i, (gap, _) in enumerate(rows)]
+            i = ratio.index(max(ratio))
+            if rows[i][0] <= 0:
+                continue
+            decision = check_cto(source, target, ctx)
+            value = verify_witness(decision.witness, source, target, ctx)
+            assert type(value) is F
+            assert value == -rows[i][0] / (target.n_branches * (i + 1))
+            n += 1
+        assert n >= 20
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_float_gap_inside_the_margin_goes_to_the_lp(self, m):
+        """On uniform weights, sources (1/4, 1/4) twice and target branches
+        (1/2m, 1/2m) with the first moved by delta: phi grows by delta at
+        s = 1/2 only.  delta = m eps_lp lies in (eps_lp, (m + 1) eps_lp], so
+        an LP decides; delta = (m + 3/2) eps_lp is refused with none."""
+        ctx = GibbsContext.from_weights((0.5, 0.5), FLOATS)
+        eps = FLOATS.eps_lp
+        source = CQState((StateVector((0.25, 0.25)),) * 2)
+        a = 1 / (2 * m)
+        for delta, screened in ((m * eps, False), ((m + 1.5) * eps, True)):
+            target = CQState((StateVector((a + delta, a - delta)),)
+                             + (StateVector((a, a)),) * (m - 1))
+            (gap, tol), (last, _) = _screen_rows(source, target, ctx)
+            assert abs(gap - delta) < 1e-15 and abs(last) < 1e-15
+            assert (eps < gap <= tol) != screened
+            decision, _, solves = self._decide_counting(source, target, ctx)
+            assert (solves == 0) == screened
+            if screened:
+                assert not decision.convertible
+
+    @pytest.mark.parametrize("policy", [FLOATS, RATIONAL], ids=["float", "rational"])
+    def test_screen_changes_no_decision(self, policy):
+        """On 500 seeded pairs, among them reachable targets and sources
+        pushed 1e-9 to 1e-2 of the way toward the pure state: the same
+        decisions and plan seeds (floats by bits, Fractions by type and
+        value) as with the screen bypassed, and, where the screen does not
+        refuse, the same witness."""
+        def key(x):
+            return x.hex() if isinstance(x, float) else (type(x), x)
+
+        rng = random.Random(71)
+        pushes = [(1, 10**9), (1, 10**7), (1, 10**5), (1, 10**3), (1, 10**2)]
+        pairs, seen = [], set()
+        while len(pairs) < 500:
+            ctx = testkit.random_context(rng.randint(3, 6), rng, policy)
+            source = testkit.random_cq(ctx, rng.randint(2, 4), rng)
+            reached = apply_cto(testkit.random_cto(ctx, source.n_branches,
+                                                   rng.randint(2, 4), rng), source, ctx)
+            k, n = rng.choice(pushes)
+            pairs += [(ctx, source, reached), (ctx, source, _toward_pure(reached, ctx, k, n)),
+                      (ctx, source, _toward_pure(source, ctx, k, n))]
+        for ctx, source, target in pairs:
+            screened = []
+            with oracles.phi_screen_bypassed(screened):
+                scanned = check_cto(source, target, ctx)
+            decision = check_cto(source, target, ctx)
+            assert decision.convertible == scanned.convertible
+            seed = decision.plan_seed
+            assert (seed is None) == (scanned.plan_seed is None)
+            if seed is not None:
+                assert [list(map(key, r)) for r in seed] == \
+                    [list(map(key, r)) for r in scanned.plan_seed]
+            elif screened[0] is not None:
+                assert decision == screened[0]
+            else:
+                assert decision.witness == scanned.witness
+            seen.add((decision.convertible, screened[0] is None))
+        assert seen == {(True, True), (False, True), (False, False)}
 
 
 def _toward_pure(state, ctx, k, n):
@@ -1004,9 +1172,9 @@ def _numbers(result):
 @given(st.integers(0, 10**6))
 @settings(max_examples=25, deadline=None)
 def test_rational_results_hold_no_float(seed):
-    """Rational mode stays exact end to end: no decision, witness, plan,
-    threshold or monotone holds a float.  The one exception is the
-    documented free_energy field of phi_monotones."""
+    """Rational mode stays exact end to end: no decision, witness (with and
+    without the phi screen), plan, threshold or monotone holds a float.  The
+    one exception is the documented free_energy field of phi_monotones."""
     rng = random.Random(seed)
     ctx = testkit.random_context(rng.choice([2, 3, 4]), rng, RATIONAL)
     source = testkit.random_cq(ctx, rng.choice([1, 2, 3]), rng)
@@ -1019,10 +1187,10 @@ def test_rational_results_hold_no_float(seed):
     results = [yes, plan, apply_cto(plan, source, ctx)]
     unreachable = oracles.perturb_to_infeasible(source, ctx, rng)
     if unreachable is not None:
-        no = check_cto(source, unreachable, ctx)
-        gap = verify_witness(no.witness, source, unreachable, ctx)
-        assert gap < 0
-        results += [no, gap]
+        for no in _both_paths(source, unreachable, ctx):
+            gap = verify_witness(no.witness, source, unreachable, ctx)
+            assert gap < 0
+            results += [no, gap]
     u = source.columns[0].normalized()
     v = testkit.random_gibbs_stochastic(ctx, 3, rng).apply(u)
     monotones = phi_monotones(source, ctx)
@@ -1295,7 +1463,8 @@ def test_float_agrees_with_rational_along_boundary_walks():
     a pure state in 256 steps.  The rational answers switch from yes to no
     once (the reachable set is convex), and float check_cto agrees with
     them at every step but the two that straddle that switch, where its
-    eps_lp may still answer yes."""
+    eps_lp may still answer yes.  At those two steps both modes answer the
+    same with the phi screen bypassed."""
     rng = random.Random(29)
     walks, steps, crossed, straddling = 8, 256, 0, 0
     for _ in range(walks):
@@ -1318,6 +1487,11 @@ def test_float_agrees_with_rational_along_boundary_walks():
         first_no = exact.count(True)
         assert exact[0] and exact == sorted(exact, reverse=True)
         crossed += first_no <= steps
+        for k in {first_no - 1, first_no} & set(range(steps + 1)):
+            tgt_f, tgt_q = _dyadic_pair(_toward_pure(start, ctx_q, k, steps))
+            with oracles.phi_screen_bypassed():  # the straddling steps on the LP
+                assert check_cto(src_q, tgt_q, ctx_q).convertible == exact[k]
+                assert check_cto(src_f, tgt_f, ctx_f).convertible == approx[k]
         differ = [k for k in range(steps + 1) if approx[k] != exact[k]]
         assert set(differ) <= {first_no - 1, first_no}
         straddling += len(differ)

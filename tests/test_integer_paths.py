@@ -96,12 +96,20 @@ def _fraction_most_violated(col, cum_p, cum_q, y, pending):
     return pick
 
 
-def _fraction_check_cto(source, target, ctx):
-    """`check_cto`'s row generation for ell, m >= 2 with the scan on Fractions."""
+def _fraction_check_cto(source, target, ctx, screen=True):
+    """`check_cto` for ell, m >= 2 with the phi screen (unless `screen` is
+    false) and the row-generation scan on Fractions."""
     policy = ctx.policy
     src_curves, tgt_curves = cq_branch_curves(source, ctx), cq_branch_curves(target, ctx)
     grid, cum_p, cum_q = convert._grid_values(src_curves, tgt_curves, policy)
     mix = [sum(row) for row in cum_p]
+    # the phi screen: the row where sum_y L[v^y] most exceeds sum_x L[u^x], per i + 1
+    gaps = [sum(q) - p for q, p in zip(cum_q, mix)]
+    top = max(range(len(gaps)), key=lambda i: gaps[i] / (i + 1))  # first on ties
+    if screen and gaps[top] > 0:
+        n, m = len(cum_q), len(cum_q[0])
+        col = [F(1, m * (top + 1)) if i <= top else F(0) for i in range(n)]
+        return Decision(False, witness=convert.WitnessMatrix(tuple((v,) * m for v in col)))
     rows, left = [], []
     for y, curve in enumerate(tgt_curves):
         own = convert._own_rows(curve, grid)
@@ -277,16 +285,17 @@ def test_gauss_matches_fraction_elimination():
 
 
 def test_exact_verifiers_match_fraction_formulas():
-    """At tolerance 0, on the decision LPs of random pairs and on random
-    systems: every answer, each one-unit move of one of its numerators, a
+    """At tolerance 0, on the decision LPs of random pairs (the phi screen
+    bypassed) and on random systems: every answer, each one-unit move of one of its numerators, a
     zero multiplier vector (gain exactly 0) and a point on a tight row
     (slack exactly 0) get the Fraction formula's verdict."""
     systems = [_random_system(seed) for seed in range(150)]
     solve = convert.solve_feasibility
     convert.solve_feasibility = lambda sys, policy: systems.append(sys) or solve(sys, policy)
     try:
-        for ctx, source, target in _pairs(RATIONAL, 1, 24):
-            check_cto(source, target, ctx)
+        with oracles.phi_screen_bypassed():  # every refusal from an LP
+            for ctx, source, target in _pairs(RATIONAL, 1, 24):
+                check_cto(source, target, ctx)
     finally:
         convert.solve_feasibility = solve
     verdicts, tight = [], 0
@@ -327,30 +336,37 @@ def _random_system(seed):
 
 def test_rational_decisions_match_fraction_scan():
     """check_cto's scan on integers takes the rows, ties included, that the
-    Fraction scan takes: the same decision, by type and value."""
-    seen = set()
+    Fraction scan takes: the same decision, by type and value.  So does its
+    phi screen, and with the screen bypassed every pair takes the scan."""
+    seen, screened = set(), []
     for ctx, source, target in _pairs(RATIONAL, 2, 40, ((3, 2, 2), (4, 3, 3), (5, 3, 4),
                                                         (6, 4, 4), (4, 4, 2))):
-        got, want = check_cto(source, target, ctx), _fraction_check_cto(source, target, ctx)
-        assert _same((got.convertible, got.plan_seed, got.witness and got.witness.a),
-                     (want.convertible, want.plan_seed, want.witness and want.witness.a))
+        with oracles.phi_screen_bypassed(screened):
+            scanned = check_cto(source, target, ctx)
+        for got, screen in ((check_cto(source, target, ctx), True), (scanned, False)):
+            want = _fraction_check_cto(source, target, ctx, screen)
+            assert _same((got.convertible, got.plan_seed, got.witness and got.witness.a),
+                         (want.convertible, want.plan_seed, want.witness and want.witness.a))
         seen.add(got.convertible)
-    assert seen == {True, False}
+    assert seen == {True, False} and any(s is not None for s in screened)
 
 
 def test_witness_by_parts_matches_increments_form():
     """verify_witness equals the increments form exactly in rational mode and
-    within 1e-12 in float mode, for certificate witnesses and for random
-    ones, whose columns step down at most rows."""
+    within 1e-12 in float mode, for certificate witnesses (a refusal's, and
+    its LP's with the phi screen bypassed) and for random ones, whose
+    columns step down at most rows."""
     n = 0
     for policy in (RATIONAL, FLOATS):
         rng = random.Random(3)
         for ctx, source, target in _pairs(policy, 3, 30):
             decision = check_cto(source, target, ctx)
+            with oracles.phi_screen_bypassed():
+                scanned = check_cto(source, target, ctx)
             rows = len(merged_bend_grid(cq_branch_curves(target, ctx), policy)) - 1
             witnesses = [oracles.random_witness(rows, target.n_branches, rng, policy)]
             if not decision.convertible:
-                witnesses.append(decision.witness)
+                witnesses += [decision.witness, scanned.witness]
             for w in witnesses:
                 got = verify_witness(w, source, target, ctx)
                 want = _increments_witness_value(w, source, target, ctx)

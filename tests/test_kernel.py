@@ -123,7 +123,8 @@ def test_pivot_count_guard(monkeypatch):
 def test_large_class_pivot_guard(monkeypatch):
     """Float d=24, l=m=12 pairs at seed 2 decide in few pivots: the reachable
     pair in 73 (333 with every own row in one LP, 496 with every artificial
-    kept too), the perturbed unreachable one in 68 (264 and 1364)."""
+    kept too), the perturbed unreachable one in 68 (264 and 1364) with the
+    phi screen bypassed.  The screen refuses that pair in 0 pivots."""
     rng = random.Random(2)
     ctx = testkit.random_context(24, rng, FLOATS)
     source = testkit.random_cq(ctx, 12, rng)
@@ -134,13 +135,19 @@ def test_large_class_pivot_guard(monkeypatch):
     assert 0 < len(pivots) <= 420
     pivots.clear()
     assert not check_cto(source, unreachable, ctx).convertible
+    assert pivots == []
+    screened = []
+    with oracles.phi_screen_bypassed(screened):
+        assert not check_cto(source, unreachable, ctx).convertible
     assert 0 < len(pivots) <= 800
+    assert len(screened) == 1 and not screened[0].convertible
 
 
 def test_left_artificials_stay_retired(monkeypatch):
     """No pivot enters an inequality-row artificial after it left the basis,
     and every such column is all zero, in the tableau's number type, when
-    the kernel returns; over float and rational decisions and seeded random
+    the kernel returns; over float and rational decisions, with the phi
+    screen bypassed so that refusals run the LP too, and seeded random
     systems."""
     runs = []  # (retire_from, columns that left the basis) per kernel call
     retired = []
@@ -167,14 +174,15 @@ def test_left_artificials_stay_retired(monkeypatch):
     monkeypatch.setattr(_simplex_py, "_pivot", pivoting)
     for policy in (FLOATS, RATIONAL):
         rng = random.Random(8)
-        for _ in range(6):
-            ctx = testkit.random_context(rng.choice([3, 4, 5]), rng, policy)
-            source = testkit.random_cq(ctx, rng.choice([2, 3, 4]), rng)
-            target = apply_cto(testkit.random_cto(ctx, source.n_branches, 3, rng),
-                               source, ctx)
-            assert check_cto(source, target, ctx).convertible
-            unreachable = oracles.perturb_to_infeasible(source, ctx, rng)
-            assert not check_cto(source, unreachable, ctx).convertible
+        with oracles.phi_screen_bypassed():
+            for _ in range(6):
+                ctx = testkit.random_context(rng.choice([3, 4, 5]), rng, policy)
+                source = testkit.random_cq(ctx, rng.choice([2, 3, 4]), rng)
+                target = apply_cto(testkit.random_cto(ctx, source.n_branches, 3, rng),
+                                   source, ctx)
+                assert check_cto(source, target, ctx).convertible
+                unreachable = oracles.perturb_to_infeasible(source, ctx, rng)
+                assert not check_cto(source, unreachable, ctx).convertible
         for seed in range(60):
             solve_feasibility(_random_system(seed, policy.exact), policy)
     assert retired

@@ -457,13 +457,27 @@ def test_basis_answer_matches_fraction_kernel_on_random_systems():
 def test_basis_answer_matches_fraction_kernel_on_boundary_pairs(monkeypatch):
     """The decision LPs on both sides of the convertibility boundary: each
     source against itself (feasible, every row tight) and against the first
-    unreachable target of a 40-step walk toward the pure state."""
+    unreachable target of a 40-step walk toward the pure state.  The phi
+    screen is bypassed, so every refusal comes from an LP, and every pair
+    the screen would refuse ends in an infeasible LP."""
     from ctoconv import check_cto, convert, testkit
 
     systems = []
-    orig = convert.solve_feasibility
-    monkeypatch.setattr(convert, "solve_feasibility",
-                        lambda sys, policy: systems.append(sys) or orig(sys, policy))
+    calls = []  # per check_cto call: the screen's answer, then each LP's status
+    screen, solve = convert._phi_screen, convert.solve_feasibility
+
+    def bypass(*args):
+        calls.append([screen(*args)])
+        return None
+
+    def spy(sys, policy):
+        systems.append(sys)
+        res = solve(sys, policy)
+        calls[-1].append(res.status)
+        return res
+
+    monkeypatch.setattr(convert, "_phi_screen", bypass)
+    monkeypatch.setattr(convert, "solve_feasibility", spy)
     rng = random.Random(5)
     for _ in range(40):
         ctx = testkit.random_context(rng.choice([3, 4, 5, 6]), rng, RATIONAL)
@@ -473,12 +487,16 @@ def test_basis_answer_matches_fraction_kernel_on_boundary_pairs(monkeypatch):
     assert len(systems) >= 80
     for sys in systems:
         _assert_same_as_fraction_kernel(sys)
+    screened = [call for call in calls if call[0] is not None]
+    assert len(screened) >= 20
+    assert all(not call[0].convertible and call[-1] == INFEASIBLE for call in screened)
 
 
 def test_rational_decisions_run_no_fraction_tableau(monkeypatch):
     """Rational check_cto at the benchmark's exact-rational sizes and at
     d=10, l=m=6 answers from the float kernel's final basis: the kernel
-    never runs on a Fraction tableau."""
+    never runs on a Fraction tableau.  The phi screen is bypassed, so the
+    refusals it would give run the LP too."""
     from ctoconv import check_cto, testkit
     from ctoconv.synth import apply_cto
 
@@ -489,17 +507,20 @@ def test_rational_decisions_run_no_fraction_tableau(monkeypatch):
                         lambda tab, *args: floats.append(1) or orig(tab, *args))
     sizes = [(3, 2, 2), (4, 2, 2), (3, 3, 3), (3, 4, 4), (4, 3, 3), (5, 2, 2),
              (6, 2, 2), (5, 3, 3), (4, 4, 4), (6, 3, 3), (6, 4, 4), (10, 6, 6)]
-    for seed in range(100):
-        d, ell, m = sizes[seed % len(sizes)]
-        rng = random.Random(seed)
-        ctx = testkit.random_context(d, rng, RATIONAL)
-        source = testkit.random_cq(ctx, ell, rng)
-        if seed % 2:
-            target = apply_cto(testkit.random_cto(ctx, ell, m, rng), source, ctx)
-            assert check_cto(source, target, ctx).convertible
-        else:
-            assert oracles.perturb_to_infeasible(source, ctx, rng) is not None
+    screened = []
+    with oracles.phi_screen_bypassed(screened):
+        for seed in range(100):
+            d, ell, m = sizes[seed % len(sizes)]
+            rng = random.Random(seed)
+            ctx = testkit.random_context(d, rng, RATIONAL)
+            source = testkit.random_cq(ctx, ell, rng)
+            if seed % 2:
+                target = apply_cto(testkit.random_cto(ctx, ell, m, rng), source, ctx)
+                assert check_cto(source, target, ctx).convertible
+            else:
+                assert oracles.perturb_to_infeasible(source, ctx, rng) is not None
     assert floats and not runs
+    assert sum(s is not None for s in screened) >= 25
 
 
 def _dense_verify_point(sys, point, eps):
