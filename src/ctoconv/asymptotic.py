@@ -9,8 +9,9 @@ via relative=False.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
-from .core import CQState, GibbsContext, StateVector, _exact_sum
+from .core import CQState, GibbsContext, StateVector
 from .errors import DimensionMismatch, FreeTarget, NotNormalized
 
 _RATE_TOL = 1e-12
@@ -51,7 +52,8 @@ def resource_value(state: CQState, ctx: GibbsContext, relative: bool = True) -> 
 
 def _resource_value(state: CQState, ctx: GibbsContext, relative: bool) -> float:
     """`resource_value` of a state checked already: each column is summed
-    once, and that mass both weighs and normalizes it."""
+    once (in rational mode from its held `_ints`), and that mass both
+    weighs and normalizes it."""
     if state.dim != ctx.dim:  # free_energy's first check, once per state
         raise DimensionMismatch(f"state has dimension {state.dim}, context has {ctx.dim}")
     exact = ctx.policy.exact
@@ -59,7 +61,7 @@ def _resource_value(state: CQState, ctx: GibbsContext, relative: bool) -> float:
     base = gibbs_free_energy(ctx) if relative else 0.0
     total = 0.0
     for col in state.columns:
-        mass = _exact_sum(col.w) if exact else col.mass
+        mass = Fraction(sum(col._ints[1]), col._ints[0]) if exact else col.mass
         p_x = float(mass)
         if p_x == 0:
             continue

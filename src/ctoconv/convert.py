@@ -17,9 +17,10 @@ target branches is refused with no LP (in float mode beyond a margin of
 reaches).  Else the own rows, placed on that grid, enter the decision LP by
 row generation: a few rows per branch first, then each round the most
 violated row of each branch, until R satisfies them all (most are slack at
-the answer); infeasibility of any round yields a Farkas certificate.  The
-rational screen and scan compare integer cross-products; the LP gets
-Fraction rows.
+the answer); infeasibility of any round yields a Farkas certificate.  In
+rational mode the grid is integers over G and the rows integers over one
+denominator: the screen and scan compare cross-products, and the LP gets
+one Fraction per coefficient it uses.
 A certificate's inequality multipliers, zero-padded onto every (branch,
 grid row) pair, reverse-cumsum into a nonnegative, column-non-increasing
 witness matrix A with a strictly negative conversion functional.
@@ -47,6 +48,8 @@ from .errors import (
 )
 from .lorenz import (
     _first_above,
+    _int_grid,
+    _int_rows,
     _majorization_curves,
     _merge_sorted,
     build_lorenz,
@@ -117,11 +120,13 @@ def _rows_of(curves, xs) -> list:
     return [list(row) for row in zip(*cols)] if cols else [[] for _ in xs]
 
 
-def _decide(cum_p, cum_q, policy: NumericPolicy, rows):
+def _decide(cum_p, cum_q, policy: NumericPolicy, rows, dp=1, dq=1):
     """One LP: find row-stochastic R with cum_p . R >= cum_q on the given rows.
 
     cum_p, cum_q hold the cumulative (lower-triangular-summed) values at
-    rows i = 0..D-1; variables are R[x][y] flattened x-major.  rows[y] lists
+    rows i = 0..D-1, in rational mode as numbers over dp and dq (integers
+    over the rows' denominators, each coefficient the LP uses made one
+    Fraction); variables are R[x][y] flattened x-major.  rows[y] lists
     the rows put into the LP for branch y, any subset of 0..D-1.  The
     certificate's multipliers are zero-padded onto the full target-major
     layout of D*m rows before `extract_witness`: a Farkas certificate of a
@@ -133,6 +138,8 @@ def _decide(cum_p, cum_q, policy: NumericPolicy, rows):
     m = len(cum_q[0])
     n_vars = ell * m
     zero, one = policy.zero(), policy.one()
+    exact = policy.exact
+    fp = {i: [Fraction(v, dp) for v in cum_p[i]] for r in rows for i in r} if exact else cum_p
 
     eq = []
     for x in range(ell):
@@ -147,8 +154,8 @@ def _decide(cum_p, cum_q, policy: NumericPolicy, rows):
         for i in rows[y]:
             row = [zero] * n_vars
             for x in range(ell):
-                row[x * m + y] = cum_p[i][x]
-            ineq.append((row, cum_q[i][y]))
+                row[x * m + y] = fp[i][x]
+            ineq.append((row, Fraction(cum_q[i][y], dq) if exact else cum_q[i][y]))
             flat.append(y * n_rows + i)
 
     sys = LinearSystem(n_vars=n_vars, eq=tuple(eq), ineq=tuple(ineq))
@@ -164,13 +171,14 @@ def _decide(cum_p, cum_q, policy: NumericPolicy, rows):
     return Decision(convertible=False, witness=witness), res.work
 
 
-def _own_rows(curve, grid) -> list:
-    """Rows 0..D-1 of grid[1:] that carry the curve's own bends, and s = 1.
+def _own_rows(bends, grid) -> list:
+    """Rows 0..D-1 of grid[1:] that carry a curve's own bends, and s = 1.
 
     A bend maps to the grid point at or just below it, which is the point
-    that merging folded it into.
+    that merging folded it into (in rational mode, bends and grid are
+    integers over G).
     """
-    idx = {bisect_right(grid, b) - 1 for b in curve.bend_abscissae}
+    idx = {bisect_right(grid, b) - 1 for b in bends}
     idx.add(len(grid) - 1)
     idx.discard(0)
     return [i - 1 for i in sorted(idx)]
@@ -222,25 +230,28 @@ def check_cto(source: CQState, target: CQState, ctx: GibbsContext) -> Decision:
         y_in = ([policy.zero()] * (n - 1) + [c]) * m
         y_in[y * n + n - 1], y_in[y * n + i] = policy.zero(), policy.one()
         return Decision(False, witness=extract_witness((y_eq, y_in), n, m))
-    grid, cum_p, cum_q = _grid_values(src_curves, tgt_curves, policy)
     exact = policy.exact
     tol = 0 if exact else policy.eps_lp
-    # the scan reads cum_p = ip / dp, cum_q = iq / dq: ints in rational mode
-    (dp, ip), (dq, iq) = ((_over_lcm_rows(cum_p), _over_lcm_rows(cum_q)) if exact
-                          else ((1, cum_p), (1, cum_q)))
+    # cum_p = ip / dp, cum_q = iq / dq: in rational mode the grid is integers
+    # over G and the rows integers, from the curves' `_ints`
+    if exact:
+        grid = _int_grid(tgt_curves)
+        (dp, ip), (dq, iq) = _int_rows(src_curves, grid[1:]), _int_rows(tgt_curves, grid[1:])
+    else:
+        (grid, ip, iq), dp, dq = _grid_values(src_curves, tgt_curves, policy), 1, 1
     mix = [sum(row) for row in ip]  # the mixed source curve, sum_x L[u^x]
-    if (refusal := _phi_screen(cum_p, mix, iq, dp, dq, policy)) is not None:
+    if (refusal := _phi_screen(ip, mix, iq, dp, dq, policy)) is not None:
         return refusal
     rows, left = [], []  # per branch: rows in the LP, own rows left out
     for y, curve in enumerate(tgt_curves):
-        own = _own_rows(curve, grid)
+        own = _own_rows(curve._ints[2][1:-1] if exact else curve.bend_abscissae, grid)
         mass = iq[-1][y]
         top = max(own, key=lambda i: iq[i][y] * dp - mass * mix[i])
         rows.append(sorted({top, own[-1]}))
         left.append([i for i in own if i not in rows[-1]])
     spent = 0
     while True:
-        decision, work = _decide(cum_p, cum_q, policy, rows)
+        decision, work = _decide(ip, iq, policy, rows, dp, dq)
         spent += work
         if spent > lp._WORK_BUDGET:
             raise SolveBudgetExceeded(
@@ -264,11 +275,12 @@ def check_cto(source: CQState, target: CQState, ctx: GibbsContext) -> Decision:
             return decision
 
 
-def _phi_screen(cum_p, mix, iq, dp, dq, policy: NumericPolicy):
+def _phi_screen(ip, mix, iq, dp, dq, policy: NumericPolicy):
     """A refusal with no LP where a phi monotone grows, else None.
 
     Summing row i over the branches gives gap_i = sum_y cum_q[i][y] -
-    sum_x cum_p[i][x] <= 0 for every row-stochastic R.  At the row with the
+    sum_x cum_p[i][x] <= 0 for every row-stochastic R, with cum_p = ip / dp
+    and cum_q = iq / dq as in `check_cto`.  At the row with the
     largest gap_i / (i + 1), first on ties (integer cross-products:
     gap_i dp dq = sum(iq[i]) dp - mix[i] dq), the certificate y_in = 1 at
     row i of each branch, y_eq = -cum_p[i] folds into witness columns
@@ -286,7 +298,7 @@ def _phi_screen(cum_p, mix, iq, dp, dq, policy: NumericPolicy):
         return None
     y_in = [policy.one() if k == at else policy.zero()
             for _ in range(m) for k in range(1, n + 1)]  # branch-major, row-minor
-    y_eq = [-v for v in cum_p[at - 1]]
+    y_eq = [Fraction(-v, dp) if policy.exact else -v for v in ip[at - 1]]
     return Decision(False, witness=extract_witness((y_eq, y_in), n, m))
 
 
@@ -472,7 +484,7 @@ def verify_witness(witness: WitnessMatrix, source: CQState, target: CQState,
     policy = ctx.policy
     src_curves = cq_branch_curves(source, ctx)
     tgt_curves = cq_branch_curves(target, ctx)
-    grid = merged_bend_grid(tgt_curves, policy)
+    grid = _int_grid(tgt_curves) if policy.exact else merged_bend_grid(tgt_curves, policy)
     if len(grid) - 1 != witness.n_rows:
         raise DimensionMismatch(
             f"witness has {witness.n_rows} rows, target grid has "
@@ -486,8 +498,7 @@ def verify_witness(witness: WitnessMatrix, source: CQState, target: CQState,
     xs = [grid[i + 1] for i, _ in steps]
     sides = []  # (denominator, sum over the curves of max over z of <a_z, c>)
     for curves in (src_curves, tgt_curves):
-        vals = _rows_of(curves, xs)
-        den, vals = _over_lcm_rows(vals) if policy.exact else (1, vals)
+        den, vals = _int_rows(curves, xs) if policy.exact else (1, _rows_of(curves, xs))
         sides.append((den, sum(
             max(sum(d[z] * v[x] for (_, d), v in zip(steps, vals))
                 for z in range(witness.n_cols))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Union
 
 from .errors import (
@@ -169,7 +170,8 @@ def _check_entries(xs, policy: NumericPolicy, what: str) -> None:
 @dataclass(frozen=True)
 class GibbsContext:
     """Energy spectrum, inverse temperature and the derived Gibbs weights;
-    checked by `validate_context` when made."""
+    checked by `validate_context` when made.  `_ints`, not a field, holds
+    (G, [G_i], [P // G_i]) in rational mode, g_i = G_i/G and P = lcm(G_i)."""
 
     gibbs: tuple
     beta: Number
@@ -179,6 +181,10 @@ class GibbsContext:
 
     def __post_init__(self):
         validate_context(self)
+        big_g, gs = _over_lcm(self.gibbs) if self.policy.exact else (None, ())
+        p = math.lcm(*gs)
+        object.__setattr__(self, "_ints", (big_g, tuple(gs), tuple([p // x for x in gs]))
+                           if gs else None)
 
     @property
     def dim(self) -> int:
@@ -262,6 +268,12 @@ class StateVector:
     def mass(self) -> Number:
         return sum(self.w)
 
+    @cached_property
+    def _ints(self) -> tuple:
+        """Rational mode's form (D, [n_i]) of w (`_over_lcm`), held once
+        read: not a field.  A float entry raises and nothing is held."""
+        return _over_lcm(self.w)
+
     def validate(self, policy: NumericPolicy) -> "StateVector":
         """Entries nonnegative and mass at most 1 as `policy.nonneg` and
         `policy.leq` judge, inlined per mode; no floats in rational mode."""
@@ -269,11 +281,18 @@ class StateVector:
         return self
 
     def _checked_mass(self, policy: NumericPolicy) -> Number:
-        """The mass, once `validate`'s checks pass (they raise otherwise)."""
-        _check_entries(self.w, policy, "component")
+        """The mass, once `validate`'s checks pass (they raise otherwise); in
+        rational mode on `_ints`, the entry rule raising only on a miss."""
         if policy.exact:
-            mass, bound = _exact_sum(self.w), 1
+            try:
+                den, ns = self._ints
+            except ValidationError:  # a float entry
+                ns = None
+            if ns is None or min(ns, default=0) < 0:  # raises, with the entry's message
+                _check_entries(self.w, policy, "component")
+            mass, bound = Fraction(sum(ns), den), 1
         else:
+            _check_entries(self.w, policy, "component")
             mass, bound = self.mass, 1.0 + policy.eps_cmp
         if not mass <= bound:
             raise ValidationError(f"state mass {mass} exceeds 1")
@@ -338,7 +357,7 @@ def _check_joint(masses, policy: NumericPolicy) -> Number:
     Returns the total."""
     if not masses:
         raise ZeroTotalMass("joint state has no columns of positive mass")
-    total = sum(masses)
+    total = _exact_sum(masses) if policy.exact else sum(masses)
     if not policy.close(total, policy.one()):
         raise NotNormalized(f"joint state mass {total} != 1")
     return total
@@ -346,7 +365,7 @@ def _check_joint(masses, policy: NumericPolicy) -> Number:
 
 def canonicalize_cq(state: CQState, policy: NumericPolicy) -> CQState:
     """Drop zero-mass columns, clip float noise, rescale total mass to one."""
-    zero, total_of = policy.zero(), _exact_sum if policy.exact else sum
+    zero, exact = policy.zero(), policy.exact
     cols, masses = [], []
     for c in state.columns:
         w = list(c.w)
@@ -356,9 +375,10 @@ def canonicalize_cq(state: CQState, policy: NumericPolicy) -> CQState:
                     w[i] = zero
                 else:
                     raise ValidationError(f"negative component {x} in joint state")
-        mass = total_of(w)  # each kept column summed once
+        c = StateVector(tuple(w))  # each kept column summed once, on its held form
+        mass = Fraction(sum(c._ints[1]), c._ints[0]) if exact else c.mass
         if mass > 0:
-            cols.append(StateVector(tuple(w)))
+            cols.append(c)
             masses.append(mass)
     total = _check_joint(masses, policy)
     if total != policy.one():
@@ -485,10 +505,11 @@ class TOMatrix:
 def _exact_mix(terms):
     """sum_x r_x T_x u_x over terms (r_x, T_x, u_x) as Fractions, when the T_x
     are products sharing one list of steps and one B, as synthesis's maps
-    into one target branch do: B S (sum_x r_x E_x u_x) on integers over one
-    denominator, each step and B over the lcm of its numbers.  Terms must
-    be given; None for a dense map, unshared factors or a float, and the
-    caller then applies each map by itself."""
+    into one target branch do: B S (sum_x r_x E_x u_x) on integers, u_x read
+    as its held `_ints`.  Cell k holds z[k] / den[k]; a step brings its two
+    cells to one denominator and takes them over the lcm of its numbers, so
+    it costs O(1).  Terms must be given; None for a dense map, unshared
+    factors or a float, and the caller then applies each map by itself."""
     _, t0, u0 = terms[0]
     steps, home = t0._steps, t0._home
     if home is None or len(home) != u0.dim or any(
@@ -497,28 +518,30 @@ def _exact_mix(terms):
     try:
         parts = []  # (denominator, r's numerator, E u's integers) per term
         for r, t, u in terms:
-            du, un = _over_lcm(u.w)
+            du, un = u._ints
             de, en = _over_lcm([x for row in t._e for x in row.values()])
             en = iter(en)
             v = [sum([next(en) * un[c] for c in row]) for row in t._e]
             dr, (rn,) = _over_lcm((r,))
             parts.append((dr * de * du, rn, v))
-        den = math.lcm(*[p[0] for p in parts])
-        z = [0] * len(t0._e)
+        d0 = math.lcm(*[p[0] for p in parts])
+        z, den = [0] * len(t0._e), [d0] * len(t0._e)
         for td, rn, v in parts:
-            f = den // td * rn
+            f = d0 // td * rn
             z = [a + f * b for a, b in zip(z, v)]
         for j, k, keep, a, b in steps:  # keep form, nonnegative throughout
             ell, (kn, an, bn) = _over_lcm((keep, a, b))
-            zj, zk = z[j], z[k]
-            if ell != 1:
-                z, den = [x * ell for x in z], den * ell
+            zj, zk, dj, dk = z[j], z[k], den[j], den[k]
+            if dj != dk:
+                lv = math.lcm(dj, dk)
+                zj, zk, dj = zj * (lv // dj), zk * (lv // dk), lv
             s = zj + zk
             z[j], z[k] = kn * zj + an * s, kn * zk + bn * s
+            den[j] = den[k] = dj * ell
         db, bs = _over_lcm([b for _, b in home])
     except ValidationError:  # a float, which the map-by-map sum refuses
         return None
-    return [Fraction(b * z[k], den * db) for (k, _), b in zip(home, bs)]
+    return [Fraction(b * z[k], den[k] * db) for (k, _), b in zip(home, bs)]
 
 
 @dataclass(frozen=True)

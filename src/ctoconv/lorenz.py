@@ -9,11 +9,11 @@ all of [0, 1].  In float mode the cumulative abscissa is capped at 1, a
 vertex that rounding leaves at or before the previous one joins it, and the
 endpoint is pinned to 1.0.
 
-In rational mode a curve is built and walked on integer numerators over a
-common denominator: vertex k is (S_k/G, T_k/W), with G the lcm of the Gibbs
-denominators and W that of the column's.  Only outputs become Fractions,
-one per vertex coordinate and one per value between vertices, and each is
-the Fraction that exact arithmetic step by step gives.
+In rational mode a curve is built and walked on integer numerators: vertex
+k is (S_k/G, T_k/W), G and W read from the context's and the column's held
+integer forms (`core`).  `_int_grid` and `_int_rows` give a grid over G and
+values over one denominator with no Fraction; else each output is the one
+Fraction that exact arithmetic step by step gives.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def build_lorenz(w: StateVector, ctx: GibbsContext, by_slope=None) -> LorenzCurv
     rational mode the cumulative sums are the integers S = sum G_i and
     T = sum W_i of `_by_slope`'s integers, levels of equal slope key
     join one segment, and each vertex becomes (Fraction(S, G), Fraction(T, W)).
-    A caller that has checked w may pass its `_by_slope(w, g)`, sorted once.
+    A caller that has checked w may pass its `_by_slope(w, ctx)`, sorted once.
     """
     if w.dim != ctx.dim:
         raise DimensionMismatch(
@@ -136,7 +136,7 @@ def build_lorenz(w: StateVector, ctx: GibbsContext, by_slope=None) -> LorenzCurv
         )
     policy = ctx.policy
     g, wv = ctx.gibbs, w.w
-    slopes, order, ints = by_slope or _by_slope(w.validate(policy), g)
+    slopes, order, ints = by_slope or _by_slope(w.validate(policy), ctx)
     if policy.exact:
         return _build_exact(slopes, order, *ints)
 
@@ -178,24 +178,21 @@ def _build_exact(keys, order, big_g, gs, big_w, ws) -> LorenzCurve:
     return LorenzCurve(pts, (big_g, big_w, tuple(ss), tuple(ts)))
 
 
-def _by_slope(w: StateVector, g) -> tuple:
+def _by_slope(w: StateVector, ctx: GibbsContext) -> tuple:
     """Slopes w_i/g_i, the levels by slope, non-increasing (L[w]'s order),
     and in rational mode the integers (G, [G_i], W, [W_i]) behind them;
-    None in float mode, the mode that a context's weights' type names
-    (`validate_context`: float weights in float mode only).
+    None in float mode.
 
-    For rational entries the slopes are the integer keys W_i*(P // G_i),
-    each w_i/g_i times the same positive integer: g_i = G_i/G with G the lcm
-    of g's denominators, P the lcm of the G_i, and w_i = W_i/W with W the
-    lcm of w's denominators.  The order is the one Fraction slopes give."""
-    wv = w.w
-    if g and isinstance(g[0], float):
-        slopes, ints = [x / gi for x, gi in zip(wv, g)], None
+    In rational mode the slopes are the integer keys W_i*(P // G_i), each
+    w_i/g_i times the same positive integer, read from the context's held
+    (G, [G_i], [P // G_i]) and w's held (W, [W_i]) (`core`): g_i = G_i/G,
+    w_i = W_i/W.  The order is the one Fraction slopes give."""
+    if ctx._ints is None:
+        slopes, ints = [x / gi for x, gi in zip(w.w, ctx.gibbs)], None
     else:
-        big_g, gs = _over_lcm(g)
-        big_w, ws = _over_lcm(wv)
-        p = math.lcm(*gs)
-        slopes = [wi * (p // gi) for wi, gi in zip(ws, gs)]
+        big_g, gs, keys = ctx._ints
+        big_w, ws = w._ints
+        slopes = [wi * k for wi, k in zip(ws, keys)]
         ints = big_g, gs, big_w, ws
     return slopes, sorted(range(w.dim), key=slopes.__getitem__, reverse=True), ints
 
@@ -231,6 +228,32 @@ def merged_bend_grid(curves, policy: NumericPolicy) -> list:
         s for c in curves for s in c.bend_abscissae), policy.one()], policy, curves)
     grid[-1] = policy.one()
     return grid
+
+
+def _int_grid(curves) -> list:
+    """`merged_bend_grid` of rational curves built in one context, on the
+    integers S of their `_ints` over its G: 0, the bends' union, G."""
+    return [0, *sorted({s for c in curves for s in c._ints[2][1:-1]}), curves[0]._ints[0]]
+
+
+def _int_rows(curves, xs) -> tuple:
+    """(D, rows), rows[i][c] / D = curves[c] at xs[i] / G, for rational curves
+    over one G and non-decreasing integers xs in (0, G]: each value reduced
+    on the integer vertices, no Fraction made, and D the lcm (`_over_lcm`)."""
+    cols = []
+    for c in curves:
+        _, big_w, ss, ts = c._ints
+        k, col = 1, []
+        for x in xs:
+            while ss[k] < x:
+                k += 1
+            s0, t0, ds = ss[k - 1], ts[k - 1], ss[k] - ss[k - 1]
+            n, d = t0 * ds + (ts[k] - t0) * (x - s0), big_w * ds  # T_k/W at x = S_k
+            g = math.gcd(n, d)
+            col.append((n // g, d // g))
+        cols.append(col)
+    den = math.lcm(*[d for col in cols for _, d in col])
+    return den, [[n * (den // d) for n, d in row] for row in zip(*cols)]
 
 
 def _merge_sorted(xs, policy: NumericPolicy, curves=()) -> list:

@@ -14,8 +14,8 @@ sequence of at most n - 1 two-cell partial thermalizations, takes p to v's
 increments q.  It needs the partial sums of p to dominate those of q with
 equal totals, which is checked here (exactly in rational mode, within
 eps_lp in float mode).
-In rational mode the embedding and the steps run on integers, and each
-number that a factor stores is one Fraction of integers.
+In rational mode the grid and level ends are integers over G and p, q over
+one denominator, and each number a factor stores is one Fraction of them.
 B[i][k] = |cell_k & I_i(v)| / |cell_k| maps the cells back to g and to v.
 The grid points are ends of v's own level intervals (merging nearby bends
 only joins cells), so level i lies in one cell k and row i of T is B[i][k]
@@ -38,7 +38,7 @@ from itertools import accumulate
 from math import lcm
 
 from .core import (CQState, CTOPlan, GibbsContext, NumericPolicy, StateVector,
-                   TOMatrix, _check_entries, _exact_mix, _over_lcm, canonicalize_cq)
+                   TOMatrix, _check_entries, _exact_mix, canonicalize_cq)
 from .errors import (DimensionMismatch, MassMismatch, NotConvertible,
                      NotStochasticSum, NotThermoMajorizing, ValidationError)
 from .convert import Decision, check_cto
@@ -102,41 +102,52 @@ def _branch_maps(sources, coeffs, target: StateVector, ctx: GibbsContext) -> lis
 
     Sources come as `_levels` gives them; sources and target may be
     weighted, and the coefficients must carry the target's mass.  Raises
-    NotConvertible when they cannot.
-    """
-    policy = ctx.policy
-    zero, one = policy.zero(), policy.one()
-    by_slope = _by_slope(target.validate(policy), ctx.gibbs)  # one sort, two uses
-    grid = merged_bend_grid([build_lorenz(target, ctx, by_slope)], policy)
+    NotConvertible when they cannot.  In rational mode the grid is L[v]'s
+    integers over G, and p, q integers over den: c = a/b scales a source
+    over D by den // (b D) * a."""
+    policy, exact = ctx.policy, ctx.policy.exact
+    by_slope = _by_slope(target.validate(policy), ctx)  # one sort, two uses
+    curve = build_lorenz(target, ctx, by_slope)
+    dq, cover_levels = _levels(target, ctx, by_slope)
+    if exact:
+        dens = [c.denominator * d for c, (d, _) in zip(coeffs, sources)]
+        den = lcm(*dens, dq)
+        coeffs = [den // d * c.numerator for c, d in zip(coeffs, dens)]
+        grid, one, g = list(curve._ints[2]), den // dq, ctx._ints[1]
+    else:
+        grid, one, g = merged_bend_grid([curve], policy), policy.one(), ctx.gibbs
     n = len(grid) - 1
     widths = [grid[k + 1] - grid[k] for k in range(n)]
-    p, q = [zero] * n, [zero] * n
+    p, q = [0 * one] * n, [0 * one] * n
     spreads = [_embedding(levels, grid, c, p, policy)
-               for c, levels in zip(coeffs, sources)]
-    cover = _embedding(_levels(target, ctx, by_slope), grid, one, q, policy)
+               for c, (_, levels) in zip(coeffs, sources)]
+    cover = _embedding(cover_levels, grid, one, q, policy)
     steps = _transfers(p, q, widths, policy)
     home = [None] * ctx.dim  # level i -> (its cell k, B[i][k]), in level order
     for k, row in enumerate(cover):
-        for i, x in row.items():
-            home[i] = (k, x * ctx.gibbs[i] / widths[k])
+        for i, x in row.items():  # rational: x = o / G_i, B[i][k] = Fraction(o, w_k)
+            home[i] = (k, Fraction(x.numerator * (g[i] // x.denominator), widths[k])
+                       if exact else x * g[i] / widths[k])
     return [TOMatrix.product(e, steps, home) for e in spreads]
 
 
-def _levels(u: StateVector, ctx: GibbsContext, by_slope=None) -> list:
-    """u's levels in Lorenz order as (i, lo, hi, g_i, u_i), [lo, hi] being
-    level i's interval I_i(u): the partial sums of g in that order, with the
-    last interval ending at 1 (a float sum may stop short of it or pass it).
-    by_slope is `_by_slope(u, g)` if the caller has it; in rational mode the
-    ends are Fraction(S, G) on its integers, S a partial sum of the G_i."""
-    g, w = ctx.gibbs, u.w
-    _, order, ints = by_slope or _by_slope(u, g)
+def _levels(u: StateVector, ctx: GibbsContext, by_slope=None) -> tuple:
+    """(D, levels): u's levels in Lorenz order as (i, lo, hi, g_i, u_i),
+    [lo, hi] being level i's interval I_i(u), the partial sums of g in that
+    order, the last ending at 1 (a float sum may stop short of it or pass
+    it), and D = 1; by_slope is `_by_slope(u, ctx)` if the caller has it.
+    In rational mode on its integers: lo, hi, G_i over G, and for u_i the
+    slope key W_i (P // G_i) = (u_i / g_i) D / G, with D = W P."""
+    slopes, order, ints = by_slope or _by_slope(u, ctx)
     if ints is None:
+        g, w, den = ctx.gibbs, u.w, 1
         ends = list(accumulate([g[i] for i in order], initial=ctx.policy.zero()))
-    else:
-        big_g, gs = ints[0], ints[1]
-        ends = [Fraction(s, big_g) for s in accumulate([gs[i] for i in order], initial=0)]
-    ends[-1] = ctx.policy.one()
-    return [(i, lo, hi, g[i], w[i]) for i, lo, hi in zip(order, ends, ends[1:])]
+        ends[-1] = ctx.policy.one()
+    else:  # the G_i sum to G
+        big_g, g, big_w, _ = ints
+        w, den = slopes, big_w * g[0] * ctx._ints[2][0]
+        ends = list(accumulate([g[i] for i in order], initial=0))
+    return den, [(i, lo, hi, g[i], w[i]) for i, lo, hi in zip(order, ends, ends[1:])]
 
 
 def _embedding(levels, grid, c, p: list, policy: NumericPolicy) -> list:
@@ -152,57 +163,26 @@ def _embedding(levels, grid, c, p: list, policy: NumericPolicy) -> list:
     |I_i| / g_i is off by ulp(lo) / g_i, which a tiny g_i makes large.  A
     level whose interval rounds away lies whole in the cell of its start.
 
-    In rational mode the walk runs on integers (`_exact_embedding`).
+    In rational mode on `_levels`' integers over G: a piece is an overlap o
+    of G_i, its entry Fraction(o, G_i), adding o c w_i for `_branch_maps`' c.
     """
-    if policy.exact:
-        return _exact_embedding(levels, grid, c, p)
-    n = len(grid) - 1
-    e = [{} for _ in range(n)]
-    k = 0
+    exact, n = policy.exact, len(grid) - 1
+    zero = 0 if exact else 0.0
+    e, k = [{} for _ in range(n)], 0
     for i, lo, hi, gi, wi in levels:
         while k + 1 < n and grid[k + 1] <= lo:
             k += 1
-        cw, rest = c * wi, 1.0
+        cw, rest = c * wi, gi if exact else 1.0
         while k + 1 < n and grid[k + 1] < hi:  # cell k ends inside I_i
-            x = (grid[k + 1] - max(lo, grid[k])) / gi
-            e[k][i] = x
+            x = grid[k + 1] - max(lo, grid[k])
+            x = x if exact else x / gi
+            e[k][i] = Fraction(x, gi) if exact else x
             p[k] += x * cw
             rest -= x
             k += 1
-        x = rest if rest > 0.0 else 0.0
-        e[k][i] = x
+        x = rest if rest > zero else zero  # rational: rest >= 0, the pieces are exact
+        e[k][i] = Fraction(x, gi) if exact else x
         p[k] += x * cw
-    return e
-
-
-def _exact_embedding(levels, grid, c, p: list) -> list:
-    """`_embedding` on integers: the grid and level ends are multiples of
-    1/G, G the lcm of the g_i's denominators, so a piece is an overlap o of
-    G_i = G g_i, its entry Fraction(o, G_i); c (E u)_k is summed likewise."""
-    n, big_g = len(grid) - 1, lcm(*[gi.denominator for _, _, _, gi, _ in levels])
-    grid = [s.numerator * (big_g // s.denominator) for s in grid]
-    walk = [(i, *[x.numerator * (big_g // x.denominator) for x in (lo, hi, gi)],
-             c.numerator * wi.numerator, c.denominator * wi.denominator)
-            for i, lo, hi, gi, wi in levels]
-    # c u_i / G_i, the mass one unit of overlap carries, as cw / den
-    den = lcm(*[vd * gi for _, _, _, gi, _, vd in walk])
-    acc, e, k = [0] * n, [{} for _ in range(n)], 0
-    for i, lo, hi, gi, vn, vd in walk:
-        cw = vn * (den // (vd * gi))
-        while k + 1 < n and grid[k + 1] <= lo:
-            k += 1
-        rest = gi
-        while k + 1 < n and grid[k + 1] < hi:
-            o = grid[k + 1] - max(lo, grid[k])
-            e[k][i] = Fraction(o, gi)
-            acc[k] += o * cw
-            rest -= o
-            k += 1
-        e[k][i] = Fraction(rest, gi)  # rest >= 0: the overlaps are exact
-        acc[k] += rest * cw
-    for k, a in enumerate(acc):
-        if a:
-            p[k] = p[k] + Fraction(a, den) if p[k] else Fraction(a, den)
     return e
 
 
@@ -216,13 +196,10 @@ def _transfers(p, q, widths, policy: NumericPolicy) -> list:
     cells still short to the right of j wait on a stack, the nearest on top.
 
     Scaling p and q together, or w, changes no test and no lam, so rational
-    mode walks integer numerators and builds each step from integers:
+    mode takes `_branch_maps`' integers and builds each step from them:
     lam = num / den, and lam w_j / (w_j + w_k) = delta w_j / den.
     """
-    exact, n = policy.exact, len(p)
-    if exact:
-        _, pq = _over_lcm([*p, *q])
-        p, q, (_, widths) = pq[:n], pq[n:], _over_lcm(widths)
+    exact = policy.exact
     zero, one = (0, 1) if exact else (0.0, 1.0)
     gap = [a - b for a, b in zip(p, q)]
     acc = zero

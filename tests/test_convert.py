@@ -2,6 +2,7 @@
 witnesses and monotones."""
 
 import dataclasses
+import functools
 import random
 from fractions import Fraction as F
 from itertools import permutations
@@ -27,7 +28,7 @@ from ctoconv import (
     testkit,
     verify_witness,
 )
-from ctoconv import asymptotic, convert, core, lorenz, lp
+from ctoconv import convert, core, lorenz, lp
 from ctoconv.lorenz import (cq_branch_curves, embed_states, merged_bend_grid,
                             thermo_majorizes)
 from ctoconv.synth import apply_cto, synthesize_cto, synthesize_to
@@ -858,9 +859,9 @@ class TestReducedDecisionLP:
         seen = []
         decide = convert._decide
 
-        def spy(cum_p, cum_q, policy, rows):
+        def spy(cum_p, cum_q, policy, rows, *dens):
             seen.append([set(r) for r in rows])
-            return decide(cum_p, cum_q, policy, rows)
+            return decide(cum_p, cum_q, policy, rows, *dens)
 
         monkeypatch.setattr(convert, "_decide", spy)
         decision = check_cto(source, target, ctx)
@@ -1279,10 +1280,12 @@ class TestValidatesEachColumnOnce:
         """Records each column checked and each column summed;
         StateVector.validate and CQState.validate both check a column
         through `_checked_mass`, which sums it through `mass` in float mode
-        and through `core._exact_sum` in rational mode."""
+        and derives its integer form `StateVector._ints` in rational mode.
+        The form is held once derived, so the returned `forget` drops it
+        from the given states, each call then counting its own derivations."""
         checked, summed = [], []
-        check, mass = StateVector._checked_mass, StateVector.mass.fget
-        exact_sum = core._exact_sum
+        check, mass, ints = StateVector._checked_mass, StateVector.mass.fget, \
+            StateVector._ints.func
 
         def spy_check(self, policy):
             checked.append(self)
@@ -1292,15 +1295,20 @@ class TestValidatesEachColumnOnce:
             summed.append(self)
             return mass(self)
 
-        def spy_exact_sum(xs):
-            summed.append(xs)
-            return exact_sum(xs)
+        def spy_ints(self):
+            summed.append(self)
+            return ints(self)
 
+        def forget(states):
+            for c in states:
+                c.__dict__.pop("_ints", None)
+
+        held = functools.cached_property(spy_ints)
+        held.__set_name__(StateVector, "_ints")
         monkeypatch.setattr(StateVector, "_checked_mass", spy_check)
         monkeypatch.setattr(StateVector, "mass", property(spy_mass))
-        for module in (core, asymptotic):  # the modules that call it by name
-            monkeypatch.setattr(module, "_exact_sum", spy_exact_sum)
-        return checked, summed
+        monkeypatch.setattr(StateVector, "_ints", held)
+        return checked, summed, forget
 
     @pytest.mark.parametrize("policy", [FLOATS, RATIONAL], ids=["float", "rational"])
     def test_one_check_per_column(self, monkeypatch, policy):
@@ -1317,31 +1325,35 @@ class TestValidatesEachColumnOnce:
         reached = apply_cto(plan, source, ctx)
         decision = check_cto(source, reached, ctx)
         assert decision.convertible
-        checked, summed = self._spy(monkeypatch)
-        # (call, columns checked, columns summed or None when not pinned)
+        checked, summed, forget = self._spy(monkeypatch)
+        # (call, columns checked, columns summed in float mode and forms
+        # derived in rational mode, or None when not pinned): a column's
+        # rational mass read after its check comes from the held form
         for call, checks, sums in [
-            (lambda: check_cto(source, target, ctx), ell + m, ell + m),
-            (lambda: verify_witness(witness, source, target, ctx), ell + m, ell + m),
-            (lambda: check_state_to_ensemble(u, target, ctx), 1 + m, 1 + m),
-            (lambda: check_ensemble_to_state(source, u, ctx), ell + 1, ell + 1),
-            (lambda: phi_monotones(source, ctx), ell, 2 * ell),
-            (lambda: thermo_majorizes(u, g, ctx), 2, 2),
-            (lambda: p_min(u, g, ctx), 2, 2),
-            (lambda: embed_states(states, ctx), k, k),
+            (lambda: check_cto(source, target, ctx), ell + m, (ell + m,) * 2),
+            (lambda: verify_witness(witness, source, target, ctx), ell + m, (ell + m,) * 2),
+            (lambda: check_state_to_ensemble(u, target, ctx), 1 + m, (1 + m,) * 2),
+            (lambda: check_ensemble_to_state(source, u, ctx), ell + 1, (ell + 1,) * 2),
+            (lambda: phi_monotones(source, ctx), ell, (2 * ell, ell)),
+            (lambda: thermo_majorizes(u, g, ctx), 2, (2, 2)),
+            (lambda: p_min(u, g, ctx), 2, (2, 2)),
+            (lambda: embed_states(states, ctx), k, (k, k)),
             # a check, then one read of the mass that weighs and normalizes
-            (lambda: resource_value(source, ctx), ell, 2 * ell),
-            (lambda: asymptotic_rate(source, target, ctx), ell + m, 2 * (ell + m)),
+            (lambda: resource_value(source, ctx), ell, (2 * ell, ell)),
+            (lambda: asymptotic_rate(source, target, ctx), ell + m,
+             (2 * (ell + m), ell + m)),
             (lambda: synthesize_to(u, g, ctx), 2, None),
             (lambda: synthesize_cto(source, reached, ctx, decision),
              ell + reached.n_branches, None),
             (lambda: apply_cto(plan, source, ctx), ell, None),
         ]:
+            forget([*source.columns, *target.columns, *reached.columns, *states])
             checked.clear()
             summed.clear()
             call()
             assert len(checked) == checks
             if sums is not None:
-                assert len(summed) == sums
+                assert len(summed) == sums[policy.exact]
 
     BAD_COLUMNS = {
         "negative": (0.6, -0.1, 0.5),

@@ -282,3 +282,78 @@ class TestCTOPlan:
         plan = CTOPlan(control=((F(1),),), branch_maps={(0, 5): ident})
         with pytest.raises(DimensionMismatch):
             plan.validate(uniform2)
+
+
+class TestHeldIntegerForms:
+    """A rational context holds (G, [G_i], [P // G_i]) and a rational state
+    (D, [n_i]) once read: attributes, not fields."""
+
+    BAD = {
+        "float": ((F(1, 2), 0.25, F(1, 4)), "float component 0.25 in rational mode"),
+        "nan": ((F(1, 2), math.nan, F(1, 4)), "negative component nan"),
+        "negative int": ((F(1, 2), -1, F(1, 4)), "negative component -1"),
+        "negative Fraction": ((F(1, 2), F(-1, 3), F(1, 4)), "negative component -1/3"),
+        "over-mass": ((F(1, 2), F(1, 3), F(1, 4)), "state mass 13/12 exceeds 1"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    @pytest.mark.parametrize("read_first", [False, True], ids=["fresh", "read"])
+    def test_verdicts_and_messages_unchanged(self, kind, read_first):
+        w, message = self.BAD[kind]
+        u = StateVector(w)
+        if read_first:  # a float entry has no form, and none is held
+            try:
+                u._ints
+            except ValidationError:
+                assert "_ints" not in u.__dict__
+        for check in (lambda: u.validate(RATIONAL),
+                      lambda: CQState((u,)).validate(RATIONAL)):
+            with pytest.raises(ValidationError) as info:
+                check()
+            assert info.type is ValidationError and str(info.value) == message
+
+    def test_one_state_under_two_contexts(self):
+        """A state whose form is held answers under a second context with
+        another G as a fresh state does."""
+        a = GibbsContext.from_weights(("1/2", "1/3", "1/6"), RATIONAL)
+        b = GibbsContext.from_weights(("1/5", "2/5", "2/5"), RATIONAL)
+        assert a._ints[0] != b._ints[0]
+        u = StateVector((F(3, 7), F(1, 7), F(3, 7)))
+        v = StateVector((F(1, 3), F(1, 3), F(1, 3)))
+        for ctx in (a, b, a):
+            for w in (u, v):
+                fresh = StateVector(tuple(w.w))
+                assert build_lorenz(w, ctx) == build_lorenz(fresh, ctx)
+                assert "_ints" in w.__dict__
+        assert u._ints == (7, [3, 1, 3])
+
+    def test_state_identity_unaffected(self):
+        import dataclasses
+        import pickle
+
+        u = StateVector((F(1, 2), F(1, 3), F(1, 6)))
+        fresh = StateVector(u.w)
+        u.validate(RATIONAL)
+        assert "_ints" in u.__dict__ and "_ints" not in fresh.__dict__
+        assert u == fresh and hash(u) == hash(fresh) and repr(u) == repr(fresh)
+        assert dataclasses.fields(u) == dataclasses.fields(fresh)
+        assert dataclasses.asdict(u) == {"w": u.w}
+        swapped = dataclasses.replace(u, w=(F(1, 6), F(1, 3), F(1, 2)))
+        assert "_ints" not in swapped.__dict__ and swapped._ints == (6, [1, 2, 3])
+        back = pickle.loads(pickle.dumps(u))
+        assert back == u and repr(back) == repr(u) and back._ints == u._ints
+
+    def test_context_form_follows_replace(self):
+        import dataclasses
+        import pickle
+
+        ctx = GibbsContext.from_weights(("1/2", "1/3", "1/6"), RATIONAL)
+        assert ctx._ints == (6, (3, 2, 1), (2, 3, 6))
+        other = dataclasses.replace(ctx, gibbs=(F(1, 4), F(1, 4), F(1, 2)))
+        assert other._ints == (4, (1, 1, 2), (2, 2, 1))
+        assert ctx._ints == (6, (3, 2, 1), (2, 3, 6))
+        same = GibbsContext.from_weights(("1/2", "1/3", "1/6"), RATIONAL)
+        assert ctx == same and hash(ctx) == hash(same) and repr(ctx) == repr(same)
+        assert "_ints" not in repr(ctx) and "_ints" not in dataclasses.asdict(ctx)
+        assert pickle.loads(pickle.dumps(ctx))._ints == ctx._ints
+        assert GibbsContext.from_weights((0.5, 0.5), FLOATS)._ints is None

@@ -1,24 +1,30 @@
 """Rational hot paths on integer numerators against the Fraction formulas
 they replace, kept here as oracles: the fraction-free basis solve, the exact
-verifiers, the row-generation scan, the witness functional summed by parts,
-synthesis's embedding and transfer steps, and rational `apply_cto`'s one
-integer pass per target branch.  Answers must agree by type,
-numerator and denominator (floats by their bits where the path is shared).
+verifiers, the state checks on held integer forms, the grid rows over one
+denominator, the row-generation scan, the witness functional summed by
+parts, synthesis's levels, embedding and transfer steps over G, and rational
+`apply_cto`'s one integer pass per target branch.  Answers must agree by
+type, numerator and denominator (floats by their bits where the path is
+shared).
 
 Stdlib only: `PYTHONPATH=src python tests/test_integer_paths.py` runs every
 test without pytest, as on an interpreter that has none.
 """
 
+import math
 import random
 import sys
 from bisect import insort
 from fractions import Fraction as F
+from itertools import accumulate
 
 from ctoconv import (CQState, CTOPlan, Decision, GibbsContext, LinearSystem, NumericPolicy,
                      StateVector, TOMatrix, apply_cto, canonicalize_cto, check_cto, convert,
                      lp, synth, synthesize_cto, testkit, verify_witness)
-from ctoconv.core import vdot
-from ctoconv.lorenz import _by_slope, build_lorenz, cq_branch_curves, merged_bend_grid
+from ctoconv.core import _check_entries, _exact_sum, vdot
+from ctoconv.errors import ValidationError
+from ctoconv.lorenz import (_by_slope, _int_grid, _int_rows, build_lorenz, cq_branch_curves,
+                            merged_bend_grid)
 
 import oracles
 
@@ -112,7 +118,7 @@ def _fraction_check_cto(source, target, ctx, screen=True):
         return Decision(False, witness=convert.WitnessMatrix(tuple((v,) * m for v in col)))
     rows, left = [], []
     for y, curve in enumerate(tgt_curves):
-        own = convert._own_rows(curve, grid)
+        own = convert._own_rows(curve.bend_abscissae, grid)
         mass = cum_q[-1][y]
         top = max(own, key=lambda i: cum_q[i][y] - mass * mix[i])
         rows.append(sorted({top, own[-1]}))
@@ -187,6 +193,120 @@ def _fraction_transfers(p, q, widths, policy):
                 lam = min(one, delta * (wj + wk) / den)
                 steps.append((j, k, one - lam, lam * wj / (wj + wk), lam * wk / (wj + wk)))
     return steps
+
+
+def _fraction_checked_mass(u, policy):
+    """`StateVector._checked_mass` in rational mode before the held form:
+    the entry rule, then the mass as `_exact_sum`'s Fraction."""
+    _check_entries(u.w, policy, "component")
+    mass = _exact_sum(u.w)
+    if not mass <= 1:
+        raise ValidationError(f"state mass {mass} exceeds 1")
+    return mass
+
+
+def _fraction_rows(curves, xs):
+    """The curves' values at xs as Fractions (`LorenzCurve.values`), then put
+    over one denominator as `_over_lcm_rows` did: (D, integer rows)."""
+    return convert._over_lcm_rows(convert._rows_of(curves, xs))
+
+
+def _fraction_levels(u, ctx):
+    """`synth._levels` before its integer ends: (i, lo, hi, g_i, u_i) with
+    the ends Fraction(S, G) in rational mode, partial sums in float mode."""
+    g, w = ctx.gibbs, u.w
+    _, order, ints = _by_slope(u, ctx)
+    if ints is None:
+        ends = list(accumulate([g[i] for i in order], initial=ctx.policy.zero()))
+    else:
+        big_g, gs = ints[0], ints[1]
+        ends = [F(s, big_g) for s in accumulate([gs[i] for i in order], initial=0)]
+    ends[-1] = ctx.policy.one()
+    return [(i, lo, hi, g[i], w[i]) for i, lo, hi in zip(order, ends, ends[1:])]
+
+
+def _fraction_exact_embedding(levels, grid, c, p):
+    """`synth._embedding`'s rational walk before p and q were integers: the
+    Fraction grid and `_fraction_levels` put over G, each cell's mass added
+    into p as a Fraction."""
+    n, big_g = len(grid) - 1, math.lcm(*[gi.denominator for _, _, _, gi, _ in levels])
+    grid = [s.numerator * (big_g // s.denominator) for s in grid]
+    walk = [(i, *[x.numerator * (big_g // x.denominator) for x in (lo, hi, gi)],
+             c.numerator * wi.numerator, c.denominator * wi.denominator)
+            for i, lo, hi, gi, wi in levels]
+    den = math.lcm(*[vd * gi for _, _, _, gi, _, vd in walk])
+    acc, e, k = [0] * n, [{} for _ in range(n)], 0
+    for i, lo, hi, gi, vn, vd in walk:
+        cw = vn * (den // (vd * gi))
+        while k + 1 < n and grid[k + 1] <= lo:
+            k += 1
+        rest = gi
+        while k + 1 < n and grid[k + 1] < hi:
+            o = grid[k + 1] - max(lo, grid[k])
+            e[k][i] = F(o, gi)
+            acc[k] += o * cw
+            rest -= o
+            k += 1
+        e[k][i] = F(rest, gi)
+        acc[k] += rest * cw
+    for k, a in enumerate(acc):
+        if a:
+            p[k] = p[k] + F(a, den) if p[k] else F(a, den)
+    return e
+
+
+def _fraction_factors(states, coeffs, target, ctx):
+    """`synth._branch_maps`' factors on the Fraction path: E's rows per
+    source, the steps and B's home, from `_fraction_levels` and the
+    Fraction grid, `_fraction_exact_embedding` (rational) or
+    `_fraction_embedding` (float), and `_fraction_transfers`."""
+    policy = ctx.policy
+    grid = merged_bend_grid([build_lorenz(target, ctx)], policy)
+    n = len(grid) - 1
+    widths = [grid[k + 1] - grid[k] for k in range(n)]
+    p, q = [policy.zero()] * n, [policy.zero()] * n
+
+    def embed(u, c, acc):
+        if policy.exact:
+            return _fraction_exact_embedding(_fraction_levels(u, ctx), grid, c, acc)
+        return _fraction_embedding(_fraction_levels(u, ctx), grid, c, acc, policy)
+
+    spreads = [embed(u, c, p) for c, u in zip(coeffs, states)]
+    cover = embed(target, policy.one(), q)
+    steps = _fraction_transfers(p, q, widths, policy)
+    home = [None] * ctx.dim
+    for k, row in enumerate(cover):
+        for i, x in row.items():
+            home[i] = (k, x * ctx.gibbs[i] / widths[k])
+    return spreads, steps, home
+
+
+def _dense_t(e, steps, home, d):
+    """The rows of B S E from its factors, on dense rows of E."""
+    rows = [[r.get(c, F(0)) for c in range(d)] for r in e]
+    for j, k, keep, a, b in steps:
+        s = [x + y for x, y in zip(rows[j], rows[k])]
+        rows[j] = [keep * x + a * v for x, v in zip(rows[j], s)]
+        rows[k] = [keep * y + b * v for y, v in zip(rows[k], s)]
+    return tuple(tuple(bk * x for x in rows[k]) for k, bk in home)
+
+
+def _check_plan(plan, source, target, ctx, dense=None):
+    """Every used map's factors, and apply_cto's output, equal the Fraction
+    path's, and so do the dense rows of the first `dense` maps per branch
+    (all when None)."""
+    for y, v in enumerate(target.columns):
+        support = [x for x in range(plan.n_in) if plan.control[x][y] != 0]
+        spreads, steps, home = _fraction_factors(
+            [source.columns[x] for x in support], [plan.control[x][y] for x in support], v, ctx)
+        for j, (x, e) in enumerate(zip(support, spreads)):
+            t = plan.branch_maps[(x, y)]
+            assert _same((t._e, t._steps, t._home), (e, steps, home)), (x, y)
+            if ctx.policy.exact and (dense is None or j < dense):
+                assert _same(t.t, _dense_t(e, steps, home, ctx.dim))
+    if ctx.policy.exact:
+        assert _same([c.w for c in apply_cto(plan, source, ctx).columns],
+                     _fraction_apply_cto(plan, source))
 
 
 def _fraction_apply_cto(plan, state):
@@ -379,9 +499,10 @@ def test_witness_by_parts_matches_increments_form():
 
 
 def test_embedding_and_transfers_match_fraction_formulas():
-    """For each target branch of random plans: the embedding's rows and its
-    additions to p, and the transfer steps, equal the Fraction formulas' by
-    type and value in rational mode and by bits in float mode."""
+    """For each target branch of random plans: the embedding's rows, the
+    transfer steps and B, as `_branch_maps` keeps them in its factors, equal
+    the Fraction formulas' by type and value in rational mode and by bits
+    in float mode."""
     n_steps = 0
     for policy in (RATIONAL, FLOATS):
         rng = random.Random(4)
@@ -392,24 +513,155 @@ def test_embedding_and_transfers_match_fraction_formulas():
             target = apply_cto(plan, source, ctx)
             levels = [synth._levels(u, ctx) for u in source.columns]
             for y, v in enumerate(target.columns):
-                by_slope = _by_slope(v, ctx.gibbs)
-                grid = merged_bend_grid([build_lorenz(v, ctx, by_slope)], policy)
-                n = len(grid) - 1
-                widths = [grid[k + 1] - grid[k] for k in range(n)]
-                sides = ([(plan.control[x][y], levels[x]) for x in range(len(levels))],
-                         [(policy.one(), synth._levels(v, ctx, by_slope))])
-                pq = []
-                for groups in sides:  # the sources into p, then the target into q
-                    got_p, want_p = [policy.zero()] * n, [policy.zero()] * n
-                    for c, lv in groups:
-                        got = synth._embedding(lv, grid, c, got_p, policy)
-                        assert _same(got, _fraction_embedding(lv, grid, c, want_p, policy))
+                coeffs = [plan.control[x][y] for x in range(len(levels))]
+                maps = synth._branch_maps(levels, coeffs, v, ctx)
+                spreads, steps, home = _fraction_factors(source.columns, coeffs, v, ctx)
+                for t, e in zip(maps, spreads):
+                    assert _same((t._e, t._steps, t._home), (e, steps, home))
+                if policy.exact:  # the two Fraction embeddings agree
+                    grid = merged_bend_grid([build_lorenz(v, ctx)], policy)
+                    got_p = [policy.zero()] * (len(grid) - 1)
+                    want_p = list(got_p)
+                    for c, u in zip(coeffs, source.columns):
+                        lv = _fraction_levels(u, ctx)
+                        assert _same(_fraction_exact_embedding(lv, grid, c, got_p),
+                                     _fraction_embedding(lv, grid, c, want_p, policy))
                     assert _same(got_p, want_p)
-                    pq.append(want_p)
-                want = _fraction_transfers(*pq, widths, policy)
-                assert _same(synth._transfers(*pq, widths, policy), want)
-                n_steps += len(want)
+                n_steps += len(steps)
     assert n_steps > 300
+
+
+def test_mass_checks_match_exact_sum():
+    """`_checked_mass` on held integer forms gives `_exact_sum`'s mass or
+    the same error and message, for valid states and for a float, a NaN, a
+    negative int, a negative Fraction and mass over 1, whether or not the
+    form was read before."""
+    rng = random.Random(9)
+    bad = {"float": 0.25, "nan": float("nan"), "negative int": -1, "negative": F(-1, 7)}
+    outcomes = set()
+    for n in range(400):
+        d = rng.randint(1, 6)
+        w = [F(rng.randint(0, 9), rng.randint(1, 12)) for _ in range(d)]
+        total = sum(w)
+        if n % 3 and total:  # normalized or sub-normalized; else often over 1
+            w = [x / total * F(rng.randint(1, 4), 4) for x in w]
+        if n % 5 == 0:
+            kind = rng.choice(sorted(bad))
+            w[rng.randrange(d)] = bad[kind]
+        for read_first in (False, True):
+            u = StateVector(tuple(w))
+            if read_first:
+                try:
+                    u._ints
+                except ValidationError:
+                    pass
+            got = want = None
+            try:
+                got = u._checked_mass(RATIONAL)
+            except ValidationError as exc:
+                got = (type(exc), str(exc))
+            try:
+                want = _fraction_checked_mass(u, RATIONAL)
+            except ValidationError as exc:
+                want = (type(exc), str(exc))
+            assert _same(got, want), (w, got, want)
+            outcomes.add(want[1].split()[0] if isinstance(want, tuple) else "mass")
+    assert outcomes == {"mass", "float", "negative", "state"}, outcomes
+
+
+def test_grid_rows_match_fraction_values():
+    """`_int_grid` is the merged bend grid over G, and `_int_rows` gives the
+    (D, integer rows) that the Fraction values put over one denominator
+    give, at every grid point and at repeated and skipped ones."""
+    rng = random.Random(10)
+    for ctx, source, target in _pairs(RATIONAL, 10, 40, ((2, 1, 2), (4, 3, 3), (6, 2, 4),
+                                                          (8, 4, 4))):
+        for a, b in ((source, target), (target, source)):
+            curves = cq_branch_curves(a, ctx)
+            grid = _int_grid(curves)
+            big_g = ctx._ints[0]
+            assert _same([F(s, big_g) for s in grid], merged_bend_grid(curves, RATIONAL))
+            xs = grid[1:]
+            some = sorted(rng.choices(xs, k=rng.randint(1, len(xs))))
+            for pts in (xs, some):
+                fr = [F(s, big_g) for s in pts]
+                for c in (curves, cq_branch_curves(b, ctx)):
+                    assert _same(_int_rows(c, pts), _fraction_rows(c, fr))
+
+
+def _kinds(seed):
+    """A rational pair of each kind from one seed, d 2-8 and l,m 1-4:
+    (kind, ctx, source, target, generating control or None)."""
+    rng = random.Random(seed)
+    d, ell, m = rng.randint(2, 8), rng.randint(1, 4), rng.randint(1, 4)
+    ctx = testkit.random_context(d, rng, RATIONAL)
+    source = testkit.random_cq(ctx, ell, rng)
+    gen = testkit.random_cto(ctx, ell, m, rng)
+    target = apply_cto(gen, source, ctx)
+    other = testkit.random_cq(ctx, m, rng)
+    return [("reachable", ctx, source, target, gen.control),
+            ("reversed", ctx, target, source, None),
+            ("unrelated", ctx, source, other, None),
+            ("unrelated back", ctx, other, source, None)]
+
+
+def _check_pair(ctx, source, target, control, dense=None):
+    """The decision, a refusal's functional, and the plans from the decision
+    and from the generating control, against the Fraction path (`dense` as
+    in `_check_plan`); returns the decision."""
+    decision = check_cto(source, target, ctx)
+    if source.n_branches > 1 and target.n_branches > 1:
+        want = _fraction_check_cto(source, target, ctx)
+        assert _same((decision.convertible, decision.plan_seed,
+                      decision.witness and decision.witness.a),
+                     (want.convertible, want.plan_seed, want.witness and want.witness.a))
+    if not decision.convertible:
+        assert _same(verify_witness(decision.witness, source, target, ctx),
+                     _increments_witness_value(decision.witness, source, target, ctx))
+        return decision
+    for seed_control in (decision.plan_seed, control):
+        if seed_control is not None:
+            plan = synthesize_cto(source, target, ctx, Decision(True, seed_control))
+            _check_plan(plan, source, target, ctx, dense)
+    return decision
+
+
+def test_every_pair_kind_matches_the_fraction_path():
+    """500 seeded pairs of each kind: reachable, reversed, and an unrelated
+    random target in each direction, of which some pass the phi screen, so
+    refusals that reach the LP are covered.  Decisions (l, m >= 2),
+    witnesses, `verify_witness` values, plan factors, dense t and apply_cto
+    output equal the Fraction path's by type, numerator and denominator."""
+    screen, screened = convert._phi_screen, []
+    convert._phi_screen = lambda *args: screened.append(screen(*args)) or screened[-1]
+    counts, by_lp = {}, 0
+    try:
+        for seed in range(500):
+            for kind, ctx, source, target, control in _kinds(seed):
+                del screened[:]
+                decision = _check_pair(ctx, source, target, control)
+                counts[kind, decision.convertible] = counts.get((kind, decision.convertible), 0) + 1
+                by_lp += not decision.convertible and screened == [None]
+    finally:
+        convert._phi_screen = screen
+    for kind in ("reachable", "reversed", "unrelated", "unrelated back"):
+        assert counts.get((kind, True), 0) + counts.get((kind, False), 0) == 500
+    assert counts["reachable", True] == 500 and counts["reversed", False] > 200
+    assert counts["unrelated", True] > 20 and by_lp > 20, (counts, by_lp)
+
+
+def test_large_pairs_match_the_fraction_path():
+    """d=24, l=m=12 and d=48, l=m=16: a reachable pair and its reverse,
+    with the dense rows of one map per target branch at d=24."""
+    for d, n, seed in ((24, 12, 1), (24, 12, 2), (48, 16, 1)):
+        rng = random.Random(seed)
+        ctx = testkit.random_context(d, rng, RATIONAL)
+        source = testkit.random_cq(ctx, n, rng)
+        gen = testkit.random_cto(ctx, n, n, rng)
+        target = apply_cto(gen, source, ctx)
+        dense = 1 if d == 24 else 0
+        assert _check_pair(ctx, source, target, gen.control, dense).convertible
+        assert not _check_pair(ctx, target, source, None).convertible
 
 
 def test_plans_apply_exactly():

@@ -36,6 +36,7 @@ from ctoconv.lorenz import _by_slope, build_lorenz, merged_bend_grid
 
 from conftest import FLOATS, RATIONAL
 import oracles
+from test_integer_paths import _fraction_embedding
 
 
 def _max_err(a: CQState, b: CQState) -> float:
@@ -511,7 +512,7 @@ class TestCanonicalizeCto:
 def _dense_embedding(u, grid, ctx):
     """Reference E: every cell against every level, zeros stored."""
     g, zero = ctx.gibbs, ctx.policy.zero()
-    _, order, _ = _by_slope(u, g)
+    _, order, _ = _by_slope(u, ctx)
     ends = [zero]
     for i in order[:-1]:
         ends.append(ends[-1] + g[i])
@@ -523,11 +524,13 @@ def _dense_embedding(u, grid, ctx):
     return e
 
 
-def _levels_state(levels):
-    """The source vector that `synth._levels` put in Lorenz order."""
+def _levels_state(source):
+    """The source vector that `synth._levels` put in Lorenz order: u_i, or
+    in rational mode u_i = Fraction(w_i G_i, D) from its integers."""
+    den, levels = source
     w = [None] * len(levels)
-    for i, _, _, _, wi in levels:
-        w[i] = wi
+    for i, _, _, gi, wi in levels:
+        w[i] = F(wi * gi, den) if type(gi) is int else wi
     return StateVector(tuple(w))
 
 
@@ -564,7 +567,7 @@ def _added_levels(u, ctx):
     """`synth._levels` before it took the ends from `_by_slope`'s integers:
     each interval end is the previous one plus g_i."""
     g, w = ctx.gibbs, u.w
-    _, order, _ = _by_slope(u, g)
+    _, order, _ = _by_slope(u, ctx)
     out, lo = [], ctx.policy.zero()
     for i in order:
         hi = lo + g[i]
@@ -575,19 +578,21 @@ def _added_levels(u, ctx):
     return out
 
 
-def _in_place_branch_maps(sources, coeffs, target, ctx):
+def _in_place_branch_maps(states, coeffs, target, ctx):
     """Reference rows of T_x as `synth._branch_maps` built them before it
     kept the factors: the steps mix E's sparse rows in place, then row i
-    is B[i][k] times row k."""
+    is B[i][k] times row k.  E, p and q come from the Fraction formulas
+    (`_fraction_embedding` on `_added_levels`), the steps from
+    `synth._transfers` on those Fractions."""
     policy = ctx.policy
     d, zero, one = ctx.dim, policy.zero(), policy.one()
     grid = merged_bend_grid([build_lorenz(target, ctx)], policy)
     n = len(grid) - 1
     widths = [grid[k + 1] - grid[k] for k in range(n)]
     p, q = [zero] * n, [zero] * n
-    spreads = [synth._embedding(levels, grid, c, p, policy)
-               for c, levels in zip(coeffs, sources)]
-    cover = synth._embedding(_added_levels(target, ctx), grid, one, q, policy)
+    spreads = [_fraction_embedding(_added_levels(u, ctx), grid, c, p, policy)
+               for c, u in zip(coeffs, states)]
+    cover = _fraction_embedding(_added_levels(target, ctx), grid, one, q, policy)
     steps = [(j, k, keep, a, b, keep + a, keep + b)
              for j, k, keep, a, b in synth._transfers(p, q, widths, policy)]
     home = [None] * d
@@ -686,9 +691,9 @@ class TestSparseEmbedding:
 
         def both(sources, coeffs, target, ctx):
             maps = orig(sources, coeffs, target, ctx)
-            states = [_levels_state(levels) for levels in sources]
+            states = [_levels_state(source) for source in sources]
             if in_place is not None:
-                rows = _in_place_branch_maps(sources, coeffs, target, ctx)
+                rows = _in_place_branch_maps(states, coeffs, target, ctx)
                 in_place.extend((t, u, t.apply(u), ref)
                                for t, u, ref in zip(maps, states, rows))
             pairs.extend(zip(maps, _dense_branch_maps(states, coeffs, target, ctx)))
@@ -761,7 +766,7 @@ class TestSparseEmbedding:
         grid = merged_bend_grid([build_lorenz(v, ctx)], FLOATS)
         assert grid[1] > FLOATS.eps_merge
         q = [0.0] * (len(grid) - 1)
-        cover = synth._embedding(synth._levels(v, ctx), grid, 1.0, q, FLOATS)
+        cover = synth._embedding(synth._levels(v, ctx)[1], grid, 1.0, q, FLOATS)
         assert sorted(cover[0]) == [0, 4]
         # the merge joins cells; it never splits a level of v between two
         assert sorted(i for row in cover for i in row) == list(range(5))
@@ -855,10 +860,17 @@ class TestSparseEmbedding:
     @pytest.mark.parametrize("policy", [FLOATS, RATIONAL], ids=["float", "rational"])
     def test_levels_equal_the_added_interval_ends(self, policy):
         """`_levels` gives the tuples that adding g_i to each end gave:
-        floats by bits, Fractions by type and value."""
+        floats by bits; in rational mode its integers lo, hi and G_i over G,
+        and u_i = Fraction(w_i G_i, D), give them by type and value."""
         rng = random.Random(6)
         for _ in range(200):
             ctx = testkit.random_context(rng.randint(1, 12), rng, policy)
             u = testkit.random_state(ctx, rng)
-            assert _exact_entries(synth._levels(u, ctx)) == \
-                _exact_entries(_added_levels(u, ctx))
+            den, levels = synth._levels(u, ctx)
+            if policy.exact:
+                big_g = ctx._ints[0]
+                levels = [(i, F(lo, big_g), F(hi, big_g), F(gi, big_g), F(wi * gi, den))
+                          for i, lo, hi, gi, wi in levels]
+            else:
+                assert den == 1
+            assert _exact_entries(levels) == _exact_entries(_added_levels(u, ctx))
