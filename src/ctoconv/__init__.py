@@ -27,14 +27,13 @@ from .convert import (
     check_ensemble_to_state,
     check_state_to_ensemble,
     extract_witness,
-    lt_majorize,
     omega,
     p_min,
     phi_monotones,
     sigma_grid,
     verify_witness,
 )
-from .synth import apply_cto, canonicalize_cto, synthesize_cto, synthesize_to
+from .synth import apply_cto, synthesize_cto, synthesize_to
 from .asymptotic import asymptotic_rate, free_energy, resource_value
 from . import errors, testkit
 
@@ -56,7 +55,6 @@ __all__ = [
     "asymptotic_rate",
     "build_lorenz",
     "canonicalize_cq",
-    "canonicalize_cto",
     "check_cto",
     "check_ensemble_to_state",
     "check_state_to_ensemble",
@@ -64,7 +62,6 @@ __all__ = [
     "errors",
     "extract_witness",
     "free_energy",
-    "lt_majorize",
     "omega",
     "p_min",
     "phi_monotones",

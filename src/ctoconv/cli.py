@@ -289,6 +289,8 @@ def _cmd_apply(inst: Instance, args) -> int:
     if args.expect_target:
         target = _require(inst, "target")
         if result.n_branches != target.n_branches:
+            print(f"mismatch: {result.n_branches} output branches, target has "
+                  f"{target.n_branches}", file=sys.stderr)
             return 1
         err = max(
             abs(a - b)

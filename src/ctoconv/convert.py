@@ -330,58 +330,6 @@ def _most_violated(col, cum_p, cum_q, y, pending, tol, scale=1):
     return pick
 
 
-def lt_majorize(p: Sequence, q: Sequence, policy: NumericPolicy,
-                return_theta: bool = False):
-    """Cumulative-sum dominance of p over q (no reordering).
-
-    With return_theta, also returns a lower-triangular column-stochastic
-    transfer matrix theta with theta p = q, built without an LP.
-    """
-    if len(p) != len(q):
-        raise DimensionMismatch("vectors differ in length")
-    if not policy.close(sum(p), sum(q)):
-        raise MassMismatch(f"masses {sum(p)} and {sum(q)} differ")
-    acc_p, acc_q = policy.zero(), policy.zero()
-    dominates = True
-    for a, b in zip(p, q):
-        acc_p += a
-        acc_q += b
-        if not policy.leq(acc_q, acc_p):
-            dominates = False
-            break
-    if not return_theta:
-        return dominates
-    if not dominates:
-        return False, None
-    return True, _lt_transfer(p, q, policy)
-
-
-def _lt_transfer(p, q, policy: NumericPolicy):
-    """Northwest-corner fill: pour each p_j into the earliest unfilled q_i
-    with i >= j (dominance has filled those with i < j; float mode skips
-    their rounding residue); theta_jj = 1 when p_j = 0."""
-    d = len(p)
-    zero, one = policy.zero(), policy.one()
-    theta = [[zero] * d for _ in range(d)]
-    i, room = -1, zero
-    for j, pj in enumerate(p):
-        if pj == 0:
-            theta[j][j] = one
-            continue
-        if i < j:
-            i, room = j, q[j]
-        left = pj
-        while i < d - 1 and left > room:
-            if room > 0:
-                theta[i][j] = room / pj
-                left -= room
-            i += 1
-            room = q[i]
-        theta[i][j] += left / pj
-        room -= left
-    return tuple(tuple(r) for r in theta)
-
-
 def check_state_to_ensemble(u: StateVector, target: CQState,
                             ctx: GibbsContext) -> bool:
     """Trivial classical register on the source: `check_cto`'s rule for

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence, Union
 
 from .errors import (
@@ -392,58 +392,60 @@ def canonicalize_cq(state: CQState, policy: NumericPolicy) -> CQState:
 class TOMatrix:
     """Column-stochastic matrix fixing the Gibbs vector (states are columns).
 
-    `TOMatrix(rows)` is a dense matrix, the one-factor case.  `product`
-    keeps synthesis's B S E (`synth`) as E's rows, {column: entry} dicts;
-    S's steps (j, k, keep, a, b), each taking x_j, x_k to keep x_j + a s and
-    keep x_k + b s with s = x_j + x_k; and home[i] = (k, B[i][k]), B's one
-    entry in row i.  `apply` runs the factors, and the rows `t` are their
-    product, built on first read.  `_exact_mix` applies a weighted sum of
-    products that share their steps and B in one integer pass.
+    Held as factors B S E, as `synth` builds them (`product`): E's rows as
+    {column: entry} dicts; S's steps (j, k, keep, a, b), each taking x_j, x_k
+    to keep x_j + a s, keep x_k + b s (s = x_j + x_k); home[i] = (k, B[i][k]).
+    `TOMatrix(rows)` is E = rows (dicts once read), no steps, B = I (one per
+    dimension).  `_mix` applies maps sharing steps and B; `t` is built once read.
     """
 
-    __slots__ = ("_t", "_e", "_steps", "_home")
-
     def __init__(self, t):
-        self._t, self._e, self._steps, self._home = tuple(map(tuple, t)), None, None, None
+        self.t = rows = tuple(map(tuple, t))  # a dense map's product is its rows
+        self._steps, self._home = (), _unit_home(len(rows))
+        if any(len(row) != len(rows) for row in rows):
+            raise DimensionMismatch("thermal-operation matrix is not square")
 
     @classmethod
     def product(cls, e, steps, home) -> "TOMatrix":
         m = cls.__new__(cls)
-        m._t, m._e, m._steps, m._home = None, e, steps, home
+        m._e, m._steps, m._home = e, steps, home
         return m
 
-    @property
+    @cached_property
+    def _e(self) -> list:
+        """E's rows; a dense map's are its rows `t`, as dicts."""
+        return [dict(enumerate(row)) for row in self.t]
+
+    @cached_property
     def t(self) -> tuple:
         """The rows; row i of a product is B[i][k] times row k of S E, built
         from copies of E's rows, so reading `t` changes no factor."""
-        if self._t is None:
-            e = [dict(row) for row in self._e]  # the steps mix rows in place
-            for j, k, keep, a, b in self._steps:  # S E, over both rows' supports
-                ka, kb, ej, ek = keep + a, keep + b, e[j], e[k]
-                for c, x in ej.items():
-                    y = ek.get(c)
-                    if y is None:  # a cell held by one row takes two products
-                        ej[c], ek[c] = ka * x, b * x
-                    else:
-                        s = x + y
-                        ej[c], ek[c] = keep * x + a * s, keep * y + b * s
-                if len(ek) > len(ej):  # ek now holds every key of ej
-                    for c, y in ek.items():
-                        if c not in ej:
-                            ej[c], ek[c] = a * y, kb * y
-            d, zero = len(self._home), 0 * self._home[0][1]  # a zero of B's type
-            rows = []
-            for k, b in self._home:
-                row = [zero] * d
-                for c, x in e[k].items():
-                    row[c] = b * x
-                rows.append(tuple(row))
-            self._t = tuple(rows)
-        return self._t
+        e = [dict(row) for row in self._e]  # the steps mix rows in place
+        for j, k, keep, a, b in self._steps:  # S E, over both rows' supports
+            ka, kb, ej, ek = keep + a, keep + b, e[j], e[k]
+            for c, x in ej.items():
+                y = ek.get(c)
+                if y is None:  # a cell held by one row takes two products
+                    ej[c], ek[c] = ka * x, b * x
+                else:
+                    s = x + y
+                    ej[c], ek[c] = keep * x + a * s, keep * y + b * s
+            if len(ek) > len(ej):  # ek now holds every key of ej
+                for c, y in ek.items():
+                    if c not in ej:
+                        ej[c], ek[c] = a * y, kb * y
+        d, zero = len(self._home), 0 * self._home[0][1]  # a zero of B's type
+        rows = []
+        for k, b in self._home:
+            row = [zero] * d
+            for c, x in e[k].items():
+                row[c] = b * x
+            rows.append(tuple(row))
+        return tuple(rows)
 
     @property
     def dim(self) -> int:
-        return len(self._t if self._e is None else self._home)
+        return len(self._home)
 
     def __eq__(self, other):
         return self.t == other.t if isinstance(other, TOMatrix) else NotImplemented
@@ -455,33 +457,12 @@ class TOMatrix:
         return f"TOMatrix(t={self.t!r})"
 
     def apply(self, v: StateVector) -> StateVector:
-        if v.dim != self.dim:
-            raise DimensionMismatch("matrix/vector dimension mismatch")
-        w, out = v.w, []  # zeros are skipped: each would cost a Fraction product
-        if self._e is not None:  # E, then the steps, then B
-            for row in self._e:
-                acc = None
-                for c, x in row.items():
-                    if x:
-                        acc = x * w[c] if acc is None else acc + x * w[c]
-                out.append(0 * w[0] if acc is None else acc)
-            for j, k, keep, a, b in self._steps:
-                s = out[j] + out[k]
-                out[j], out[k] = keep * out[j] + a * s, keep * out[k] + b * s
-            return StateVector(tuple([b * out[k] for k, b in self._home]))
-        for row in self._t:
-            acc = None  # the first product starts the sum: no Fraction(0) to add
-            for x, y in zip(row, w):
-                if x:
-                    acc = x * y if acc is None else acc + x * y
-            out.append(0 * row[0] if acc is None else acc)  # a zero row: its entries' zero
-        return StateVector(tuple(out))
+        """`_mix`'s one-term case, float arm: exact on Fractions too."""
+        return StateVector(tuple(_mix(((1, self, v),), False)))
 
     def validate(self, ctx: GibbsContext) -> "TOMatrix":
         policy = ctx.policy
         d = self.dim
-        if any(len(row) != d for row in self.t):
-            raise DimensionMismatch("thermal-operation matrix is not square")
         for row in self.t:
             _check_entries(row, policy, "matrix entry")
         for j in range(d):
@@ -502,46 +483,64 @@ class TOMatrix:
         ))
 
 
-def _exact_mix(terms):
-    """sum_x r_x T_x u_x over terms (r_x, T_x, u_x) as Fractions, when the T_x
-    are products sharing one list of steps and one B, as synthesis's maps
-    into one target branch do: B S (sum_x r_x E_x u_x) on integers, u_x read
-    as its held `_ints`.  Cell k holds z[k] / den[k]; a step brings its two
+@cache
+def _unit_home(d: int) -> tuple:  # B = I as `TOMatrix` holds it; 1 is exact in both modes
+    return tuple([(k, 1) for k in range(d)])
+
+
+def _mix(terms, exact: bool) -> list:
+    """sum_x r_x T_x u_x = B S (sum_x r_x E_x u_x) over terms (r_x, T_x, u_x)
+    whose maps share their steps and B: on integers in rational mode
+    (`_exact_mix`), else in the numbers given, skipping zeros of E."""
+    if any(t.dim != u.dim for _, t, u in terms):
+        raise DimensionMismatch("matrix/vector dimension mismatch")
+    if exact:
+        return _exact_mix(terms)
+    z = None
+    for r, t, u in terms:  # the last t's steps and B are every t's
+        w, v = u.w, []
+        for row in t._e:
+            acc = None  # the first product starts the sum
+            for c, x in row.items():
+                if x:
+                    acc = x * w[c] if acc is None else acc + x * w[c]
+            v.append(0 * w[0] if acc is None else acc)  # a zero row: the state's zero
+        z = [r * b for b in v] if z is None else [a + r * b for a, b in zip(z, v)]
+    for j, k, keep, a, b in t._steps:
+        s = z[j] + z[k]
+        z[j], z[k] = keep * z[j] + a * s, keep * z[k] + b * s
+    return [b * z[k] for k, b in t._home]
+
+
+def _exact_mix(terms) -> list:
+    """`_mix` on integers: u_x read as its held `_ints`, E_x's entries and
+    r_x over their lcms.  Cell k holds z[k] / den[k]; a step brings its two
     cells to one denominator and takes them over the lcm of its numbers, so
-    it costs O(1).  Terms must be given; None for a dense map, unshared
-    factors or a float, and the caller then applies each map by itself."""
-    _, t0, u0 = terms[0]
-    steps, home = t0._steps, t0._home
-    if home is None or len(home) != u0.dim or any(
-            t._steps is not steps or t._home is not home for _, t, _ in terms):
-        return None
-    try:
-        parts = []  # (denominator, r's numerator, E u's integers) per term
-        for r, t, u in terms:
-            du, un = u._ints
-            de, en = _over_lcm([x for row in t._e for x in row.values()])
-            en = iter(en)
-            v = [sum([next(en) * un[c] for c in row]) for row in t._e]
-            dr, (rn,) = _over_lcm((r,))
-            parts.append((dr * de * du, rn, v))
-        d0 = math.lcm(*[p[0] for p in parts])
-        z, den = [0] * len(t0._e), [d0] * len(t0._e)
-        for td, rn, v in parts:
-            f = d0 // td * rn
-            z = [a + f * b for a, b in zip(z, v)]
-        for j, k, keep, a, b in steps:  # keep form, nonnegative throughout
-            ell, (kn, an, bn) = _over_lcm((keep, a, b))
-            zj, zk, dj, dk = z[j], z[k], den[j], den[k]
-            if dj != dk:
-                lv = math.lcm(dj, dk)
-                zj, zk, dj = zj * (lv // dj), zk * (lv // dk), lv
-            s = zj + zk
-            z[j], z[k] = kn * zj + an * s, kn * zk + bn * s
-            den[j] = den[k] = dj * ell
-        db, bs = _over_lcm([b for _, b in home])
-    except ValidationError:  # a float, which the map-by-map sum refuses
-        return None
-    return [Fraction(b * z[k], den[k] * db) for (k, _), b in zip(home, bs)]
+    it costs O(1).  A float raises `_over_lcm`'s ValidationError."""
+    parts = []  # (denominator, r's numerator, E u's integers) per term
+    for r, t, u in terms:
+        du, un = u._ints
+        de, en = _over_lcm([x for row in t._e for x in row.values()])
+        en = iter(en)
+        v = [sum([next(en) * un[c] for c in row]) for row in t._e]
+        dr, (rn,) = _over_lcm((r,))
+        parts.append((dr * de * du, rn, v))
+    d0 = math.lcm(*[p[0] for p in parts])
+    z, den = [0] * len(v), [d0] * len(v)
+    for td, rn, v in parts:
+        f = d0 // td * rn
+        z = [a + f * b for a, b in zip(z, v)]
+    for j, k, keep, a, b in t._steps:  # keep form, nonnegative throughout
+        ell, (kn, an, bn) = _over_lcm((keep, a, b))
+        zj, zk, dj, dk = z[j], z[k], den[j], den[k]
+        if dj != dk:
+            lv = math.lcm(dj, dk)
+            zj, zk, dj = zj * (lv // dj), zk * (lv // dk), lv
+        s = zj + zk
+        z[j], z[k] = kn * zj + an * s, kn * zk + bn * s
+        den[j] = den[k] = dj * ell
+    db, bs = _over_lcm([b for _, b in t._home])
+    return [Fraction(b * z[k], den[k] * db) for (k, _), b in zip(t._home, bs)]
 
 
 @dataclass(frozen=True)
@@ -573,7 +572,7 @@ class CTOPlan:
             if not policy.close(sum(row), policy.one()):
                 raise ValidationError("control matrix row does not sum to 1")
         for key, t in self.branch_maps.items():
-            if key[0] >= self.n_in or key[1] >= m:
+            if not (0 <= key[0] < self.n_in and 0 <= key[1] < m):
                 raise DimensionMismatch(f"branch map index {key} out of range")
             t.validate(ctx)
         return self

@@ -24,10 +24,10 @@ both modes, so no plan entry needs clamping.
 
 A plan holds a map for each (x, y) with R[x][y] != 0, the pairs `apply_cto`
 reads, and no other.  A map is kept as its factors (`TOMatrix.product`):
-E_x's rows, and S and B, which branch y's sources share.  Applying one map
-runs E_x, then the steps, then B; `apply_cto` in rational mode forms
-sum_x R[x][y] E_x u^x on integers and runs branch y's steps and B once
-(`core._exact_mix`).  Its dense rows `t`, which `canonicalize_cto`,
+E_x's rows, and S and B, which branch y's sources share.  `apply_cto` forms
+sum_x R[x][y] E_x u^x and runs branch y's steps and B once (`core._mix`), on
+integers in rational mode; a dense map is E = its rows, no steps and B = I,
+so a branch's dense maps make one such group too.  Its dense rows `t`, which
 `validate` and the CLI plan file read, are built on demand.
 """
 
@@ -38,9 +38,9 @@ from itertools import accumulate
 from math import lcm
 
 from .core import (CQState, CTOPlan, GibbsContext, NumericPolicy, StateVector,
-                   TOMatrix, _check_entries, _exact_mix, canonicalize_cq)
-from .errors import (DimensionMismatch, MassMismatch, NotConvertible,
-                     NotStochasticSum, NotThermoMajorizing, ValidationError)
+                   TOMatrix, _mix, canonicalize_cq)
+from .errors import (DimensionMismatch, MassMismatch, NotConvertible, NotThermoMajorizing,
+                     ValidationError)
 from .convert import Decision, check_cto
 from .lorenz import _by_slope, build_lorenz, merged_bend_grid
 
@@ -241,10 +241,10 @@ def _transfers(p, q, widths, policy: NumericPolicy) -> list:
 
 def apply_cto(plan: CTOPlan, state: CQState, ctx: GibbsContext) -> CQState:
     """Output branches: v^y = sum_x R[x][y] T^(x,y) u^x, then canonicalize.
-    The state is checked first.  In rational mode a branch of synthesized
-    maps is one integer pass (`core._exact_mix`); any other branch, one with
-    a float included, sums its mapped columns, and a float output entry is
-    refused: only a float control entry or map number can put one there."""
+    The state is checked first.  Branch y's terms are grouped by the steps
+    and B their maps hold, one group for a synthesized branch or for dense
+    maps, and each group is one `core._mix`, on integers in rational mode,
+    where a float control entry or map number is refused."""
     if plan.n_in != state.n_branches:
         raise DimensionMismatch(
             f"plan expects {plan.n_in} source branches, state has "
@@ -252,10 +252,9 @@ def apply_cto(plan: CTOPlan, state: CQState, ctx: GibbsContext) -> CQState:
         )
     policy = ctx.policy
     state.validate(policy)
-    d, exact = state.dim, policy.exact
     cols = []
     for y in range(plan.n_out):
-        terms = []
+        groups = {}  # (steps, B) -> terms, by identity
         for x in range(plan.n_in):
             r = plan.control[x][y]
             if r == 0:
@@ -265,64 +264,16 @@ def apply_cto(plan: CTOPlan, state: CQState, ctx: GibbsContext) -> CQState:
                 raise ValidationError(
                     f"plan has no branch map for (x, y) = {(x, y)}, which its "
                     f"control uses")
-            terms.append((r, t, state.columns[x]))
-        acc = _exact_mix(terms) if exact and terms else None
-        if acc is None:
-            acc = [policy.zero()] * d
-            for r, t, u in terms:
-                acc = [a + r * b for a, b in zip(acc, t.apply(u).w)]
-        if exact and any(isinstance(v, float) for v in acc):
-            raise ValidationError(f"float entry in output branch {y} in rational "
-                                  f"mode, from a float control entry or map number")
-        cols.append(StateVector(tuple(acc)))
+            groups.setdefault((id(t._steps), id(t._home)), []).append((r, t, state.columns[x]))
+        acc = None
+        for terms in groups.values():
+            try:
+                v = _mix(terms, policy.exact)
+            except DimensionMismatch:
+                raise
+            except ValidationError:  # `_over_lcm` met a float
+                raise ValidationError(f"float entry in output branch {y} in rational mode, "
+                                      "from a float control entry or map number") from None
+            acc = v if acc is None else [a + b for a, b in zip(acc, v)]
+        cols.append(StateVector(tuple(acc or [policy.zero()] * state.dim)))
     return canonicalize_cq(CQState(tuple(cols)), policy)
-
-
-def canonicalize_cto(terms, ctx: GibbsContext) -> CTOPlan:
-    """Average an arbitrary indexed decomposition into the (x, y)-indexed form.
-
-    terms: iterable of (sub-stochastic control part, TOMatrix) pairs whose
-    control parts sum to a row-stochastic matrix.  Parts and maps are held
-    to the entry rule: nonnegative, and no float in rational mode.
-    """
-    policy = ctx.policy
-    terms = [(tuple(tuple(r) for r in part), t) for part, t in terms]
-    if not terms:
-        raise NotStochasticSum("empty decomposition")
-    ell = len(terms[0][0])
-    m = len(terms[0][0][0])
-    d = ctx.dim
-    total = [[policy.zero()] * m for _ in range(ell)]
-    for part, t in terms:
-        if len(part) != ell or any(len(r) != m for r in part):
-            raise DimensionMismatch("ragged decomposition parts")
-        if t.dim != d:
-            raise DimensionMismatch("branch map dimension mismatch")
-        for x in range(ell):
-            _check_entries(part[x], policy, "sub-stochastic entry")
-            for y in range(m):
-                total[x][y] += part[x][y]
-    for x in range(ell):
-        if not policy.close(sum(total[x]), policy.one()):
-            raise NotStochasticSum(
-                f"row {x} of the summed control parts is not stochastic"
-            )
-    _check_entries((v for _, t in terms for row in t.t for v in row),
-                   policy, "matrix entry")
-    branch_maps = {}
-    for x in range(ell):
-        for y, r_xy in enumerate(total[x]):
-            if r_xy == 0:
-                continue
-            acc = [[policy.zero()] * d for _ in range(d)]
-            for part, t in terms:
-                c = part[x][y]
-                if c == 0:
-                    continue
-                for i, row in enumerate(t.t):
-                    for j in range(d):
-                        acc[i][j] += c * row[j]
-            branch_maps[(x, y)] = TOMatrix(
-                tuple(tuple(v / r_xy for v in row) for row in acc)
-            )
-    return CTOPlan(control=tuple(tuple(r) for r in total), branch_maps=branch_maps)

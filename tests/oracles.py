@@ -1,4 +1,5 @@
-"""Brute-force oracles and instance builders that only the tests use.
+"""Brute-force oracles, instance builders and reference constructions that
+only the tests use.
 
 Each is deterministic given its seed, like `ctoconv.testkit`'s generators,
 which they build on.
@@ -7,12 +8,15 @@ which they build on.
 import math
 from contextlib import contextmanager
 from fractions import Fraction
+from typing import Sequence
 
 from ctoconv import convert
 from ctoconv.convert import (Decision, WitnessMatrix, _decide, _grid_values,
                              check_cto, extract_witness)
-from ctoconv.core import CQState, GibbsContext, NumericPolicy, StateVector, canonicalize_cq
-from ctoconv.errors import DimensionMismatch, NotThermoMajorizing
+from ctoconv.core import (CQState, CTOPlan, GibbsContext, NumericPolicy, StateVector, TOMatrix,
+                          _check_entries, canonicalize_cq)
+from ctoconv.errors import (DimensionMismatch, MassMismatch, NotStochasticSum,
+                            NotThermoMajorizing)
 from ctoconv.lorenz import cq_branch_curves, thermo_majorizes
 from ctoconv.synth import apply_cto
 from ctoconv.testkit import _rng, _unit, random_cto
@@ -164,3 +168,134 @@ def phi_screen_bypassed(screened=None):
         yield
     finally:
         convert._phi_screen = screen
+
+
+def lt_majorize(p: Sequence, q: Sequence, policy: NumericPolicy,
+                return_theta: bool = False):
+    """Cumulative-sum dominance of p over q (no reordering).
+
+    With return_theta, also returns a lower-triangular column-stochastic
+    transfer matrix theta with theta p = q, built without an LP.
+    """
+    if len(p) != len(q):
+        raise DimensionMismatch("vectors differ in length")
+    if not policy.close(sum(p), sum(q)):
+        raise MassMismatch(f"masses {sum(p)} and {sum(q)} differ")
+    acc_p, acc_q = policy.zero(), policy.zero()
+    dominates = True
+    for a, b in zip(p, q):
+        acc_p += a
+        acc_q += b
+        if not policy.leq(acc_q, acc_p):
+            dominates = False
+            break
+    if not return_theta:
+        return dominates
+    if not dominates:
+        return False, None
+    return True, _lt_transfer(p, q, policy)
+
+
+def _lt_transfer(p, q, policy: NumericPolicy):
+    """Northwest-corner fill: pour each p_j into the earliest unfilled q_i
+    with i >= j (dominance has filled those with i < j; float mode skips
+    their rounding residue); theta_jj = 1 when p_j = 0."""
+    d = len(p)
+    zero, one = policy.zero(), policy.one()
+    theta = [[zero] * d for _ in range(d)]
+    i, room = -1, zero
+    for j, pj in enumerate(p):
+        if pj == 0:
+            theta[j][j] = one
+            continue
+        if i < j:
+            i, room = j, q[j]
+        left = pj
+        while i < d - 1 and left > room:
+            if room > 0:
+                theta[i][j] = room / pj
+                left -= room
+            i += 1
+            room = q[i]
+        theta[i][j] += left / pj
+        room -= left
+    return tuple(tuple(r) for r in theta)
+
+
+def canonicalize_cto(terms, ctx: GibbsContext) -> CTOPlan:
+    """Average an arbitrary indexed decomposition into the (x, y)-indexed form.
+
+    terms: iterable of (sub-stochastic control part, TOMatrix) pairs whose
+    control parts sum to a row-stochastic matrix.  Parts and maps are held
+    to the entry rule: nonnegative, and no float in rational mode.
+    """
+    policy = ctx.policy
+    terms = [(tuple(tuple(r) for r in part), t) for part, t in terms]
+    if not terms:
+        raise NotStochasticSum("empty decomposition")
+    ell = len(terms[0][0])
+    m = len(terms[0][0][0])
+    d = ctx.dim
+    total = [[policy.zero()] * m for _ in range(ell)]
+    for part, t in terms:
+        if len(part) != ell or any(len(r) != m for r in part):
+            raise DimensionMismatch("ragged decomposition parts")
+        if t.dim != d:
+            raise DimensionMismatch("branch map dimension mismatch")
+        for x in range(ell):
+            _check_entries(part[x], policy, "sub-stochastic entry")
+            for y in range(m):
+                total[x][y] += part[x][y]
+    for x in range(ell):
+        if not policy.close(sum(total[x]), policy.one()):
+            raise NotStochasticSum(
+                f"row {x} of the summed control parts is not stochastic"
+            )
+    _check_entries((v for _, t in terms for row in t.t for v in row),
+                   policy, "matrix entry")
+    branch_maps = {}
+    for x in range(ell):
+        for y, r_xy in enumerate(total[x]):
+            if r_xy == 0:
+                continue
+            acc = [[policy.zero()] * d for _ in range(d)]
+            for part, t in terms:
+                c = part[x][y]
+                if c == 0:
+                    continue
+                for i, row in enumerate(t.t):
+                    for j in range(d):
+                        acc[i][j] += c * row[j]
+            branch_maps[(x, y)] = TOMatrix(
+                tuple(tuple(v / r_xy for v in row) for row in acc)
+            )
+    return CTOPlan(control=tuple(tuple(r) for r in total), branch_maps=branch_maps)
+
+
+def map_by_map_apply(plan: CTOPlan, state: CQState, ctx: GibbsContext) -> CQState:
+    """`apply_cto` with each used map applied by itself and the mapped
+    columns summed in x order from a zero, as before a branch's maps were
+    applied together.  A map runs E, then its steps, then B, each E row's
+    first product starting its sum; on a dense map (no steps, B = 1) these
+    are the dense row loop's operations in its order."""
+    policy = ctx.policy
+    state.validate(policy)
+    cols = []
+    for y in range(plan.n_out):
+        acc = [policy.zero()] * state.dim
+        for x in range(plan.n_in):
+            r = plan.control[x][y]
+            if r != 0:
+                t, w, out = plan.branch_maps[(x, y)], state.columns[x].w, []
+                for row in t._e:
+                    z = None
+                    for c, e in row.items():
+                        if e:
+                            z = e * w[c] if z is None else z + e * w[c]
+                    out.append(0 * w[0] if z is None else z)
+                for j, k, keep, a, b in t._steps:
+                    s = out[j] + out[k]
+                    out[j], out[k] = keep * out[j] + a * s, keep * out[k] + b * s
+                acc = [a + r * (b * out[k]) for a, (k, b) in zip(acc, t._home)]
+        cols.append(StateVector(tuple(acc)))
+    return canonicalize_cq(CQState(tuple(cols)), policy)

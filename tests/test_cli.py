@@ -135,9 +135,11 @@ _PLAN = {"R": [["1"]], "T": {"0,0": [["1", "0"], ["0", "1"]]}}
     (["apply"], MINIMAL, dict(_PLAN, T={"0,0": ["1", "0"]})),
     (["apply"], MINIMAL, dict(_PLAN, R=["1"])),
     (["apply"], MINIMAL, dict(_PLAN, T={})),
+    (["apply"], MINIMAL, dict(_PLAN, T={"0,0": [["1", "0"], ["1"]]})),
+    (["apply"], MINIMAL, dict(_PLAN, T=dict(_PLAN["T"], **{"-1,0": _PLAN["T"]["0,0"]}))),
 ], ids=["grid-not-int", "grid-zero", "policy-string", "policy-list", "eps-text",
         "beta-text", "weight-div-zero", "columns-flat", "column-int", "map-int",
-        "map-flat", "control-flat", "map-missing"])
+        "map-flat", "control-flat", "map-missing", "map-ragged", "map-index-negative"])
 def test_malformed_field_exits_two(tmp_path, capsys, argv, doc, plan):
     """A malformed field is an input error: exit 2 with one 'error:' line on
     stderr and nothing on stdout, never a traceback or the 'no' code 1."""
@@ -210,6 +212,16 @@ class TestOtherCommands:
         code, _ = _run(capsys, ["apply", str(plan_path), inst,
                                 "--expect-target"])
         assert code == 1
+
+    def test_apply_branch_count_mismatch_said_on_stderr(self, tmp_path, capsys):
+        """A result with another number of branches than the target exits 1
+        with a mismatch line on stderr, as a deviation does."""
+        inst = _write(tmp_path, MINIMAL)
+        ident = [["1", "0"], ["0", "1"]]
+        plan = _write(tmp_path, {"R": [["1/2", "1/2"]], "T": {"0,0": ident, "0,1": ident}},
+                      "plan.json")
+        assert cli.main(["apply", plan, inst, "--expect-target"]) == 1
+        assert capsys.readouterr().err == "mismatch: 2 output branches, target has 1\n"
 
     def test_apply_needs_maps_only_for_used_pairs(self, tmp_path, capsys):
         """A plan file may list unused pairs, (x, y) with R[x][y] = 0, or

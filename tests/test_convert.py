@@ -20,7 +20,6 @@ from ctoconv import (
     check_ensemble_to_state,
     check_state_to_ensemble,
     extract_witness,
-    lt_majorize,
     omega,
     p_min,
     phi_monotones,
@@ -47,7 +46,7 @@ from ctoconv.errors import (
 
 from conftest import FLOATS, RATIONAL, scipy_feasible
 import oracles
-from oracles import conditional_lt_majorize, pq_increments
+from oracles import conditional_lt_majorize, lt_majorize, pq_increments
 
 
 def _single(w):

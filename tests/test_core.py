@@ -16,6 +16,7 @@ from ctoconv import (
     TOMatrix,
     build_lorenz,
     canonicalize_cq,
+    synthesize_to,
     testkit,
 )
 from ctoconv.core import encode_number, matvec, parse_number
@@ -246,6 +247,26 @@ class TestTOMatrix:
             assert out == tuple(matvec(rows, w))
             assert all(type(x) is kind for x in out)
 
+    @pytest.mark.parametrize("rows", [((F(1), F(0)),), ((F(1), F(0)), (F(1),)), ((F(1),), ())],
+                             ids=["wide", "ragged", "empty-row"])
+    def test_not_square_refused_when_made(self, rows):
+        with pytest.raises(DimensionMismatch, match="not square"):
+            TOMatrix(rows)
+
+    def test_factors_and_dense_rows_are_one_map(self):
+        """A synthesized map and `TOMatrix` of its rows are equal, hash and
+        print alike, and map a state to the same Fractions."""
+        rng = random.Random(3)
+        for _ in range(10):
+            ctx = testkit.random_context(rng.randint(2, 6), rng, RATIONAL)
+            u = testkit.random_state(ctx, rng)
+            v = testkit.random_gibbs_stochastic(ctx, 4, rng).apply(u)
+            t = synthesize_to(u, v, ctx)
+            dense = TOMatrix(t.t)
+            assert t == dense and hash(t) == hash(dense) and repr(t) == repr(dense)
+            w = testkit.random_state(ctx, rng)
+            assert t.apply(w) == dense.apply(w) and t.apply(u) == v
+
     def test_column_sum_checked(self, uniform2):
         with pytest.raises(ValidationError):
             TOMatrix(((F(1), F(1)), (F(1), F(0)))).validate(uniform2)
@@ -281,6 +302,14 @@ class TestCTOPlan:
         ident = TOMatrix.identity(2, RATIONAL)
         plan = CTOPlan(control=((F(1),),), branch_maps={(0, 5): ident})
         with pytest.raises(DimensionMismatch):
+            plan.validate(uniform2)
+
+    @pytest.mark.parametrize("key", [(-1, 0), (0, -1)])
+    def test_negative_branch_key(self, uniform2, key):
+        """A negative index is out of range too, not a map that is ignored."""
+        ident = TOMatrix.identity(2, RATIONAL)
+        plan = CTOPlan(control=((F(1),),), branch_maps={(0, 0): ident, key: ident})
+        with pytest.raises(DimensionMismatch, match=r"index \(-?\d+, -?\d+\) out of range"):
             plan.validate(uniform2)
 
 

@@ -19,8 +19,8 @@ from fractions import Fraction as F
 from itertools import accumulate
 
 from ctoconv import (CQState, CTOPlan, Decision, GibbsContext, LinearSystem, NumericPolicy,
-                     StateVector, TOMatrix, apply_cto, canonicalize_cto, check_cto, convert,
-                     lp, synth, synthesize_cto, testkit, verify_witness)
+                     StateVector, TOMatrix, apply_cto, check_cto, convert, core, lp, synth,
+                     synthesize_cto, testkit, verify_witness)
 from ctoconv.core import _check_entries, _exact_sum, vdot
 from ctoconv.errors import ValidationError
 from ctoconv.lorenz import (_by_slope, _int_grid, _int_rows, build_lorenz, cq_branch_curves,
@@ -331,21 +331,23 @@ def _fraction_apply_cto(plan, state):
 
 def _integer_branches(plan, state, ctx) -> int:
     """Checks `apply_cto` against the Fraction sum; returns the number of
-    output branches that took the integer pass (`core._exact_mix`)."""
-    mix, taken = synth._exact_mix, []
+    output branches whose every used map took the integer pass
+    (`core._exact_mix`)."""
+    mix, seen = core._exact_mix, set()
 
     def spy(terms):
-        out = mix(terms)
-        taken.append(out is not None)
-        return out
+        seen.update(id(t) for _, t, _ in terms)
+        return mix(terms)
 
-    synth._exact_mix = spy
+    core._exact_mix = spy
     try:
         got = apply_cto(plan, state, ctx)
     finally:
-        synth._exact_mix = mix
+        core._exact_mix = mix
     assert _same([c.w for c in got.columns], _fraction_apply_cto(plan, state))
-    return sum(taken)
+    return sum(all(id(plan.branch_maps[(x, y)]) in seen
+                   for x in range(plan.n_in) if plan.control[x][y] != 0)
+               for y in range(plan.n_out))
 
 
 # -- instances ----------------------------------------------------------------
@@ -715,28 +717,29 @@ def test_integer_apply_on_edge_plans():
         assert _integer_branches(plan, source, ctx) == 12
 
 
-def test_dense_and_mixed_branches_keep_the_fraction_sum():
+def test_dense_and_mixed_branches_take_the_integer_pass():
     """Dense maps (`random_cto`, `canonicalize_cto`), and a branch that mixes
-    a product map with a dense one, are applied map by map."""
+    a product map with a dense one, take the integer pass too, every branch
+    equal to the Fraction sum."""
     rng = random.Random(7)
     for _ in range(20):
         ctx = testkit.random_context(rng.randint(2, 5), rng, RATIONAL)
         ell, m = rng.randint(1, 3), rng.randint(1, 3)
         source = testkit.random_cq(ctx, ell, rng)
         plan = testkit.random_cto(ctx, ell, m, rng)
-        assert _integer_branches(plan, source, ctx) == 0
+        assert _integer_branches(plan, source, ctx) == m
         other = testkit.random_cto(ctx, ell, m, rng)
         half = [[r / 2 for r in row] for row in plan.control]
         terms = [(half, plan.branch_maps[(0, 0)]), (half, other.branch_maps[(0, 0)])]
-        assert _integer_branches(canonicalize_cto(terms, ctx), source, ctx) == 0
+        assert _integer_branches(oracles.canonicalize_cto(terms, ctx), source, ctx) == m
         target = apply_cto(plan, source, ctx)
         synthesized = synthesize_cto(source, target, ctx,
                                      Decision(convertible=True, plan_seed=plan.control))
         maps = dict(synthesized.branch_maps)
-        if ell > 1:  # one of branch 0's maps dense: that branch takes the Fraction sum
+        if ell > 1:  # one of branch 0's maps dense: that branch sums two groups
             maps[(0, 0)] = TOMatrix(maps[(0, 0)].t)
         mixed = CTOPlan(plan.control, maps)
-        assert _integer_branches(mixed, source, ctx) == m - (ell > 1)
+        assert _integer_branches(mixed, source, ctx) == m
         assert apply_cto(mixed, source, ctx) == target
 
 

@@ -14,7 +14,6 @@ from ctoconv import (
     StateVector,
     TOMatrix,
     apply_cto,
-    canonicalize_cto,
     check_cto,
     synthesize_cto,
     synthesize_to,
@@ -36,6 +35,7 @@ from ctoconv.lorenz import _by_slope, build_lorenz, merged_bend_grid
 
 from conftest import FLOATS, RATIONAL
 import oracles
+from oracles import canonicalize_cto
 from test_integer_paths import _fraction_embedding
 
 
@@ -424,6 +424,57 @@ class TestApplyCto:
         out = apply_cto(plan, state, skew2)
         out.validate(RATIONAL)
         assert out.total_mass == F(1)
+
+    @pytest.mark.parametrize("policy", [FLOATS, RATIONAL], ids=["float", "rational"])
+    def test_map_of_another_dimension_refused(self, policy):
+        """A map whose dimension is not the state's raises DimensionMismatch
+        in both modes, a float map in rational mode included, never the
+        float message; so does `TOMatrix.apply`."""
+        ctx = testkit.random_context(3, random.Random(1), policy)
+        state = testkit.random_cq(ctx, 2, random.Random(2))
+        plan = testkit.random_cto(ctx, 2, 2, random.Random(3))
+        for t in (TOMatrix.identity(2, policy), TOMatrix.identity(4, FLOATS)):
+            maps = dict(plan.branch_maps)
+            maps[(1, 1)] = t
+            with pytest.raises(DimensionMismatch, match="dimension mismatch"):
+                apply_cto(CTOPlan(plan.control, maps), state, ctx)
+            with pytest.raises(DimensionMismatch, match="dimension mismatch"):
+                t.apply(state.columns[0])
+
+
+def _float_pairs(count):
+    """(ctx, source, generating plan) over `count` seeds: float contexts
+    with d 2-8 and l, m 1-4."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        ctx = testkit.random_context(rng.randint(2, 8), rng, FLOATS)
+        source = testkit.random_cq(ctx, rng.randint(1, 4), rng)
+        yield ctx, source, testkit.random_cto(ctx, source.n_branches, rng.randint(1, 4), rng)
+
+
+def test_dense_float_plans_match_the_map_by_map_sum_bitwise():
+    """A branch of dense maps, applied as one group, gives the bits of each
+    map applied by itself and the mapped columns summed."""
+    for ctx, source, plan in _float_pairs(300):
+        got = [x.hex() for c in apply_cto(plan, source, ctx).columns for x in c.w]
+        want = [x.hex() for c in oracles.map_by_map_apply(plan, source, ctx).columns
+                for x in c.w]
+        assert got == want
+
+
+def test_synthesized_float_plans_match_the_map_by_map_sum():
+    """A synthesized branch scales each E_x u^x before its shared steps, so
+    it moves from the map-by-map sum by rounding only."""
+    worst = 0.0
+    for ctx, source, gen in _float_pairs(300):
+        target = apply_cto(gen, source, ctx)
+        plan = synthesize_cto(source, target, ctx,
+                              Decision(convertible=True, plan_seed=gen.control))
+        got, want = apply_cto(plan, source, ctx), oracles.map_by_map_apply(plan, source, ctx)
+        assert got.n_branches == want.n_branches
+        worst = max([worst] + [abs(a - b) for c, e in zip(got.columns, want.columns)
+                               for a, b in zip(c.w, e.w)])
+    assert worst <= 1e-12
 
 
 class TestCanonicalizeCto:
